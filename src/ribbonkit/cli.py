@@ -523,7 +523,7 @@ def _cmd_muger(args, ps) -> int:
 
 
 def _cmd_phase(args, ps) -> int:
-    hs = [Fraction(text) for text in args.h]
+    hs = args.h
     for p in ps:
         value = voa_monodromy_phase(p, hs[0], hs[1], hs[2],
                                     squared=args.squared)
@@ -916,6 +916,25 @@ def _parse_prange(text: str) -> list:
     return list(range(lo, hi + 1))
 
 
+def _weight(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"invalid conformal weight {text!r}") from None
+
+
+def _window(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid window {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"window must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="ribbonkit",
@@ -927,7 +946,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("-p", required=True, metavar="P[..Q]",
                         help="parameter p >= 2, or an inclusive range A..B")
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--rmax", type=int, default=None,
+        sp.add_argument("--rmax", type=_window, default=None,
                         help="truncation window for the infinite families")
         sp.add_argument("--seed", type=int, default=0)
 
@@ -945,7 +964,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("phase", help="monodromy phase from three weights")
     common(sp)
     sp.add_argument("--squared", action="store_true")
-    sp.add_argument("h", nargs=3, help="three conformal weights as fractions")
+    sp.add_argument("h", nargs=3, type=_weight,
+                    help="three conformal weights as fractions")
     sp = sub.add_parser("verify", help="run a verification suite")
     common(sp)
     sp.add_argument("--suite", default="all",

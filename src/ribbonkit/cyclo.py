@@ -1,7 +1,13 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_N) with N = 4p.
 
 Elements are residues in the power basis 1, z, ..., z^{phi(N)-1} modulo the
-minimal polynomial Phi_N(z), with arbitrary-precision rational coefficients.
+minimal polynomial Phi_N(z). A residue is stored as a tuple of integer
+numerators over one positive common denominator, in lowest terms (the nf_elem
+form of FLINT/Antic). Phi_N is monic, so reduction is integer arithmetic and
+rationals appear only at the API edges: constructor input, rational(), the
+Fraction view `coeffs`, str/parse_cyc and embed_complex. Inverses come from
+an extended Euclid over Z[x] and are memoised per field context.
+
 The distinguished roots are q = zeta_N^2 (so q = e^{pi*i/p} under the
 reporting embedding) and the square-root branch q^{1/2} = zeta_N.
 
@@ -15,6 +21,8 @@ import cmath
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import add as _add, neg as _neg, sub as _sub
 from typing import Iterable, Sequence
 
 
@@ -24,9 +32,6 @@ class ContextMismatch(ValueError):
 
 # ---------------------------------------------------------------------------
 # integer polynomial helpers (ascending coefficient lists)
-
-
-_ZERO = Fraction(0)
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -50,9 +55,14 @@ def _poly_divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int
             quot[k - dd] = c
             for j in range(dd + 1):
                 num[k - dd + j] -= c * den[j]
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
+    return quot, _trim(num)
+
+
+def _trim(a: list[int]) -> list[int]:
+    """Drop zero top-degree coefficients in place, keeping at least one."""
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    return a
 
 
 @lru_cache(maxsize=None)
@@ -75,7 +85,8 @@ def _cyclotomic_poly(n: int) -> tuple[int, ...]:
 class FieldContext:
     """Q(zeta_{4p}): minimal polynomial, reduction data, cached root powers.
 
-    Instances are immutable and interned per p via field(p).
+    Instances are immutable and interned per p via field(p). The memo dicts
+    _qint_cache and _inv_cache only ever gain exact values.
     """
 
     def __init__(self, p: int):
@@ -84,49 +95,51 @@ class FieldContext:
         self.p = p
         self.N = 4 * p
         self.minimal_polynomial: tuple[int, ...] = _cyclotomic_poly(self.N)
-        self.degree = len(self.minimal_polynomial) - 1
-        # row j holds x^{degree+j} mod Phi as Fractions, enough rows to
-        # reduce any product of two residues (top power 2*degree - 2)
-        top = [Fraction(-c) for c in self.minimal_polynomial[: self.degree]]
-        rows = [top]
-        for _ in range(self.degree - 2):
-            prev = rows[-1]
-            carry = prev[-1]
-            nxt = [Fraction(0)] + prev[:-1]
+        self.degree = n = len(self.minimal_polynomial) - 1
+        # row j holds x^{degree+j} mod Phi as its nonzero (index, integer)
+        # pairs, enough rows to reduce any product of two residues (top
+        # power 2*degree - 2)
+        top = [-c for c in self.minimal_polynomial[:n]]
+
+        def times_z(cur: list[int]) -> list[int]:
+            carry = cur[-1]
+            nxt = [0] + cur[:-1]
             if carry:
-                nxt = [nxt[i] + carry * top[i] for i in range(self.degree)]
-            rows.append(nxt)
-        self._reduction_rows = rows
-        # sparse view of the same rows for the multiplication hot path
-        self._reduction_sparse = [
+                nxt = [a + carry * b for a, b in zip(nxt, top)]
+            return nxt
+
+        rows = [top]
+        for _ in range(n - 2):
+            rows.append(times_z(rows[-1]))
+        self._reduction = tuple(
             tuple((i, c) for i, c in enumerate(row) if c) for row in rows
-        ]
+        )
         # all N powers of zeta as reduced residues
         powers = []
-        cur = [Fraction(1)] + [Fraction(0)] * (self.degree - 1)
+        cur = [1] + [0] * (n - 1)
         for _ in range(self.N):
-            powers.append(tuple(cur))
-            carry = cur[-1]
-            cur = [Fraction(0)] + cur[:-1]
-            if carry:
-                cur = [cur[i] + carry * top[i] for i in range(self.degree)]
-        self._root_powers = powers
+            powers.append(_make(self, tuple(cur), 1))
+            cur = times_z(cur)
+        self._root_powers = tuple(powers)
         self._qint_cache: dict[int, CycNumber] = {}
+        self._inv_cache: dict[tuple, CycNumber] = {}
 
     # -- constructors
 
     def zero(self) -> "CycNumber":
-        return CycNumber(self, [])
+        return _make(self, (0,) * self.degree, 1)
 
     def one(self) -> "CycNumber":
-        return CycNumber(self, [1])
+        return self._root_powers[0]
 
     def rational(self, x) -> "CycNumber":
-        return CycNumber(self, [Fraction(x)])
+        f = Fraction(x)
+        return _make(self, (f.numerator,) + (0,) * (self.degree - 1),
+                     f.denominator)
 
     def root(self, k: int) -> "CycNumber":
         """zeta_N^k, k taken mod N."""
-        return CycNumber._raw(self, self._root_powers[k % self.N])
+        return self._root_powers[k % self.N]
 
     def q(self) -> "CycNumber":
         return self.root(2)
@@ -146,42 +159,55 @@ def field(p: int) -> FieldContext:
     return FieldContext(p)
 
 
-class CycNumber:
-    """A residue in Q[z]/(Phi_{4p}(z)), always fully reduced."""
+def _split(coeffs: list[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Fractions -> (integer numerators, least common denominator); the
+    result is in lowest terms because each Fraction is."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
 
-    __slots__ = ("ctx", "coeffs")
+
+class CycNumber:
+    """A residue in Q[z]/(Phi_{4p}(z)), always fully reduced.
+
+    num holds `degree` integers and den > 0 with gcd(den, *num) == 1; zero
+    has den == 1. That form is unique, so equality compares it directly.
+    """
+
+    __slots__ = ("ctx", "num", "den")
 
     def __init__(self, ctx: FieldContext, coeffs: Iterable):
         cs = [Fraction(c) for c in coeffs]
         if len(cs) > ctx.degree:
             if len(cs) > 2 * ctx.degree - 1:
                 raise ValueError("coefficient list too long to reduce in one pass")
-            rows = ctx._reduction_rows
             base = cs[: ctx.degree]
-            for j, c in enumerate(cs[ctx.degree:]):
+            for row, c in zip(ctx._reduction, cs[ctx.degree:]):
                 if c:
-                    row = rows[j]
-                    base = [base[i] + c * row[i] for i in range(ctx.degree)]
+                    for i, r in row:
+                        base[i] += c * r
             cs = base
         cs += [Fraction(0)] * (ctx.degree - len(cs))
         self.ctx = ctx
-        self.coeffs = tuple(cs)
+        self.num, self.den = _split(cs)
 
     @classmethod
     def _raw(cls, ctx, coeffs) -> "CycNumber":
-        # trusted constructor: coeffs already reduced Fractions of full length
-        self = object.__new__(cls)
-        self.ctx = ctx
-        self.coeffs = tuple(coeffs)
-        return self
+        # trusted constructor: coeffs already reduced rationals of full length
+        return _make(ctx, *_split([Fraction(c) for c in coeffs]))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- predicates
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     # -- arithmetic
 
@@ -200,8 +226,12 @@ class CycNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNumber._raw(
-            self.ctx, [a + b for a, b in zip(self.coeffs, o.coeffs)]
+        da, db = self.den, o.den
+        if da == db:
+            return _normalised(self.ctx, tuple(map(_add, self.num, o.num)), da)
+        return _normalised(
+            self.ctx, tuple([a * db + b * da for a, b in zip(self.num, o.num)]),
+            da * db,
         )
 
     __radd__ = __add__
@@ -210,8 +240,12 @@ class CycNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNumber._raw(
-            self.ctx, [a - b for a, b in zip(self.coeffs, o.coeffs)]
+        da, db = self.den, o.den
+        if da == db:
+            return _normalised(self.ctx, tuple(map(_sub, self.num, o.num)), da)
+        return _normalised(
+            self.ctx, tuple([a * db - b * da for a, b in zip(self.num, o.num)]),
+            da * db,
         )
 
     def __rsub__(self, other):
@@ -221,30 +255,30 @@ class CycNumber:
         return o - self
 
     def __neg__(self):
-        return CycNumber._raw(self.ctx, [-a for a in self.coeffs])
+        return _make(self.ctx, tuple(map(_neg, self.num)), self.den)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            k = other.numerator
+            return _normalised(self.ctx, tuple([a * k for a in self.num]),
+                               self.den * other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return CycNumber._raw(self.ctx, [a * f for a in self.coeffs])
-        n = self.ctx.degree
-        out = [_ZERO] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
+        ctx = self.ctx
+        n = ctx.degree
+        out = [0] * (2 * n - 1)
+        bs = [(j, b) for j, b in enumerate(o.num) if b]
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        out[i + j] += a * b
+                for j, b in bs:
+                    out[i + j] += a * b
         base = out[:n]
-        sparse = self.ctx._reduction_sparse
-        for j in range(n - 1):
-            c = out[n + j]
+        for row, c in zip(ctx._reduction, out[n:]):
             if c:
-                for i, r in sparse[j]:
+                for i, r in row:
                     base[i] += c * r
-        return CycNumber._raw(self.ctx, base)
+        return _normalised(ctx, tuple(base), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -274,54 +308,49 @@ class CycNumber:
         return result
 
     def inv(self) -> "CycNumber":
-        """Multiplicative inverse via extended Euclid against Phi_N."""
+        """Multiplicative inverse, memoised per field context."""
+        cache = self.ctx._inv_cache
+        key = (self.num, self.den)
+        out = cache.get(key)
+        if out is None:
+            out = cache[key] = self._euclid_inverse()
+        return out
+
+    def _euclid_inverse(self) -> "CycNumber":
+        """Extended Euclid against Phi_N over Z[x], by pseudo-division.
+
+        Each pair (r, t) keeps t * num == r (mod Phi); a pseudo-division step
+        scales by the divisor's leading coefficient so everything stays
+        integral, and the joint content of (r, t) is divided out each round.
+        The last remainder is a nonzero constant c, since Phi_N is
+        irreducible, so 1/(num/den) = den * t / c.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        if self.is_rational():
-            return self.ctx.rational(1 / self.coeffs[0])
-        # work over Q[x]: r0 = Phi, r1 = self; keep t-coefficients only
         ctx = self.ctx
-        r0 = [Fraction(c) for c in ctx.minimal_polynomial]
-        r1 = list(self.coeffs)
-        while len(r1) > 1 and r1[-1] == 0:
-            r1.pop()
-        t0: list[Fraction] = [Fraction(0)]
-        t1: list[Fraction] = [Fraction(1)]
-
-        def pdiv(a: list[Fraction], b: list[Fraction]):
-            a = a[:]
-            db = len(b) - 1
-            lead = b[-1]
-            q = [Fraction(0)] * max(len(a) - db, 1)
-            for k in range(len(a) - 1, db - 1, -1):
-                if a[k]:
-                    c = a[k] / lead
-                    q[k - db] = c
-                    for j in range(db + 1):
-                        a[k - db + j] -= c * b[j]
-            while len(a) > 1 and a[-1] == 0:
-                a.pop()
-            return q, a
-
-        def padd_scaled(a, q, b):
-            # a - q*b
-            out = list(a) + [Fraction(0)] * max(0, len(q) + len(b) - 1 - len(a))
-            for i, x in enumerate(q):
-                if x:
-                    for j, y in enumerate(b):
-                        out[i + j] -= x * y
-            while len(out) > 1 and out[-1] == 0:
-                out.pop()
-            return out
-
-        while not (len(r1) == 1 and r1[0] == 0):
-            q, r = pdiv(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, padd_scaled(t0, q, t1)
-        # r0 is the gcd, a nonzero constant (Phi_N is irreducible)
-        g = r0[0]
-        assert len(r0) == 1 and g != 0
-        return CycNumber(ctx, [c / g for c in t0])
+        r0, t0 = list(ctx.minimal_polynomial), [0]
+        r1, t1 = _trim(list(self.num)), [1]
+        while len(r1) > 1:
+            lead, d = r1[-1], len(r1) - 1
+            r, t = r0, t0
+            while len(r) > d:
+                c, s = r[-1], len(r) - 1 - d
+                r = [lead * x for x in r]
+                for j, y in enumerate(r1):
+                    r[s + j] -= c * y
+                t = [lead * x for x in t] + [0] * (s + len(t1) - len(t))
+                for j, y in enumerate(t1):
+                    t[s + j] -= c * y
+                _trim(r)
+            _trim(t)
+            g = gcd(*r, *t)
+            r0, t0 = r1, t1
+            r1, t1 = [x // g for x in r], [x // g for x in t]
+        c = r1[0]
+        assert c != 0, "Phi_N is irreducible, so the gcd is a unit"
+        scale = self.den if c > 0 else -self.den
+        num = [x * scale for x in t1] + [0] * (ctx.degree - len(t1))
+        return _normalised(ctx, tuple(num), abs(c))
 
     # -- equality / hashing
 
@@ -332,17 +361,22 @@ class CycNumber:
             return NotImplemented
         if other.ctx is not self.ctx:
             return False
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
+        # the hash of (p, coefficients as Fractions), which for den == 1 is
+        # the hash of (p, num): set and dict order stay as they were
+        if self.den == 1:
+            return hash((self.ctx.p, self.num))
         return hash((self.ctx.p, self.coeffs))
 
     # -- serialization
 
     def __str__(self):
         terms = []
+        coeffs = self.coeffs
         for k in range(self.ctx.degree - 1, -1, -1):
-            c = self.coeffs[k]
+            c = coeffs[k]
             if c == 0:
                 continue
             mag = abs(c)
@@ -362,6 +396,27 @@ class CycNumber:
 
     def __repr__(self):
         return f"<cyc p={self.ctx.p}: {self}>"
+
+
+def _make(ctx: FieldContext, num: tuple[int, ...], den: int) -> CycNumber:
+    """Trusted constructor: num reduced, of full length, already in lowest
+    terms over den > 0."""
+    out = object.__new__(CycNumber)
+    out.ctx = ctx
+    out.num = num
+    out.den = den
+    return out
+
+
+def _normalised(ctx: FieldContext, num: tuple[int, ...], den: int) -> CycNumber:
+    """Trusted constructor: num reduced and of full length, den > 0; divides
+    out the common content (nothing to do when den == 1)."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple([c // g for c in num])
+            den //= g
+    return _make(ctx, num, den)
 
 
 _TERM_RE = re.compile(

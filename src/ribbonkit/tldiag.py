@@ -343,11 +343,15 @@ def compose(f: TLMorphism, g: TLMorphism) -> TLMorphism:
         )
     ctx = f.ctx
     d = loop_value(ctx)
+    # a closed loop uses at least two of the m interface points
+    d_pow = [ctx.one()]
+    for _ in range(f.top_count // 2):
+        d_pow.append(d_pow[-1] * d)
     terms: dict[TLDiagram, CycNumber] = {}
     for d1, c1 in f.terms.items():
         for d2, c2 in g.terms.items():
             pairs, loops = _compose_diagrams(d1, d2)
-            coeff = c1 * c2 * d**loops
+            coeff = c1 * c2 * d_pow[loops]
             nd = TLDiagram(f.bottom_count, g.top_count, pairs)
             terms[nd] = terms[nd] + coeff if nd in terms else coeff
     return TLMorphism(ctx, f.bottom_count, g.top_count, terms)

@@ -247,6 +247,21 @@ def test_cmd_usage(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["phase", "-p", "3", "1/0", "0", "0"], "invalid conformal weight '1/0'"),
+    (["phase", "-p", "3", "0", "x/2", "0"], "invalid conformal weight 'x/2'"),
+    (["muger", "-p", "3", "--rmax", "0"], "window must be >= 1, got 0"),
+    (["muger", "-p", "3", "--rmax", "-2"], "window must be >= 1, got -2"),
+])
+def test_cmd_malformed_argument(capsys, argv, message):
+    # refused by argparse before any work: exit 2, one error line
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    errors = [ln for ln in err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and errors[0].endswith(message)
+    assert "Traceback" not in err
+
+
 # -- verify -------------------------------------------------------------------
 
 

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ribbonkit.cyclo import (
     ContextMismatch,
@@ -219,3 +219,123 @@ def test_serialization_round_trip(data, p):
     ctx = field(p)
     a = data.draw(elements(ctx))
     assert parse_cyc(ctx, str(a)) == a
+
+
+# -- differential test against a Fraction reference ---------------------------
+#
+# The reference is the schoolbook Fraction-tuple arithmetic the field used to
+# run on: a full product, reduction by dense Fraction rows of x^{degree+j}
+# mod Phi, and the extended Euclid over Q[x]. It never touches the integer
+# numerator/denominator form under test.
+
+
+def _ref_rows(ctx):
+    n = ctx.degree
+    top = [Fraction(-c) for c in ctx.minimal_polynomial[:n]]
+    rows = [top]
+    for _ in range(n - 2):
+        prev = rows[-1]
+        carry = prev[-1]
+        nxt = [Fraction(0)] + prev[:-1]
+        if carry:
+            nxt = [nxt[i] + carry * top[i] for i in range(n)]
+        rows.append(nxt)
+    return rows
+
+
+def ref_mul(ctx, a, b):
+    n = ctx.degree
+    out = [Fraction(0)] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    base = out[:n]
+    for j, row in enumerate(_ref_rows(ctx)):
+        c = out[n + j]
+        base = [base[i] + c * row[i] for i in range(n)]
+    return tuple(base)
+
+
+def ref_inv(ctx, a):
+    def trim(xs):
+        while len(xs) > 1 and xs[-1] == 0:
+            xs.pop()
+        return xs
+
+    def pdiv(a, b):
+        a = a[:]
+        db = len(b) - 1
+        q = [Fraction(0)] * max(len(a) - db, 1)
+        for k in range(len(a) - 1, db - 1, -1):
+            if a[k]:
+                c = a[k] / b[-1]
+                q[k - db] = c
+                for j in range(db + 1):
+                    a[k - db + j] -= c * b[j]
+        return q, trim(a)
+
+    def sub_prod(a, q, b):
+        out = list(a) + [Fraction(0)] * max(0, len(q) + len(b) - 1 - len(a))
+        for i, x in enumerate(q):
+            for j, y in enumerate(b):
+                out[i + j] -= x * y
+        return trim(out)
+
+    r0 = [Fraction(c) for c in ctx.minimal_polynomial]
+    r1 = trim(list(a))
+    t0, t1 = [Fraction(0)], [Fraction(1)]
+    while not (len(r1) == 1 and r1[0] == 0):
+        q, r = pdiv(r0, r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, sub_prod(t0, q, t1)
+    assert len(r0) == 1 and r0[0] != 0
+    assert len(t0) <= ctx.degree
+    out = [c / r0[0] for c in t0]
+    return tuple(out + [Fraction(0)] * (ctx.degree - len(out)))
+
+
+def coeff_lists(ctx, max_den=4):
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=max_den)
+    return st.lists(coeff, min_size=ctx.degree, max_size=ctx.degree)
+
+
+def assert_normalised(x):
+    assert len(x.num) == x.ctx.degree
+    assert all(isinstance(c, int) for c in x.num)
+    assert isinstance(x.den, int) and x.den > 0
+    assert math.gcd(x.den, *x.num) == 1
+    if x.is_zero():
+        assert x.den == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7, 13, 16]))
+def test_matches_fraction_reference(data, p):
+    ctx = field(p)
+    fa = tuple(data.draw(coeff_lists(ctx)))
+    fb = tuple(data.draw(coeff_lists(ctx)))
+    s = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
+    a, b = CycNumber(ctx, fa), CycNumber(ctx, fb)
+    assert a.coeffs == fa
+    results = [
+        (a + b, tuple(x + y for x, y in zip(fa, fb))),
+        (a - b, tuple(x - y for x, y in zip(fa, fb))),
+        (a * b, ref_mul(ctx, fa, fb)),
+        (a * s, tuple(x * s for x in fa)),
+    ]
+    if any(fa):
+        results.append((a.inv(), ref_inv(ctx, fa)))
+    for got, want in results:
+        assert got.coeffs == want
+        assert hash(got) == hash((p, want))
+        assert_normalised(got)
+        assert parse_cyc(ctx, str(got)) == got
+    for x in (a, b):
+        assert_normalised(x)
+        assert hash(x) == hash((p, x.coeffs))
+        if x.den == 1:
+            assert hash(x) == hash((p, x.num))
+    scale = (1 + sum(map(abs, fa))) * (1 + sum(map(abs, fb)))
+    assert cmath.isclose(embed_complex(a * b),
+                         embed_complex(a) * embed_complex(b),
+                         rel_tol=1e-9, abs_tol=1e-9 * float(scale))
