@@ -10,6 +10,8 @@ A small expression language drives the fusion rings:
 Atoms from one family fix the ring (V/chi the module side, X the recursion
 side, L and M the two truncated windows); the letter p in an index slot
 resolves to the -p value.  Integer literals act as multiples of the unit.
+Parentheses nest at most MAX_PARENS deep and the expression tree is at most
+MAX_DEPTH levels deep; deeper input is a syntax error, not a crash.
 
 Verbs: fuse, jw, braid-check, fpdim, twists, muger, phase, verify.  Exit
 codes: 0 on success, 1 when a verification fails, 2 for usage or parse
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -102,6 +105,12 @@ class EvalError(ValueError):
 
 _SYMBOLS = "+-*()[],"
 
+# Every parenthesis level costs the parser three Python frames and every
+# tree level costs each tree walk (evaluation, printing) one, so both limits
+# keep well inside the default recursion limit of 1000.
+MAX_PARENS = 200
+MAX_DEPTH = 500
+
 
 def _tokenize(text: str) -> list:
     out = []
@@ -132,9 +141,12 @@ def _tokenize(text: str) -> list:
 
 
 class _Parser:
+    """Recursive descent; expr/term/factor return (node, tree depth)."""
+
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.parens = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -150,30 +162,44 @@ class _Parser:
             raise DSLSyntaxError(f"expected {what}", tok[2])
         return tok
 
+    @staticmethod
+    def join(kind: str, left, right, off: int):
+        depth = 1 + max(left[1], right[1])
+        if depth > MAX_DEPTH:
+            raise DSLSyntaxError(
+                f"expression nested deeper than {MAX_DEPTH} levels", off)
+        return (kind, left[0], right[0]), depth
+
     def expr(self):
         node = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            node = ("add" if op == "+" else "sub", node, self.term())
+            op, _, off = self.take()
+            kind = "add" if op == "+" else "sub"
+            node = self.join(kind, node, self.term(), off)
         return node
 
     def term(self):
         node = self.factor()
         while self.peek()[0] == "*":
-            self.take()
-            node = ("mul", node, self.factor())
+            off = self.take()[2]
+            node = self.join("mul", node, self.factor(), off)
         return node
 
     def factor(self):
         kind, value, off = self.take()
         if kind == "int":
-            return ("int", value)
+            return ("int", value), 1
         if kind == "(":
+            self.parens += 1
+            if self.parens > MAX_PARENS:
+                raise DSLSyntaxError(
+                    f"parentheses nested deeper than {MAX_PARENS}", off)
             node = self.expr()
             self.expect(")", "')'")
+            self.parens -= 1
             return node
         if kind == "name":
-            return self.atom(value, off)
+            return self.atom(value, off), 1
         raise DSLSyntaxError("expected a number, an atom, or '('", off)
 
     def atom(self, name: str, off: int):
@@ -216,7 +242,7 @@ class _Parser:
 def parse(text: str):
     """Text -> AST of ('int', n) / ('atom', family, indices) / binary nodes."""
     parser = _Parser(text)
-    node = parser.expr()
+    node, _ = parser.expr()
     tok = parser.peek()
     if tok[0] != "end":
         raise DSLSyntaxError("trailing input", tok[2])
@@ -924,15 +950,25 @@ def _weight(text: str) -> Fraction:
             f"invalid conformal weight {text!r}") from None
 
 
-def _window(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid window {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"window must be >= 1, got {value}")
-    return value
+def _int_at_least(what: str, least: int):
+    """An argparse type: an int >= least, or a one-line refusal."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {what} {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be >= {least}, got {value}")
+        return value
+
+    return convert
+
+
+_window = _int_at_least("window", 1)
+_count = _int_at_least("count", 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -970,9 +1006,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--suite", default="all",
                     choices=sorted(SUITES) + ["all"])
-    sp.add_argument("--triples", type=int, default=10000,
+    sp.add_argument("--triples", type=_count, default=10000,
                     help="random associativity triples, total across -p")
-    sp.add_argument("--roundtrips", type=int, default=1000,
+    sp.add_argument("--roundtrips", type=_count, default=1000,
                     help="random DSL round trips, total across -p")
     return top
 
@@ -997,7 +1033,15 @@ def main(argv=None) -> int:
         return 0 if err.code == 0 else 2
     try:
         ps = _parse_prange(args.p)
-        return _DISPATCH[args.verb](args, ps)
+        code = _DISPATCH[args.verb](args, ps)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (``| head``); the output is no longer wanted,
+        # and what is still buffered goes to devnull so the flush at exit
+        # cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (DSLSyntaxError, EvalError, QuantumOrderError,
             NonRepresentablePhase, TruncationOverflow, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -5,8 +5,17 @@ bottom points 0..n-1 left to right, then top points n..n+m-1 right to left.
 With that convention planarity is the balanced-bracket condition on the
 linear word, and diagram equality is structural equality of sorted pairs.
 
+Each diagram also keeps its partner array: partner[i] is the mate of
+endpoint i.  Composition is pure combinatorics, independent of p: one walk
+over the two partner arrays, with plain ints and a list of visited interface
+points, gives the result's partner array and its closed loop count.
+Composing or tensoring planar matchings always gives a planar matching, so
+those results are built by a module-private constructor that skips the
+checks of the public one but stores the same canonical pairs and hash.
+
 Morphisms are finite CycNumber-linear combinations of diagrams; composition
-stacks diagrams and converts every closed loop into a factor d.
+stacks diagrams and converts every closed loop into a factor d, applied once
+per (result diagram, loop count) group.
 """
 
 from __future__ import annotations
@@ -29,30 +38,28 @@ class TLDiagram:
     """A planar perfect matching between n bottom and m top points.
 
     pairs is canonicalized to a lexicographically sorted tuple of sorted
-    pairs, so equality and hashing are structural.
+    pairs, so equality and hashing are structural; partner[i] is the mate
+    of endpoint i.
     """
 
-    __slots__ = ("bottom_count", "top_count", "pairs", "_hash")
+    __slots__ = ("bottom_count", "top_count", "pairs", "partner", "_hash")
 
     def __init__(self, bottom_count: int, top_count: int, pairs: Iterable):
         n, m = bottom_count, top_count
         if n < 0 or m < 0 or (n + m) % 2:
             raise ValueError(f"invalid boundary counts ({n}, {m})")
         norm = tuple(sorted(tuple(sorted(pr)) for pr in pairs))
-        seen: set[int] = set()
+        partner = [-1] * (n + m)
         for a, b in norm:
             if a == b or not (0 <= a < n + m) or not (0 <= b < n + m):
                 raise ValueError(f"endpoint pair ({a},{b}) out of range")
-            if a in seen or b in seen:
+            if partner[a] >= 0 or partner[b] >= 0:
                 raise ValueError(f"repeated endpoint in {norm}")
-            seen.update((a, b))
-        if len(seen) != n + m:
-            raise ValueError("pairing is not a perfect matching")
-        # planarity: balanced brackets on the linear word
-        partner = {}
-        for a, b in norm:
             partner[a] = b
             partner[b] = a
+        if -1 in partner:
+            raise ValueError("pairing is not a perfect matching")
+        # planarity: balanced brackets on the linear word
         stack: list[int] = []
         for t in range(n + m):
             u = partner[t]
@@ -62,10 +69,7 @@ class TLDiagram:
                 if not stack or stack[-1] != u:
                     raise ValueError(f"pairing {norm} is not planar")
                 stack.pop()
-        object.__setattr__(self, "bottom_count", n)
-        object.__setattr__(self, "top_count", m)
-        object.__setattr__(self, "pairs", norm)
-        object.__setattr__(self, "_hash", hash((n, m, norm)))
+        _fill(self, n, m, norm, tuple(partner))
 
     def __setattr__(self, *a):
         raise AttributeError("TLDiagram is immutable")
@@ -88,87 +92,95 @@ class TLDiagram:
     __repr__ = __str__
 
 
-def _partner_map(d: TLDiagram) -> dict[int, int]:
-    out = {}
-    for a, b in d.pairs:
-        out[a] = b
-        out[b] = a
-    return out
+def _fill(d: TLDiagram, n: int, m: int, pairs: tuple, partner: tuple) -> None:
+    object.__setattr__(d, "bottom_count", n)
+    object.__setattr__(d, "top_count", m)
+    object.__setattr__(d, "pairs", pairs)
+    object.__setattr__(d, "partner", partner)
+    object.__setattr__(d, "_hash", hash((n, m, pairs)))
 
 
-def _compose_diagrams(d1: TLDiagram, d2: TLDiagram) -> tuple[list, int]:
-    """Stack d1 then d2; returns (new pairs, closed loop count).
+def _trusted_diagram(n: int, m: int, partner: tuple) -> TLDiagram:
+    """The diagram with this partner array, which must be a planar matching.
 
-    Interface positions: d1 top index n+t sits at physical position m-1-t,
-    which is glued to d2 bottom index m-1-t.
+    Only for results of composition and tensor; pairs come out sorted
+    because each is listed at its smaller endpoint, in endpoint order.
     """
-    n, m, k = d1.bottom_count, d1.top_count, d2.top_count
-    p1, p2 = _partner_map(d1), _partner_map(d2)
+    d = object.__new__(TLDiagram)
+    pairs = tuple([(a, b) for a, b in enumerate(partner) if a < b])
+    _fill(d, n, m, pairs, partner)
+    return d
 
-    def glue(node):
-        side, idx = node
-        if side == "a":  # d1 top -> d2 bottom
-            return ("b", n + m - 1 - idx)
-        return ("a", n + m - 1 - idx)  # d2 bottom -> d1 top
 
-    def is_internal(node):
-        side, idx = node
-        return idx >= n if side == "a" else idx < m
+def _compose_partners(d1: TLDiagram, d2: TLDiagram) -> tuple[tuple, int]:
+    """Stack d1 (n->m) then d2 (m->k); the result's partner array and loops.
 
-    def final_index(node):
-        side, idx = node
-        return idx if side == "a" else n + (idx - m)
-
-    def pair_step(node):
-        side, idx = node
-        return (side, (p1 if side == "a" else p2)[idx])
-
-    visited: set[tuple] = set()
-    pairs: list[tuple[int, int]] = []
-    externals = [("a", i) for i in range(n)] + [("b", m + t) for t in range(k)]
-    for start in externals:
-        if start in visited:
+    Interface point j (0 <= j < m) is d2 bottom index j, glued to d1 top
+    index n+m-1-j.  Result indices are d1 bottoms 0..n-1, then d2 tops
+    m..m+k-1 shifted down to n..n+k-1.
+    """
+    n, m = d1.bottom_count, d1.top_count
+    p1, p2 = d1.partner, d2.partner
+    shift = n - m
+    last = n + m - 1
+    out = [-1] * (n + d2.top_count)
+    seen = [False] * m
+    # strands with a d1 bottom end; j is a d1 index until it leaves d1
+    for start in range(n):
+        if out[start] >= 0:
             continue
-        visited.add(start)
-        cur = pair_step(start)
-        while is_internal(cur):
-            visited.add(cur)
-            crossed = glue(cur)
-            visited.add(crossed)
-            cur = pair_step(crossed)
-        visited.add(cur)
-        pairs.append((final_index(start), final_index(cur)))
-
+        j = p1[start]
+        while j >= n:
+            j = last - j
+            seen[j] = True
+            j = p2[j]
+            if j >= m:
+                j += shift
+                break
+            seen[j] = True
+            j = p1[last - j]
+        out[start] = j
+        out[j] = start
+    # the strands left join two d2 tops; j is a d2 index
+    for start in range(n, len(out)):
+        if out[start] >= 0:
+            continue
+        j = p2[start - shift]
+        while j < m:
+            seen[j] = True
+            j = last - p1[last - j]
+            seen[j] = True
+            j = p2[j]
+        j += shift
+        out[start] = j
+        out[j] = start
+    # every interface point not on a strand lies on a closed loop
     loops = 0
-    for idx in range(m):
-        node = ("b", idx)
-        if node in visited:
+    for j in range(m):
+        if seen[j]:
             continue
         loops += 1
-        cur = node
-        while cur not in visited:
-            visited.add(cur)
-            mate = pair_step(cur)
-            visited.add(mate)
-            cur = glue(mate)
-    return pairs, loops
+        while not seen[j]:
+            seen[j] = True
+            j = p2[j]
+            seen[j] = True
+            j = last - p1[last - j]
+    return tuple(out), loops
 
 
 def _tensor_diagrams(d1: TLDiagram, d2: TLDiagram) -> TLDiagram:
+    """d1 on the left of d2.
+
+    Bottoms keep d1 then d2 order; top indices count from the right, so d2
+    tops come first.  Every d2 index i becomes n1 + i, and d1 tops shift
+    past all n2 + m2 indices of d2.
+    """
     n1, m1 = d1.bottom_count, d1.top_count
     n2, m2 = d2.bottom_count, d2.top_count
-
-    def remap1(i):
-        # d1 sits on the left: bottoms keep their index, tops shift past
-        # every d2 index (top indices count from the right)
-        return i if i < n1 else (n1 + n2 + m2) + (i - n1)
-
-    def remap2(i):
-        return (n1 + i) if i < n2 else (n1 + n2) + (i - n2)
-
-    pairs = [(remap1(a), remap1(b)) for a, b in d1.pairs]
-    pairs += [(remap2(a), remap2(b)) for a, b in d2.pairs]
-    return TLDiagram(n1 + n2, m1 + m2, pairs)
+    width = n2 + m2
+    left = [j if j < n1 else j + width for j in d1.partner]
+    partner = left[:n1] + [n1 + j for j in d2.partner] + left[n1:]
+    return _trusted_diagram(n1 + n2, m1 + m2, tuple(partner))
 
 
 class TLMorphism:
@@ -347,14 +359,23 @@ def compose(f: TLMorphism, g: TLMorphism) -> TLMorphism:
     d_pow = [ctx.one()]
     for _ in range(f.top_count // 2):
         d_pow.append(d_pow[-1] * d)
-    terms: dict[TLDiagram, CycNumber] = {}
+    # sum c1*c2 per (result partner array, loop count); d**loops once each
+    groups: dict[tuple, CycNumber] = {}
     for d1, c1 in f.terms.items():
         for d2, c2 in g.terms.items():
-            pairs, loops = _compose_diagrams(d1, d2)
-            coeff = c1 * c2 * d_pow[loops]
-            nd = TLDiagram(f.bottom_count, g.top_count, pairs)
-            terms[nd] = terms[nd] + coeff if nd in terms else coeff
-    return TLMorphism(ctx, f.bottom_count, g.top_count, terms)
+            key = _compose_partners(d1, d2)
+            coeff = c1 * c2
+            groups[key] = groups[key] + coeff if key in groups else coeff
+    summed: dict[tuple, CycNumber] = {}
+    for (partner, loops), coeff in groups.items():
+        if loops:
+            coeff = coeff * d_pow[loops]
+        if partner in summed:
+            coeff = summed[partner] + coeff
+        summed[partner] = coeff
+    n, k = f.bottom_count, g.top_count
+    terms = {_trusted_diagram(n, k, pr): c for pr, c in summed.items()}
+    return TLMorphism(ctx, n, k, terms)
 
 
 def tensor(f: TLMorphism, g: TLMorphism) -> TLMorphism:

@@ -9,13 +9,20 @@ Frozen expectations:
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import ribbonkit
 from ribbonkit.cyclo import field, make_root
 from ribbonkit.cli import (
+    MAX_DEPTH,
+    MAX_PARENS,
     DSLSyntaxError,
     EvalError,
     evaluate,
@@ -260,6 +267,65 @@ def test_cmd_malformed_argument(capsys, argv, message):
     errors = [ln for ln in err.splitlines() if "error:" in ln]
     assert len(errors) == 1 and errors[0].endswith(message)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("expr, message", [
+    pytest.param("(" * 3000 + "X[1,+]" + ")" * 3000,
+     f"parentheses nested deeper than {MAX_PARENS} at offset {MAX_PARENS}",
+     id="3000-parentheses"),
+    # a flat sum parses to a left-deep tree; the refusal names the operator
+    # that would make it MAX_DEPTH + 1 levels deep
+    pytest.param("+".join(["X[1,+]"] * 3000),
+                 f"expression nested deeper than {MAX_DEPTH} levels "
+                 f"at offset {7 * MAX_DEPTH - 1}", id="3000-term-sum"),
+])
+def test_cmd_fuse_too_deep(capsys, expr, message):
+    assert main(["fuse", "-p", "3", expr]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def test_cmd_fuse_deep_within_limits(capsys):
+    assert main(["fuse", "-p", "3", "+".join(["X[1,+]"] * 400)]) == 0
+    assert capsys.readouterr().out.strip() == "400*X[1,+]"
+    # both limits reached at once still fit inside the recursion limit
+    chain = "+".join(["X[1,+]"] * MAX_DEPTH)
+    expr = "(" * MAX_PARENS + chain + ")" * MAX_PARENS
+    assert main(["fuse", "-p", "3", "--format", "json", expr]) == 0
+    assert json.loads(capsys.readouterr().out)["pretty"] == (
+        f"{MAX_DEPTH}*X[1,+]")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_cmd_closed_pipe_exits_quietly(unbuffered):
+    # `ribbonkit fpdim -p 2..6 | head -0`: the reader is gone before the
+    # first line, whether output is flushed per line or once at the end
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=str(Path(ribbonkit.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; from ribbonkit.cli import main; sys.exit(main())",
+         "fpdim", "-p", "2..6"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--triples", "-5", "--roundtrips", "-3"], "count must be >= 0, got -5"),
+    (["--roundtrips", "-3"], "count must be >= 0, got -3"),
+    (["--triples", "x"], "invalid count 'x'"),
+])
+def test_verify_negative_counts(capsys, argv, message):
+    base = ["verify", "--suite", "properties", "-p", "3"]
+    assert main(base + argv) == 2
+    captured = capsys.readouterr()
+    errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and errors[0].endswith(message)
+    assert "Traceback" not in captured.err and "[pass]" not in captured.out
 
 
 # -- verify -------------------------------------------------------------------

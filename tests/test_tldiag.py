@@ -7,11 +7,18 @@ The hexagon identity used throughout is
     (c x 1).(1 x c).(coev x 1) = (1 x coev)
 whose span reduction is a*b = 1 and a^2 + b^2 + d*a*b = 0; the four exact
 solutions are a = +-zeta^{+-1/2}, b = a^{-1}.
+
+Composition and tensor of diagrams are checked against test-only copies of
+the node-tuple walker and index remap they replaced: exhaustively on small
+boundaries, and on random morphisms against a term-by-term sum.
 """
+
+import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ribbonkit import tldiag
 from ribbonkit.cyclo import field, inv, qint
 from ribbonkit.tldiag import (
     BoundaryMismatch,
@@ -307,3 +314,156 @@ def test_compose_bilinear(data, p):
     h = data.draw(morphisms(ctx, 2, 2))
     assert compose(f + g, h) == compose(f, h) + compose(g, h)
     assert compose(h, f + g) == compose(h, f) + compose(h, g)
+
+
+# -- composition against the node-tuple reference walker ---------------------
+
+
+def _reference_compose(d1, d2):
+    """Stack d1 then d2 by walking ("a"|"b", index) nodes; (pairs, loops).
+
+    The node-tuple walker the partner-array walk replaced, kept as the
+    independent reference.  Interface positions: d1 top index n+t sits at
+    physical position m-1-t, which is glued to d2 bottom index m-1-t.
+    """
+    n, m, k = d1.bottom_count, d1.top_count, d2.top_count
+    p1, p2 = {}, {}
+    for table, d in ((p1, d1), (p2, d2)):
+        for a, b in d.pairs:
+            table[a] = b
+            table[b] = a
+
+    def glue(node):
+        side, idx = node
+        return ("b" if side == "a" else "a", n + m - 1 - idx)
+
+    def is_internal(node):
+        side, idx = node
+        return idx >= n if side == "a" else idx < m
+
+    def final_index(node):
+        side, idx = node
+        return idx if side == "a" else n + (idx - m)
+
+    def pair_step(node):
+        side, idx = node
+        return (side, (p1 if side == "a" else p2)[idx])
+
+    visited = set()
+    pairs = []
+    externals = [("a", i) for i in range(n)] + [("b", m + t) for t in range(k)]
+    for start in externals:
+        if start in visited:
+            continue
+        visited.add(start)
+        cur = pair_step(start)
+        while is_internal(cur):
+            visited.add(cur)
+            crossed = glue(cur)
+            visited.add(crossed)
+            cur = pair_step(crossed)
+        visited.add(cur)
+        pairs.append((final_index(start), final_index(cur)))
+    loops = 0
+    for idx in range(m):
+        node = ("b", idx)
+        if node in visited:
+            continue
+        loops += 1
+        cur = node
+        while cur not in visited:
+            visited.add(cur)
+            mate = pair_step(cur)
+            visited.add(mate)
+            cur = glue(mate)
+    return pairs, loops
+
+
+def _reference_tensor(d1, d2):
+    n1, m1 = d1.bottom_count, d1.top_count
+    n2, m2 = d2.bottom_count, d2.top_count
+
+    def remap1(i):
+        return i if i < n1 else (n1 + n2 + m2) + (i - n1)
+
+    def remap2(i):
+        return (n1 + i) if i < n2 else (n1 + n2) + (i - n2)
+
+    pairs = [(remap1(a), remap1(b)) for a, b in d1.pairs]
+    pairs += [(remap2(a), remap2(b)) for a, b in d2.pairs]
+    return TLDiagram(n1 + n2, m1 + m2, pairs)
+
+
+def _reference_compose_morphisms(f, g):
+    """compose by adding c1 * c2 * d**loops term by term, pair by pair."""
+    ctx = f.ctx
+    d = loop_value(ctx)
+    terms = {}
+    for d1, c1 in f.terms.items():
+        for d2, c2 in g.terms.items():
+            pairs, loops = _reference_compose(d1, d2)
+            nd = TLDiagram(f.bottom_count, g.top_count, pairs)
+            coeff = c1 * c2 * d**loops
+            terms[nd] = terms[nd] + coeff if nd in terms else coeff
+    return TLMorphism(ctx, f.bottom_count, g.top_count, terms)
+
+
+def _same_diagram(got, want):
+    assert got == want
+    assert got.pairs == want.pairs
+    assert got.partner == want.partner
+    assert hash(got) == hash(want)
+
+
+def test_compose_partners_exhaustive():
+    # every composable pair with n + m + k <= 8
+    for n, m, k in itertools.product(range(9), repeat=3):
+        if n + m + k > 8 or (n + m) % 2 or (m + k) % 2:
+            continue
+        for d1 in all_diagrams(n, m):
+            for d2 in all_diagrams(m, k):
+                partner, loops = tldiag._compose_partners(d1, d2)
+                ref_pairs, ref_loops = _reference_compose(d1, d2)
+                assert loops == ref_loops, (d1, d2)
+                _same_diagram(tldiag._trusted_diagram(n, k, partner),
+                              TLDiagram(n, k, ref_pairs))
+
+
+def test_tensor_diagrams_exhaustive():
+    for n1, m1, n2, m2 in itertools.product(range(4), repeat=4):
+        if (n1 + m1) % 2 or (n2 + m2) % 2:
+            continue
+        for d1 in all_diagrams(n1, m1):
+            for d2 in all_diagrams(n2, m2):
+                _same_diagram(tldiag._tensor_diagrams(d1, d2),
+                              _reference_tensor(d1, d2))
+
+
+@st.composite
+def _composable(draw, p):
+    ctx = field(p)
+    m = draw(st.integers(0, 4))
+    n = draw(st.sampled_from([x for x in range(5) if (x + m) % 2 == 0]))
+    k = draw(st.sampled_from([x for x in range(5) if (x + m) % 2 == 0]))
+    f = draw(morphisms(ctx, n, m, max_terms=6))
+    g = draw(morphisms(ctx, m, k, max_terms=6))
+    return f, g
+
+
+@given(data=st.data(), p=st.sampled_from([3, 5, 7]))
+def test_compose_matches_term_by_term_reference(data, p):
+    f, g = data.draw(_composable(p))
+    got = compose(f, g)
+    want = _reference_compose_morphisms(f, g)
+    assert got == want
+    assert list(got.terms) == list(want.terms)  # same first-seen order
+    for d in got.terms:
+        _same_diagram(d, TLDiagram(d.bottom_count, d.top_count, d.pairs))
+
+
+@given(data=st.data(), p=st.sampled_from([3, 5, 7]))
+def test_trusted_diagrams_are_canonical(data, p):
+    f, g = data.draw(_composable(p))
+    for result in (compose(f, g), tensor(f, g), tensor(g, f)):
+        for d in result.terms:
+            _same_diagram(d, TLDiagram(d.bottom_count, d.top_count, d.pairs))
