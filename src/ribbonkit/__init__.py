@@ -7,9 +7,12 @@ Subpackage map:
     qrep    weight modules, R-matrix braiding, ribbon twist
     fusion  Z+-rings, morphisms, Frobenius-Perron dimensions
     ribbon  twist tables, monodromy spectra, Mueger-center tests
-    cli     command-line front end with a small expression DSL
+    checks  the verification checks behind verify, the check verbs and the
+            acceptance gate, one function per verified statement
+    cli     command-line front end with a small expression DSL; not
+            imported with the package (python -m ribbonkit.cli runs it)
 """
 
 __version__ = "0.1.0"
 
-from . import cyclo, tldiag, qrep, fusion, ribbon, cli  # noqa: F401
+from . import cyclo, tldiag, qrep, fusion, ribbon, checks  # noqa: F401

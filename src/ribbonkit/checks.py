@@ -1,0 +1,461 @@
+"""Verification checks: one implementation per verified statement.
+
+Each check takes (p, env) and returns (ok, detail); CHECKS maps the dotted
+name of its report row ("jw.projectors", "twists.match_under_iso", ...) to
+it, and SUITES groups the names by their prefix, in registration order.
+`verify`, the check verbs and the acceptance gate all run these functions.
+env holds the run options (rmax, seed, triples, roundtrips), the expression
+language's parse, print_expression and random_expression (it belongs to the
+front end, which imports this module), and one seeded rng per p, shared by
+the randomized properties checks in a fixed draw order.
+
+The check verbs print intermediate data rather than a verdict; the helpers
+they share with the checks (jw_audit, hexagon_winners, inverse_pairs_ok,
+fpdim_routes, twist_routes) live here too.
+"""
+
+from __future__ import annotations
+
+import random
+import time
+from collections import Counter
+from fractions import Fraction
+from functools import partial
+
+from .cyclo import field, inv, make_root, qint
+from .tldiag import (
+    all_diagrams, braiding_candidates, cap, check_hexagon, check_yang_baxter,
+    compose, cup, from_diagram, hook, identity, jones_wenzl, markov_close,
+    tensor as tl_tensor,
+)
+from .qrep import (
+    Matrix, braiding, check_module, chi_module, intrinsic_dim, selfdual_V,
+    simple_L, simple_V, tensor, tl_to_matrix, twist_inverse,
+)
+from .fusion import (
+    check_grring_iso_K, conformal_weight, fpdim_category, fpdim_object,
+    induction_F, induction_I, induction_Iprime, iso_T, singlet_ring,
+    uq_projective_classes, uq_ring, vir_ring, wp_projective_classes, wp_ring,
+)
+from .ribbon import (
+    monodromy, muger_candidates, quantum_order_check, singlet_twists,
+    uq_twists, voa_monodromy_phase, wp_twists,
+)
+
+CHECKS: dict = {}
+
+
+def check(name: str):
+    """Register a check function under its report-row name."""
+
+    def register(fn):
+        CHECKS[name] = fn
+        return fn
+
+    return register
+
+
+def _timed(name: str, p: int, fn) -> dict:
+    t0 = time.perf_counter()
+    try:
+        ok, detail = fn()
+    except Exception as err:  # a crash counts as a failed check
+        ok, detail = False, f"{type(err).__name__}: {err}"
+    return {
+        "check": name, "p": p, "status": "pass" if ok else "fail",
+        "detail": detail, "elapsed": round(time.perf_counter() - t0, 4),
+    }
+
+
+def run_checks(p: int, names, opts: dict):
+    """Run the named checks at one p, in order; yield one report row each."""
+    env = dict(opts, rng=random.Random(f"{opts['seed']}:{p}:properties"))
+    for name in names:
+        yield _timed(name, p, partial(CHECKS[name], p, env))
+
+
+# -- data shared with the check verbs -----------------------------------------
+
+
+def jw_audit(ctx, n: int):
+    """(projector, idempotent, indices of the hooks it does not kill,
+    Markov closure) for jw(n)."""
+    e = jones_wenzl(ctx, n)
+    idempotent = compose(e, e) == e
+    alive = [i for i in range(1, n)
+             if not (compose(hook(ctx, n, i), e).is_zero()
+                     and compose(e, hook(ctx, n, i)).is_zero())]
+    return e, idempotent, alive, markov_close(e)
+
+
+def hexagon_winners(ctx) -> list:
+    """Units a with a f + a^{-1} id solving the hexagon, over all 4p roots."""
+    f = compose(cap(ctx), cup(ctx))
+    ident = identity(ctx, 2)
+    return [ctx.root(j) for j in range(ctx.N)
+            if check_hexagon(ctx.root(j) * f + inv(ctx.root(j)) * ident)]
+
+
+def inverse_pairs_ok(cands) -> bool:
+    """Candidates 0,1 and 2,3 are mutually inverse braidings."""
+    c0, c1, c2, c3 = cands
+    ident = identity(c0.ctx, 2)
+    return (compose(c0, c1) == ident and compose(c1, c0) == ident
+            and compose(c2, c3) == ident and compose(c3, c2) == ident)
+
+
+def fpdim_routes(p: int):
+    """Category dimension from the module side and the recursion side."""
+    du = fpdim_category(uq_ring(p), uq_projective_classes(p))
+    dw = fpdim_category(wp_ring(p), wp_projective_classes(p))
+    return du, dw
+
+
+def twist_routes(p: int):
+    """The recursion-side twist table, and the labels where the inverse
+    module twists disagree with it under the label bijection."""
+    table = wp_twists(p)
+    module_side = uq_twists(p, inverse=True)
+    assign = iso_T(p).assign
+    bad = [lab for lab in module_side.ring.labels
+           if module_side.theta[lab] != table.theta[assign[lab]]]
+    return table, bad
+
+
+# -- the checks, registered in suite order ------------------------------------
+
+
+@check("fpdim.category")
+def _fpdim_category(p, env):
+    du, dw = fpdim_routes(p)
+    want = 2 * p ** 3
+    return du == dw == want, (
+        f"module route {du}, recursion route {dw}, expected {want}"
+    )
+
+
+@check("fpdim.simples")
+def _fpdim_simples(p, env):
+    ring = uq_ring(p)
+    for s in range(1, p + 1):
+        for e in (0, 1):
+            res = fpdim_object(ring, (s, e))
+            if not (res.exact and res.value == s):
+                return False, f"simple ({s},{e}) got {res!r}"
+    return True, "every simple has exact integer dimension s"
+
+
+@check("fusion.associativity")
+def _fusion_associativity(p, env):
+    bad = (uq_ring(p).check_associativity()
+           + wp_ring(p).check_associativity())
+    return not bad, (
+        f"all {2 * (2 * p) ** 3} triples across both rings"
+        if not bad else f"{len(bad)} violations, first {bad[0]}"
+    )
+
+
+@check("fusion.iso_T")
+def _fusion_iso_T(p, env):
+    morphism = iso_T(p)
+    pairs = morphism.source.all_pairs()
+    if len(pairs) != (2 * p) ** 2:
+        return False, f"{len(pairs)} label pairs, expected {(2 * p) ** 2}"
+    ok, witness = morphism.check(pairs=pairs)
+    return ok, ("label bijection is a ring isomorphism on all pairs"
+                if ok else f"witness {witness}")
+
+
+@check("braiding.hexagon")
+def _braiding_hexagon(p, env):
+    ctx = field(p)
+    winners = hexagon_winners(ctx)
+    zh, q = ctx.qhalf(), ctx.q()
+    ok = (len(winners) == 4
+          and set(winners) == {zh, inv(zh), -zh, -inv(zh)}
+          and all(a * a in (q, inv(q)) for a in winners))
+    return ok, f"{len(winners)} hexagon solutions among {ctx.N} scanned units"
+
+
+@check("braiding.yang_baxter")
+def _braiding_yang_baxter(p, env):
+    cands = braiding_candidates(field(p))
+    if not all(check_yang_baxter(c) for c in cands):
+        return False, "a candidate breaks the braid relation"
+    if not all(check_hexagon(c) for c in cands):
+        return False, "a candidate breaks the hexagon"
+    return True, "all four candidates satisfy the braid relation"
+
+
+@check("braiding.inverse_pairs")
+def _braiding_inverse_pairs(p, env):
+    ok = inverse_pairs_ok(braiding_candidates(field(p)))
+    return ok, "candidates pair into mutually inverse braidings"
+
+
+@check("braiding.rmatrix")
+def _braiding_rmatrix(p, env):
+    ctx = field(p)
+    v = simple_V(ctx, 2)
+    coev, ev = selfdual_V(ctx)
+    zh, q = ctx.qhalf(), ctx.q()
+    want = (coev.matrix.mul(ev.matrix).scale(zh)
+            .add(Matrix.identity(ctx, 4).scale(inv(zh))))
+    got = braiding(v, v).matrix
+    if not (got.rows == got.cols == 4 and got == want):
+        return False, "R-matrix braiding on V[2] differs from the candidate"
+    dim = intrinsic_dim((coev, ev))
+    if dim != -(q + inv(q)):
+        return False, f"intrinsic dimension of V[2] is {dim}"
+    return True, ("R-matrix braiding on V[2] equals zeta^{1/2} f + "
+                  "zeta^{-1/2} id entrywise; intrinsic dimension -(q+q^{-1})")
+
+
+@check("jw.projectors")
+def _jw_projectors(p, env):
+    ctx = field(p)
+    problems = []
+    for n in range(1, p):
+        _, idempotent, alive, closure = jw_audit(ctx, n)
+        if not idempotent:
+            problems.append(f"jw({n}) is not idempotent")
+        problems += [f"jw({n}) does not kill hook {i}" for i in alive]
+        want = qint(ctx, n + 1) if n % 2 == 0 else -qint(ctx, n + 1)
+        if closure != want:
+            problems.append(f"jw({n}) has the wrong closure")
+    if not markov_close(jones_wenzl(ctx, p - 1)).is_zero():
+        problems.append("top projector closure is nonzero")
+    return not problems, ("; ".join(problems) if problems else
+                          f"n=1..{p - 1}: idempotent, hook-killing, "
+                          "alternating closures, vanishing top closure")
+
+
+@check("twists.match_under_iso")
+def _twists_match(p, env):
+    _, bad = twist_routes(p)
+    return not bad, (
+        "inverse module twists equal the recursion-side table "
+        "under the label bijection" if not bad else f"mismatch at {bad}"
+    )
+
+
+@check("twists.two_dim_value")
+def _twists_two_dim(p, env):
+    ctx = field(p)
+    value = wp_twists(p).theta[(2, 1)]
+    return value == -make_root(ctx, 3), f"theta at (2,+) is {value}"
+
+
+@check("modularity.wp_center")
+def _modularity_wp_center(p, env):
+    ctx = field(p)
+    ring, table = wp_ring(p), wp_twists(p)
+    cands = muger_candidates(ring, table)
+    detail = (f"transparent candidates {sorted(cands)} (unit only means "
+              "a trivial center)")
+    if cands != {(1, 1)}:
+        return False, detail
+    # witness spectra: X[2,+] against the sign object, and against itself
+    spec = monodromy(ring, table, (2, 1), (1, -1))
+    if spec.multiset() != Counter({-ctx.one(): 1}):
+        return False, f"spectrum of (2,1)x(1,-1) is {spec.multiset()}"
+    spec = monodromy(ring, table, (2, 1), (2, 1))
+    if p == 2:
+        ok = spec.multiset() == Counter({make_root(ctx, -6): 4})
+    else:
+        ok = (spec.multiset() == Counter({make_root(ctx, -6): 1,
+                                          make_root(ctx, 2): 1})
+              and spec.by_factor()[(1, 1)] == make_root(ctx, -6))
+    if not ok:
+        return False, f"spectrum of (2,1)x(2,1) is {spec.multiset()}"
+    return True, detail
+
+
+@check("modularity.singlet_center")
+def _modularity_singlet_center(p, env):
+    rmax = env["rmax"]
+    cands = muger_candidates(singlet_ring(p, rmax), singlet_twists(p, rmax))
+    # every odd first index of the requested window, with s = 1
+    want = {(r, 1) for r in range(-rmax, rmax + 1) if r % 2}
+    return cands == want, (
+        f"{len(cands)} transparent candidates, all odd first index, "
+        "a properly degenerate center"
+    )
+
+
+@check("modularity.quantum_order")
+def _modularity_quantum_order(p, env):
+    report = quantum_order_check(p)
+    return report["ok"], (
+        "dimension recursion closed form, vanishing top dimension, "
+        f"ord(q^2)={report['order_q2']}, vanishing geometric sum"
+    )
+
+
+@check("phase.channels")
+def _phase_channels(p, env):
+    ctx = field(p)
+    h12 = conformal_weight(p, 1, 2)
+    got = voa_monodromy_phase(p, h12, h12, Fraction(0))
+    ok = got == -make_root(ctx, -3)
+    sq = voa_monodromy_phase(p, h12, h12, Fraction(0), squared=True)
+    ok = ok and sq == make_root(ctx, -6) == got * got
+    if p > 2:
+        h13 = conformal_weight(p, 1, 3)
+        ok = ok and (voa_monodromy_phase(p, h12, h12, h13)
+                     == make_root(ctx, 1))
+    return ok, "vacuum and adjacent channels match the exact roots"
+
+
+@check("phase.linking")
+def _phase_linking(p, env):
+    rmax = env["rmax"]
+    ring = singlet_ring(p, rmax)
+    table = singlet_twists(p, rmax)
+    pairs = [((3, 1), (1, 2)), ((2, 1), (1, 1)), ((-1, 2), (3, 1))]
+    for x, y in pairs:
+        spec = monodromy(ring, table, x, y)
+        for z, eig in spec.by_factor().items():
+            want = voa_monodromy_phase(
+                p, conformal_weight(p, *x), conformal_weight(p, *y),
+                conformal_weight(p, *z), squared=True)
+            if eig != want:
+                return False, f"factor {z} of {x}*{y} disagrees"
+    return True, ("balancing monodromy equals the squared phase on "
+                  "every composition factor")
+
+
+@check("grring.iso_K")
+def _grring_iso_K(p, env):
+    return check_grring_iso_K(p, r_max=6), (
+        "window products, restriction route, and the four-term "
+        "vacuum-cover image all agree"
+    )
+
+
+@check("grring.composition")
+def _grring_composition(p, env):
+    for r in range(1, 7):
+        for s in range(1, p + 1):
+            want = induction_F(p, (r, s))
+            got = Counter()
+            for mid, m1 in induction_I(p, (r, s), r_max=8).items():
+                for lab, m2 in induction_Iprime(p, mid).items():
+                    got[lab] += m1 * m2
+            if got != want:
+                return False, f"composite differs at ({r},{s})"
+    return True, "second induction after first equals the direct map"
+
+
+def _random_trunc_label(rng, kind: str, p: int):
+    # triple products add the first indices, with a spill of at most one
+    # per multiplication, so these bounds keep everything inside window 12
+    if kind == "vir":
+        return (rng.randint(1, 3), rng.randint(1, p))
+    return (rng.randint(-2, 2), rng.randint(1, p))
+
+
+def _memo_product(ring, memo: dict, a, b):
+    key = (a, b)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = ring.product(a, b)
+    return hit
+
+
+@check("properties.truncated_associativity")
+def _truncated_associativity(p, env):
+    rng = env["rng"]
+    total = env["triples"]
+    window = max(12, env["rmax"])
+    rings = {"vir": vir_ring(p, window), "singlet": singlet_ring(p, window)}
+    memo: dict = {"vir": {}, "singlet": {}}
+    for k in range(total):
+        kind = "vir" if k % 2 == 0 else "singlet"
+        prod = partial(_memo_product, rings[kind], memo[kind])
+        a, b, c = (_random_trunc_label(rng, kind, p) for _ in range(3))
+        left, right = Counter(), Counter()
+        for lab, mult in prod(a, b).items():
+            for z, n in prod(lab, c).items():
+                left[z] += mult * n
+        for lab, mult in prod(b, c).items():
+            for z, n in prod(a, lab).items():
+                right[z] += mult * n
+        if +left != +right:
+            return False, f"{kind} triple {a},{b},{c} breaks"
+    return True, f"{total} random in-window triples in both truncations"
+
+
+@check("properties.tl_words")
+def _tl_words(p, env):
+    rng = env["rng"]
+    ctx = field(p)
+    lhs = compose(tl_tensor(cup(ctx), identity(ctx, 1)),
+                  tl_tensor(identity(ctx, 1), cap(ctx)))
+    rhs = compose(tl_tensor(identity(ctx, 1), cup(ctx)),
+                  tl_tensor(cap(ctx), identity(ctx, 1)))
+    if lhs != identity(ctx, 1) or rhs != identity(ctx, 1):
+        return False, "a snake identity breaks"
+    for _ in range(10):
+        n = rng.choice((1, 2, 3))
+        m = rng.choice((n % 2, n % 2 + 2)) or 2
+        k = rng.choice((m % 2, m % 2 + 2)) or 2
+        d1 = rng.choice(all_diagrams(n, m))
+        d2 = rng.choice(all_diagrams(m, k))
+        f = from_diagram(ctx, d1)
+        g = from_diagram(ctx, d2)
+        word = compose(f, g)
+        if tl_to_matrix(ctx, word) != tl_to_matrix(ctx, g).mul(
+                tl_to_matrix(ctx, f)):
+            return False, f"functor breaks on a {n}->{m}->{k} word"
+    return True, "snake identities and 10 random composition words"
+
+
+@check("properties.module_relations")
+def _module_relations(p, env):
+    ctx = field(p)
+    mods = [simple_V(ctx, s) for s in range(1, p + 1)]
+    mods.append(chi_module(ctx))
+    mods.append(simple_L(ctx, 1))
+    mods.append(tensor(simple_V(ctx, 2), simple_V(ctx, 2)))
+    for m in mods:
+        problems = check_module(m)
+        if problems:
+            return False, problems[0]
+    return True, f"{len(mods)} modules pass the relation audit"
+
+
+@check("properties.balancing")
+def _balancing(p, env):
+    ctx = field(p)
+    checked = 0
+    pairs = [(simple_V(ctx, a), simple_V(ctx, b))
+             for a in range(1, p + 1) for b in range(a, p + 1)
+             if a * b <= 12]
+    pairs.append((chi_module(ctx), simple_V(ctx, 2)))
+    for m, n in pairs:
+        if m.dimension * n.dimension > 12:
+            continue
+        c2 = braiding(n, m).matrix.mul(braiding(m, n).matrix)
+        lhs = c2.mul(twist_inverse(tensor(m, n)).matrix)
+        rhs = Matrix.kron(twist_inverse(m).matrix, twist_inverse(n).matrix)
+        if lhs != rhs:
+            return False, "balancing identity breaks"
+        checked += 1
+    return True, f"balancing identity on {checked} products of dim <= 12"
+
+
+@check("properties.dsl_roundtrip")
+def _dsl_roundtrip(p, env):
+    rng = env["rng"]
+    total = env["roundtrips"]
+    for _ in range(total):
+        ast = env["random_expression"](rng)
+        if env["parse"](env["print_expression"](ast)) != ast:
+            return False, f"round trip breaks on {ast!r}"
+    return True, f"{total} random print/parse round trips"
+
+
+SUITES: dict = {}
+for _name in CHECKS:
+    SUITES.setdefault(_name.split(".")[0], []).append(_name)

@@ -13,10 +13,12 @@ resolves to the -p value.  Integer literals act as multiples of the unit.
 Parentheses nest at most MAX_PARENS deep and the expression tree is at most
 MAX_DEPTH levels deep; deeper input is a syntax error, not a crash.
 
-Verbs: fuse, jw, braid-check, fpdim, twists, muger, phase, verify.  Exit
-codes: 0 on success, 1 when a verification fails, 2 for usage or parse
-trouble.  -p takes one value or an inclusive range A..B; --format json
-emits one JSON object per line.
+Verbs: fuse, jw, braid-check, fpdim, twists, muger, phase, verify.  The
+checks behind verify and the data the check verbs print come from
+ribbonkit.checks; the verbs here only render them.  Exit codes: 0 on
+success, 1 when a verification fails, 2 for usage or parse trouble.  -p
+takes one value or an inclusive range A..B; --format json emits one JSON
+object per line.
 """
 
 from __future__ import annotations
@@ -26,66 +28,22 @@ import json
 import os
 import random
 import sys
-import time
 from collections import Counter
 from fractions import Fraction
 
-from .cyclo import field, inv, make_root, qint
-from .tldiag import (
-    QuantumOrderError,
-    all_diagrams,
-    braiding_candidates,
-    cap,
-    check_hexagon,
-    check_yang_baxter,
-    compose,
-    cup,
-    from_diagram,
-    hook,
-    identity,
-    jones_wenzl,
-    markov_close,
-    tensor as tl_tensor,
-)
-from .qrep import (
-    Matrix,
-    braiding,
-    check_module,
-    chi_module,
-    simple_L,
-    simple_V,
-    tensor,
-    tl_to_matrix,
-    twist_inverse,
-)
+from .cyclo import field
+from .tldiag import QuantumOrderError, braiding_candidates, check_yang_baxter
 from .fusion import (
-    TruncationOverflow,
-    check_grring_iso_K,
-    check_iso_T,
-    conformal_weight,
-    fpdim_category,
-    fpdim_object,
-    induction_F,
-    induction_I,
-    induction_Iprime,
-    iso_T,
-    singlet_ring,
-    uq_projective_classes,
-    uq_ring,
-    vir_ring,
-    wp_projective_classes,
+    DEFAULT_RMAX, TruncationOverflow, singlet_ring, uq_ring, vir_ring,
     wp_ring,
 )
 from .ribbon import (
-    NonRepresentablePhase,
-    monodromy,
-    muger_candidates,
-    quantum_order_check,
-    singlet_twists,
-    twist_table_json,
-    uq_twists,
-    voa_monodromy_phase,
-    wp_twists,
+    NonRepresentablePhase, muger_candidates, singlet_twists, twist_table_json,
+    voa_monodromy_phase, wp_twists,
+)
+from .checks import (
+    SUITES, fpdim_routes, hexagon_winners, inverse_pairs_ok, jw_audit,
+    run_checks, twist_routes,
 )
 
 
@@ -377,7 +335,7 @@ def _eval(node, ring, family, labels, p):
     return out
 
 
-def evaluate(node, p: int, rmax=None) -> Counter:
+def evaluate(node, p: int, rmax=DEFAULT_RMAX) -> Counter:
     """Evaluate an AST in the ring its atoms determine; Counter by label.
 
     Subtraction may leave negative multiplicities; zero entries are
@@ -449,15 +407,8 @@ def _cmd_fuse(args, ps) -> int:
 
 def _cmd_jw(args, ps) -> int:
     for p in ps:
-        ctx = field(p)
-        e = jones_wenzl(ctx, args.n)
-        idem = compose(e, e) == e
-        hooks = all(
-            compose(hook(ctx, args.n, i), e).is_zero()
-            and compose(e, hook(ctx, args.n, i)).is_zero()
-            for i in range(1, args.n)
-        )
-        closure = markov_close(e)
+        e, idem, alive, closure = jw_audit(field(p), args.n)
+        hooks = not alive
         _emit(args, {
             "verb": "jw", "p": p, "n": args.n, "terms": len(e.terms),
             "idempotent": idem, "hooks_killed": hooks,
@@ -474,16 +425,10 @@ def _cmd_braid_check(args, ps) -> int:
     bad = 0
     for p in ps:
         ctx = field(p)
-        f = compose(cap(ctx), cup(ctx))
-        ident = identity(ctx, 2)
-        winners = [j for j in range(ctx.N)
-                   if check_hexagon(ctx.root(j) * f + inv(ctx.root(j)) * ident)]
+        winners = hexagon_winners(ctx)
         cands = braiding_candidates(ctx)
         yb = all(check_yang_baxter(c) for c in cands)
-        inverse_ok = (compose(cands[0], cands[1]) == ident
-                      and compose(cands[1], cands[0]) == ident
-                      and compose(cands[2], cands[3]) == ident
-                      and compose(cands[3], cands[2]) == ident)
+        inverse_ok = inverse_pairs_ok(cands)
         ok = len(winners) == 4 and yb and inverse_ok
         bad += not ok
         _emit(args, {
@@ -498,8 +443,7 @@ def _cmd_braid_check(args, ps) -> int:
 def _cmd_fpdim(args, ps) -> int:
     bad = 0
     for p in ps:
-        du = fpdim_category(uq_ring(p), uq_projective_classes(p))
-        dw = fpdim_category(wp_ring(p), wp_projective_classes(p))
+        du, dw = fpdim_routes(p)
         ok = du == dw
         bad += not ok
         _emit(args, {
@@ -512,11 +456,8 @@ def _cmd_fpdim(args, ps) -> int:
 def _cmd_twists(args, ps) -> int:
     bad = 0
     for p in ps:
-        table = wp_twists(p)
-        module_side = uq_twists(p, inverse=True)
-        assign = iso_T(p).assign
-        agree = all(module_side.theta[lab] == table.theta[assign[lab]]
-                    for lab in module_side.ring.labels)
+        table, mismatched = twist_routes(p)
+        agree = not mismatched
         bad += not agree
         if args.format == "json":
             payload = twist_table_json(table)
@@ -560,369 +501,25 @@ def _cmd_phase(args, ps) -> int:
     return 0
 
 
-# -- verification suites ------------------------------------------------------
-
-
-def _timed(check: str, p: int, fn) -> dict:
-    t0 = time.perf_counter()
-    try:
-        ok, detail = fn()
-    except Exception as err:  # a crash counts as a failed check
-        ok, detail = False, f"{type(err).__name__}: {err}"
-    return {
-        "check": check, "p": p, "status": "pass" if ok else "fail",
-        "detail": detail, "elapsed": round(time.perf_counter() - t0, 4),
-    }
-
-
-def _suite_fpdim(p, opts) -> list:
-    def category():
-        du = fpdim_category(uq_ring(p), uq_projective_classes(p))
-        dw = fpdim_category(wp_ring(p), wp_projective_classes(p))
-        want = 2 * p ** 3
-        return du == dw == want, (
-            f"module route {du}, recursion route {dw}, expected {want}"
-        )
-
-    def simples():
-        ring = uq_ring(p)
-        for s in range(1, p + 1):
-            for e in (0, 1):
-                res = fpdim_object(ring, (s, e))
-                if not (res.exact and res.value == s):
-                    return False, f"simple ({s},{e}) got {res!r}"
-        return True, "every simple has exact integer dimension s"
-
-    return [_timed("fpdim.category", p, category),
-            _timed("fpdim.simples", p, simples)]
-
-
-def _suite_fusion(p, opts) -> list:
-    def assoc():
-        bad = (uq_ring(p).check_associativity()
-               + wp_ring(p).check_associativity())
-        return not bad, (
-            f"all {2 * (2 * p) ** 3} triples across both rings"
-            if not bad else f"{len(bad)} violations, first {bad[0]}"
-        )
-
-    def iso():
-        ok, witness = check_iso_T(p)
-        return ok, ("label bijection is a ring isomorphism on all pairs"
-                    if ok else f"witness {witness}")
-
-    return [_timed("fusion.associativity", p, assoc),
-            _timed("fusion.iso_T", p, iso)]
-
-
-def _suite_braiding(p, opts) -> list:
-    ctx = field(p)
-
-    def four():
-        f = compose(cap(ctx), cup(ctx))
-        ident = identity(ctx, 2)
-        winners = [j for j in range(ctx.N)
-                   if check_hexagon(ctx.root(j) * f
-                                    + inv(ctx.root(j)) * ident)]
-        expected = {ctx.qhalf(), inv(ctx.qhalf()),
-                    -ctx.qhalf(), -inv(ctx.qhalf())}
-        got = {ctx.root(j) for j in winners}
-        return got == expected, (
-            f"{len(winners)} hexagon solutions among {ctx.N} scanned units"
-        )
-
-    def yang_baxter():
-        ok = all(check_yang_baxter(c) for c in braiding_candidates(ctx))
-        return ok, "all four candidates satisfy the braid relation"
-
-    def inverse_pairs():
-        c0, c1, c2, c3 = braiding_candidates(ctx)
-        ident = identity(ctx, 2)
-        ok = (compose(c0, c1) == ident and compose(c1, c0) == ident
-              and compose(c2, c3) == ident and compose(c3, c2) == ident)
-        return ok, "candidates pair into mutually inverse braidings"
-
-    return [_timed("braiding.hexagon", p, four),
-            _timed("braiding.yang_baxter", p, yang_baxter),
-            _timed("braiding.inverse_pairs", p, inverse_pairs)]
-
-
-def _suite_jw(p, opts) -> list:
-    ctx = field(p)
-
-    def projectors():
-        problems = []
-        for n in range(1, p):
-            e = jones_wenzl(ctx, n)
-            if compose(e, e) != e:
-                problems.append(f"jw({n}) is not idempotent")
-            for i in range(1, n):
-                if not (compose(hook(ctx, n, i), e).is_zero()
-                        and compose(e, hook(ctx, n, i)).is_zero()):
-                    problems.append(f"jw({n}) does not kill hook {i}")
-            want = qint(ctx, n + 1) if n % 2 == 0 else -qint(ctx, n + 1)
-            if markov_close(e) != want:
-                problems.append(f"jw({n}) has the wrong closure")
-        if not markov_close(jones_wenzl(ctx, p - 1)).is_zero():
-            problems.append("top projector closure is nonzero")
-        return not problems, ("; ".join(problems) if problems else
-                              f"n=1..{p - 1}: idempotent, hook-killing, "
-                              "alternating closures, vanishing top closure")
-
-    return [_timed("jw.projectors", p, projectors)]
-
-
-def _suite_twists(p, opts) -> list:
-    def match():
-        table = wp_twists(p)
-        module_side = uq_twists(p, inverse=True)
-        assign = iso_T(p).assign
-        bad = [lab for lab in module_side.ring.labels
-               if module_side.theta[lab] != table.theta[assign[lab]]]
-        return not bad, (
-            "inverse module twists equal the recursion-side table "
-            "under the label bijection" if not bad else f"mismatch at {bad}"
-        )
-
-    def steinberg_neighbor():
-        ctx = field(p)
-        value = wp_twists(p).theta[(2, 1)]
-        return value == -make_root(ctx, 3), f"theta at (2,+) is {value}"
-
-    return [_timed("twists.match_under_iso", p, match),
-            _timed("twists.two_dim_value", p, steinberg_neighbor)]
-
-
-def _suite_modularity(p, opts) -> list:
-    def wp_center():
-        cands = muger_candidates(wp_ring(p), wp_twists(p))
-        return cands == {(1, 1)}, (
-            f"transparent candidates {sorted(cands)} (unit only means "
-            "a trivial center)"
-        )
-
-    def singlet_center():
-        rmax = opts["rmax"]
-        ring = singlet_ring(p, rmax)
-        cands = muger_candidates(ring, singlet_twists(p, rmax))
-        hi = max(r for r, _ in ring.labels)
-        want = {(r, 1) for r in range(-hi, hi + 1) if r % 2}
-        return cands == want, (
-            f"{len(cands)} transparent candidates, all odd first index, "
-            "a properly degenerate center"
-        )
-
-    def order():
-        report = quantum_order_check(p)
-        return report["ok"], (
-            "dimension recursion closed form, vanishing top dimension, "
-            f"ord(q^2)={report['order_q2']}, vanishing geometric sum"
-        )
-
-    return [_timed("modularity.wp_center", p, wp_center),
-            _timed("modularity.singlet_center", p, singlet_center),
-            _timed("modularity.quantum_order", p, order)]
-
-
-def _suite_phase(p, opts) -> list:
-    ctx = field(p)
-
-    def channels():
-        h12 = conformal_weight(p, 1, 2)
-        got = voa_monodromy_phase(p, h12, h12, Fraction(0))
-        ok = got == -make_root(ctx, -3)
-        sq = voa_monodromy_phase(p, h12, h12, Fraction(0), squared=True)
-        ok = ok and sq == make_root(ctx, -6) == got * got
-        if p > 2:
-            h13 = conformal_weight(p, 1, 3)
-            ok = ok and (voa_monodromy_phase(p, h12, h12, h13)
-                         == make_root(ctx, 1))
-        return ok, "vacuum and adjacent channels match the exact roots"
-
-    def linking():
-        rmax = opts["rmax"]
-        ring = singlet_ring(p, rmax)
-        table = singlet_twists(p, rmax)
-        pairs = [((3, 1), (1, 2)), ((2, 1), (1, 1)), ((-1, 2), (3, 1))]
-        for x, y in pairs:
-            spec = monodromy(ring, table, x, y)
-            for z, eig in spec.by_factor().items():
-                want = voa_monodromy_phase(
-                    p, conformal_weight(p, *x), conformal_weight(p, *y),
-                    conformal_weight(p, *z), squared=True)
-                if eig != want:
-                    return False, f"factor {z} of {x}*{y} disagrees"
-        return True, ("balancing monodromy equals the squared phase on "
-                      "every composition factor")
-
-    return [_timed("phase.channels", p, channels),
-            _timed("phase.linking", p, linking)]
-
-
-def _suite_grring(p, opts) -> list:
-    def iso_k():
-        return check_grring_iso_K(p, r_max=6), (
-            "window products, restriction route, and the four-term "
-            "vacuum-cover image all agree"
-        )
-
-    def composition():
-        for r in range(1, 7):
-            for s in range(1, p + 1):
-                want = induction_F(p, (r, s))
-                got = Counter()
-                for mid, m1 in induction_I(p, (r, s), r_max=8).items():
-                    for lab, m2 in induction_Iprime(p, mid).items():
-                        got[lab] += m1 * m2
-                if got != want:
-                    return False, f"composite differs at ({r},{s})"
-        return True, "second induction after first equals the direct map"
-
-    return [_timed("grring.iso_K", p, iso_k),
-            _timed("grring.composition", p, composition)]
-
-
-def _random_trunc_label(rng, kind: str, p: int):
-    # triple products add the first indices, with a spill of at most one
-    # per multiplication, so these bounds keep everything inside window 12
-    if kind == "vir":
-        return (rng.randint(1, 3), rng.randint(1, p))
-    return (rng.randint(-2, 2), rng.randint(1, p))
-
-
-def _memo_product(ring, memo: dict, a, b):
-    key = (a, b)
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = ring.product(a, b)
-    return hit
-
-
-def _suite_properties(p, opts) -> list:
-    rng = random.Random(f"{opts['seed']}:{p}:properties")
-    ctx = field(p)
-
-    def finite_assoc():
-        bad = (uq_ring(p).check_associativity()
-               + wp_ring(p).check_associativity())
-        return not bad, f"all {2 * (2 * p) ** 3} triples in both rings"
-
-    def trunc_assoc():
-        total = opts["triples"]
-        window = max(12, opts["rmax"] or 0)
-        rings = {"vir": vir_ring(p, window),
-                 "singlet": singlet_ring(p, window)}
-        memo: dict = {"vir": {}, "singlet": {}}
-        for k in range(total):
-            kind = "vir" if k % 2 == 0 else "singlet"
-            ring = rings[kind]
-            a, b, c = (_random_trunc_label(rng, kind, p) for _ in range(3))
-            left = Counter()
-            for lab, mult in _memo_product(ring, memo[kind], a, b).items():
-                _add_into(left, _memo_product(ring, memo[kind], lab, c), mult)
-            right = Counter()
-            for lab, mult in _memo_product(ring, memo[kind], b, c).items():
-                _add_into(right, _memo_product(ring, memo[kind], a, lab), mult)
-            if +left != +right:
-                return False, f"{kind} triple {a},{b},{c} breaks"
-        return True, f"{total} random in-window triples in both truncations"
-
-    def tl_words():
-        lhs = compose(tl_tensor(cup(ctx), identity(ctx, 1)),
-                      tl_tensor(identity(ctx, 1), cap(ctx)))
-        rhs = compose(tl_tensor(identity(ctx, 1), cup(ctx)),
-                      tl_tensor(cap(ctx), identity(ctx, 1)))
-        if lhs != identity(ctx, 1) or rhs != identity(ctx, 1):
-            return False, "a snake identity breaks"
-        for _ in range(10):
-            n = rng.choice((1, 2, 3))
-            m = rng.choice((n % 2, n % 2 + 2)) or 2
-            k = rng.choice((m % 2, m % 2 + 2)) or 2
-            d1 = rng.choice(all_diagrams(n, m))
-            d2 = rng.choice(all_diagrams(m, k))
-            f = from_diagram(ctx, d1)
-            g = from_diagram(ctx, d2)
-            word = compose(f, g)
-            if tl_to_matrix(ctx, word) != tl_to_matrix(ctx, g).mul(
-                    tl_to_matrix(ctx, f)):
-                return False, f"functor breaks on a {n}->{m}->{k} word"
-        return True, "snake identities and 10 random composition words"
-
-    def module_relations():
-        mods = [simple_V(ctx, s) for s in range(1, p + 1)]
-        mods.append(chi_module(ctx))
-        mods.append(simple_L(ctx, 1))
-        mods.append(tensor(simple_V(ctx, 2), simple_V(ctx, 2)))
-        for m in mods:
-            problems = check_module(m)
-            if problems:
-                return False, problems[0]
-        return True, f"{len(mods)} modules pass the relation audit"
-
-    def balancing():
-        checked = 0
-        pairs = [(simple_V(ctx, a), simple_V(ctx, b))
-                 for a in range(1, p + 1) for b in range(a, p + 1)
-                 if a * b <= 12]
-        pairs.append((chi_module(ctx), simple_V(ctx, 2)))
-        for m, n in pairs:
-            if m.dimension * n.dimension > 12:
-                continue
-            c2 = braiding(n, m).matrix.mul(braiding(m, n).matrix)
-            lhs = c2.mul(twist_inverse(tensor(m, n)).matrix)
-            rhs = Matrix.kron(twist_inverse(m).matrix,
-                              twist_inverse(n).matrix)
-            if lhs != rhs:
-                return False, "balancing identity breaks"
-            checked += 1
-        return True, f"balancing identity on {checked} products of dim <= 12"
-
-    def roundtrip():
-        total = opts["roundtrips"]
-        for _ in range(total):
-            ast = random_expression(rng)
-            if parse(print_expression(ast)) != ast:
-                return False, f"round trip breaks on {ast!r}"
-        return True, f"{total} random print/parse round trips"
-
-    return [_timed("properties.finite_associativity", p, finite_assoc),
-            _timed("properties.truncated_associativity", p, trunc_assoc),
-            _timed("properties.tl_words", p, tl_words),
-            _timed("properties.module_relations", p, module_relations),
-            _timed("properties.balancing", p, balancing),
-            _timed("properties.dsl_roundtrip", p, roundtrip)]
-
-
-SUITES = {
-    "fpdim": _suite_fpdim,
-    "fusion": _suite_fusion,
-    "braiding": _suite_braiding,
-    "jw": _suite_jw,
-    "twists": _suite_twists,
-    "modularity": _suite_modularity,
-    "phase": _suite_phase,
-    "grring": _suite_grring,
-    "properties": _suite_properties,
-}
-
-
 def _cmd_verify(args, ps) -> int:
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    suites = list(SUITES) if args.suite == "all" else [args.suite]
+    names = [name for suite in suites for name in SUITES[suite]]
     share = max(1, len(ps))
     opts = {
         "rmax": args.rmax,
         "seed": args.seed,
         "triples": -(-args.triples // share),
         "roundtrips": -(-args.roundtrips // share),
+        "parse": parse, "print_expression": print_expression,
+        "random_expression": random_expression,
     }
     failures = 0
     for p in ps:
-        for name in names:
-            for res in SUITES[name](p, opts):
-                failures += res["status"] != "pass"
-                _emit(args, res,
-                      f"[{res['status']}] p={res['p']} {res['check']}: "
-                      f"{res['detail']} ({res['elapsed']:.2f}s)")
+        for res in run_checks(p, names, opts):
+            failures += res["status"] != "pass"
+            _emit(args, res,
+                  f"[{res['status']}] p={res['p']} {res['check']}: "
+                  f"{res['detail']} ({res['elapsed']:.2f}s)")
     return 1 if failures else 0
 
 
@@ -968,6 +565,10 @@ def _int_at_least(what: str, least: int):
 
 
 _window = _int_at_least("window", 1)
+# phase.linking multiplies labels with first index 3, so its window must
+# reach 3; below that the check (and at window 1 the singlet center scan)
+# would fail on the input, not on the mathematics
+_verify_window = _int_at_least("window", 3)
 _count = _int_at_least("count", 0)
 
 
@@ -978,11 +579,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="verb", required=True)
 
-    def common(sp):
+    def common(sp, window=_window):
         sp.add_argument("-p", required=True, metavar="P[..Q]",
                         help="parameter p >= 2, or an inclusive range A..B")
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--rmax", type=_window, default=None,
+        sp.add_argument("--rmax", type=window, default=DEFAULT_RMAX,
                         help="truncation window for the infinite families")
         sp.add_argument("--seed", type=int, default=0)
 
@@ -1003,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("h", nargs=3, type=_weight,
                     help="three conformal weights as fractions")
     sp = sub.add_parser("verify", help="run a verification suite")
-    common(sp)
+    common(sp, _verify_window)
     sp.add_argument("--suite", default="all",
                     choices=sorted(SUITES) + ["all"])
     sp.add_argument("--triples", type=_count, default=10000,

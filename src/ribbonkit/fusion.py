@@ -13,7 +13,6 @@ plain-JSON surface for all of it.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
@@ -24,6 +23,7 @@ from .cyclo import field
 from .qrep import (
     decompose_character,
     peel_strings,
+    restrict_classes,
     simple_L,
     simple_V,
     tensor,
@@ -43,8 +43,8 @@ class ConvergenceError(RuntimeError):
     """Power iteration failed to settle within the iteration cap."""
 
 
-def default_rmax() -> int:
-    return int(os.environ.get("RIBBONKIT_RMAX", "8"))
+# truncation window of the infinite label families unless one is given
+DEFAULT_RMAX = 8
 
 
 # -- based rings with nonnegative integer constants ---------------------------
@@ -207,13 +207,6 @@ def _convolve(wa, wb) -> list:
     return out
 
 
-def _push_uq(dec: Counter) -> Counter:
-    out = Counter()
-    for (r, s, chi), mult in dec.items():
-        out[(s, (r + chi) % 2)] += mult * (r + 1)
-    return out
-
-
 def uq_ring(p: int) -> FusionRing:
     """Grothendieck ring of the 2p simple weight modules at level p.
 
@@ -229,7 +222,7 @@ def uq_ring(p: int) -> FusionRing:
     for a in labels:
         for b in labels:
             dec = decompose_character(p, _convolve(wts[a], wts[b]))
-            constants[(a, b)] = dict(_push_uq(dec))
+            constants[(a, b)] = dict(restrict_classes(dec))
     ring = FusionRing(labels, (1, 0), constants, {lab: lab for lab in labels})
     _RING_CACHE[("uq", p)] = ring
     return ring
@@ -298,11 +291,6 @@ def iso_T(p: int) -> RingMorphism:
     assign = {(s, eps): (s, 1 if eps == 0 else -1)
               for s in range(1, p + 1) for eps in (0, 1)}
     return RingMorphism(uq_ring(p), wp_ring(p), assign)
-
-
-def check_iso_T(p: int):
-    """Verify the bijection is a ring isomorphism; (ok, witness)."""
-    return iso_T(p).check()
 
 
 # -- Frobenius-Perron dimensions ----------------------------------------------
@@ -462,16 +450,14 @@ def conformal_weight(p: int, r: int, s: int) -> Fraction:
     return Fraction((r * p - s) ** 2 - (p - 1) ** 2, 4 * p)
 
 
-def vir_labels(p: int, r_max: int | None = None) -> list:
+def vir_labels(p: int, r_max: int = DEFAULT_RMAX) -> list:
     """Labels (r, s) with exact conformal weights, 1 <= r <= r_max."""
-    r_max = default_rmax() if r_max is None else r_max
     return [((r, s), conformal_weight(p, r, s))
             for r in range(1, r_max + 1) for s in range(1, p + 1)]
 
 
-def singlet_labels(p: int, r_max: int | None = None) -> list:
+def singlet_labels(p: int, r_max: int = DEFAULT_RMAX) -> list:
     """Labels (r, s) with exact conformal weights, |r| <= r_max."""
-    r_max = default_rmax() if r_max is None else r_max
     return [((r, s), conformal_weight(p, r, s))
             for r in range(-r_max, r_max + 1) for s in range(1, p + 1)]
 
@@ -539,14 +525,12 @@ class TruncatedRing:
         return out
 
 
-def vir_ring(p: int, r_max: int | None = None) -> TruncatedRing:
-    return TruncatedRing(p, default_rmax() if r_max is None else r_max, "vir")
+def vir_ring(p: int, r_max: int = DEFAULT_RMAX) -> TruncatedRing:
+    return TruncatedRing(p, r_max, "vir")
 
 
-def singlet_ring(p: int, r_max: int | None = None) -> TruncatedRing:
-    return TruncatedRing(
-        p, default_rmax() if r_max is None else r_max, "singlet"
-    )
+def singlet_ring(p: int, r_max: int = DEFAULT_RMAX) -> TruncatedRing:
+    return TruncatedRing(p, r_max, "singlet")
 
 
 # -- induction maps -----------------------------------------------------------
@@ -564,11 +548,10 @@ def induction_F(p: int, lab) -> Counter:
     return Counter({(s, _eps(r)): r})
 
 
-def induction_I(p: int, lab, r_max: int | None = None) -> Counter:
+def induction_I(p: int, lab, r_max: int = DEFAULT_RMAX) -> Counter:
     """Image of a Virasoro label in the singlet window: one term for each
     j in r, r-2, ..., -r+2."""
     r, s = lab
-    r_max = default_rmax() if r_max is None else r_max
     out = Counter()
     for j in range(r, -r, -2):
         if abs(j) > r_max:
@@ -585,7 +568,7 @@ def induction_Iprime(p: int, lab) -> Counter:
     return Counter({(s, _eps(r)): 1})
 
 
-def check_grring_iso_K(p: int, r_max: int | None = None) -> bool:
+def check_grring_iso_K(p: int, r_max: int = DEFAULT_RMAX) -> bool:
     """Cross-check the truncated Virasoro ring against the module side.
 
     Verifies, inside the window: the vacuum label is neutral; first-column
@@ -594,7 +577,6 @@ def check_grring_iso_K(p: int, r_max: int | None = None) -> bool:
     sign-alternating image; and the vacuum projective cover class
     2[L_{1,1}] + [L_{2,p-1}] has the expected four-term image.
     """
-    r_max = default_rmax() if r_max is None else r_max
     ring = vir_ring(p, r_max)
     ctx = field(p)
     t = iso_T(p)
@@ -635,7 +617,7 @@ def check_grring_iso_K(p: int, r_max: int | None = None) -> bool:
 # -- JSON surfaces ------------------------------------------------------------
 
 
-def _label_json(lab):
+def label_json(lab):
     return list(lab) if isinstance(lab, tuple) else lab
 
 
@@ -646,16 +628,8 @@ def ring_json(ring) -> dict:
         for k, n in sorted(row.items(), key=str):
             constants.append([idx[a], idx[b], idx[k], n])
     return {
-        "labels": [_label_json(lab) for lab in ring.labels],
-        "unit": _label_json(ring.unit),
+        "labels": [label_json(lab) for lab in ring.labels],
+        "unit": label_json(ring.unit),
         "duality": [idx[ring.dual[lab]] for lab in ring.labels],
         "constants": constants,
-    }
-
-
-def morphism_json(m: RingMorphism) -> dict:
-    return {
-        "assignment": [
-            [_label_json(a), _label_json(b)] for a, b in m.assign.items()
-        ]
     }

@@ -716,12 +716,18 @@ def decompose_factors(m: WeightModule) -> Counter:
     return decompose_character(m.ctx.p, m.weights)
 
 
-def uq_classes(m: WeightModule) -> Counter:
-    """Restriction to the small quantum group: classes (s, parity)."""
+def restrict_classes(factors: Counter) -> Counter:
+    """Push composition factors (r, s, chi) to the small quantum group:
+    L(r) restricts to r + 1 copies, so classes (s, parity of r + chi)."""
     out = Counter()
-    for (r, s, chi), mult in decompose_factors(m).items():
+    for (r, s, chi), mult in factors.items():
         out[(s, (r + chi) % 2)] += mult * (r + 1)
     return out
+
+
+def uq_classes(m: WeightModule) -> Counter:
+    """Restriction to the small quantum group: classes (s, parity)."""
+    return restrict_classes(decompose_factors(m))
 
 
 # -- simplicity certificates -------------------------------------------------

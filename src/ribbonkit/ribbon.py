@@ -15,7 +15,10 @@ from collections import Counter
 from fractions import Fraction
 
 from .cyclo import field, make_root, qint
-from .fusion import TruncationOverflow, conformal_weight, singlet_ring
+from .fusion import (
+    DEFAULT_RMAX, TruncationOverflow, conformal_weight, label_json,
+    singlet_ring,
+)
 from .qrep import (
     Matrix,
     chi_module,
@@ -127,7 +130,7 @@ def uq_twists(p: int, inverse: bool = True) -> TwistTable:
     return TwistTable(uq_ring(p), theta)
 
 
-def singlet_twists(p: int, r_max: int | None = None) -> TwistTable:
+def singlet_twists(p: int, r_max: int = DEFAULT_RMAX) -> TwistTable:
     """theta(M_{r,s}) = e^(2 pi i h_{r,s}), exact in the field."""
     ring = singlet_ring(p, r_max)
     ctx = field(p)
@@ -247,16 +250,12 @@ def voa_monodromy_phase(p: int, h1: Fraction, h2: Fraction, h3: Fraction,
 # -- JSON reports -------------------------------------------------------------
 
 
-def _label_json(lab):
-    return list(lab) if isinstance(lab, tuple) else lab
-
-
 def twist_table_json(table: TwistTable) -> dict:
     ctx = next(iter(table.theta.values())).ctx
     return {
         "field": ctx.header(),
         "theta": [
-            [_label_json(lab), str(value)]
+            [label_json(lab), str(value)]
             for lab, value in sorted(table.theta.items(), key=str)
         ],
     }
@@ -264,9 +263,9 @@ def twist_table_json(table: TwistTable) -> dict:
 
 def spectrum_json(spec: MonodromySpectrum) -> dict:
     return {
-        "pair": [_label_json(lab) for lab in spec.pair],
+        "pair": [label_json(lab) for lab in spec.pair],
         "size": spec.size(),
         "eigenvalues": [
-            [_label_json(z), str(eig), mult] for z, eig, mult in spec.entries
+            [label_json(z), str(eig), mult] for z, eig, mult in spec.entries
         ],
     }

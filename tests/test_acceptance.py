@@ -1,213 +1,91 @@
 """Acceptance gate: one test per criterion, p in {2,...,7} throughout.
 
-Every assertion is exact field or integer arithmetic; the terminal summary
-hook in conftest.py prints one PASS/FAIL line per criterion.  Randomized
-clauses run at full scale here (10^4 associativity triples, 10^3 DSL
-round trips, totals across the p range), so this module dominates the
-suite's runtime budget.
+Every criterion runs named checks from the registry in ribbonkit.checks,
+the same functions `ribbonkit verify` runs, and asserts that each passes
+and that exactly the listed checks ran.  Every assertion inside a check is
+exact field or integer arithmetic; the terminal summary hook in conftest.py
+prints one PASS/FAIL line per criterion.  Randomized clauses run at full
+scale in criterion 10 (10^4 associativity triples, 10^3 DSL round trips,
+totals across the p range), so this module dominates the suite's runtime
+budget.
 """
 
-from collections import Counter
-from fractions import Fraction
-
-from ribbonkit.cyclo import field, inv, make_root, qint
-from ribbonkit.tldiag import (
-    braiding_candidates,
-    cap,
-    check_hexagon,
-    check_yang_baxter,
-    compose,
-    cup,
-    hook,
-    identity,
-    jones_wenzl,
-    markov_close,
-)
-from ribbonkit.qrep import (
-    Matrix,
-    braiding,
-    intrinsic_dim,
-    selfdual_V,
-    simple_V,
-)
-from ribbonkit.fusion import (
-    check_grring_iso_K,
-    check_iso_T,
-    conformal_weight,
-    fpdim_category,
-    induction_F,
-    induction_I,
-    induction_Iprime,
-    iso_T,
-    singlet_ring,
-    uq_projective_classes,
-    uq_ring,
-    wp_projective_classes,
-    wp_ring,
-)
-from ribbonkit.ribbon import (
-    monodromy,
-    muger_candidates,
-    singlet_twists,
-    uq_twists,
-    voa_monodromy_phase,
-    wp_twists,
-)
-from ribbonkit.cli import SUITES
+from ribbonkit.checks import run_checks
+from ribbonkit.cli import parse, print_expression, random_expression
+from ribbonkit.fusion import DEFAULT_RMAX
 
 ALL_P = [2, 3, 4, 5, 6, 7]
 
 
+def _all_pass(names, rmax=DEFAULT_RMAX, seed=0, triples=0, roundtrips=0):
+    opts = {"rmax": rmax, "seed": seed, "triples": triples,
+            "roundtrips": roundtrips, "parse": parse,
+            "print_expression": print_expression,
+            "random_expression": random_expression}
+    for p in ALL_P:
+        rows = list(run_checks(p, names, opts))
+        assert [row["check"] for row in rows] == names
+        for row in rows:
+            assert row["status"] == "pass", (p, row["check"], row["detail"])
+
+
 def test_criterion_1():
     # category dimension 2p^3 from projective covers, on both constructions
-    for p in ALL_P:
-        module_route = fpdim_category(uq_ring(p), uq_projective_classes(p))
-        recursion_route = fpdim_category(wp_ring(p), wp_projective_classes(p))
-        assert module_route == recursion_route == 2 * p ** 3
+    _all_pass(["fpdim.category"])
 
 
 def test_criterion_2():
-    # the label bijection is a ring isomorphism, checked on every pair of
-    # labels; the two sides are built by independent routes (characters
-    # against integer Chebyshev recursion)
-    for p in ALL_P:
-        ok, witness = check_iso_T(p)
-        assert ok, witness
-        morphism = iso_T(p)
-        pairs = list(morphism.source.all_pairs())
-        assert len(pairs) == (2 * p) ** 2
-        ok, witness = morphism.check(pairs=pairs)
-        assert ok, witness
+    # the label bijection is a ring isomorphism, checked on all (2p)^2
+    # pairs of labels; the two sides are built by independent routes
+    # (characters against integer Chebyshev recursion)
+    _all_pass(["fusion.iso_T"])
 
 
 def test_criterion_3():
     # scanning a over every root of unity with b = a^{-1}, the hexagon
     # holds exactly four times, with a^2 in {q, q^{-1}}, and the four
     # candidates pair into mutually inverse braidings
-    for p in ALL_P:
-        ctx = field(p)
-        f = compose(cap(ctx), cup(ctx))
-        ident = identity(ctx, 2)
-        winners = [ctx.root(j) for j in range(ctx.N)
-                   if check_hexagon(ctx.root(j) * f
-                                    + inv(ctx.root(j)) * ident)]
-        zh = ctx.qhalf()
-        assert len(winners) == 4
-        assert set(winners) == {zh, inv(zh), -zh, -inv(zh)}
-        q = ctx.q()
-        for a in winners:
-            assert a * a in (q, inv(q))
-        c0, c1, c2, c3 = braiding_candidates(ctx)
-        assert compose(c0, c1) == ident and compose(c1, c0) == ident
-        assert compose(c2, c3) == ident and compose(c3, c2) == ident
+    _all_pass(["braiding.hexagon", "braiding.inverse_pairs"])
 
 
 def test_criterion_4():
     # the R-matrix braiding on the standard module equals the diagram-side
     # candidate zeta^{1/2} f + zeta^{-1/2} id entry by entry, and the
     # intrinsic dimension of the module is -(q + q^{-1})
-    for p in ALL_P:
-        ctx = field(p)
-        v = simple_V(ctx, 2)
-        coev, ev = selfdual_V(ctx)
-        f_v = coev.matrix.mul(ev.matrix)
-        zh = ctx.qhalf()
-        want = f_v.scale(zh).add(Matrix.identity(ctx, 4).scale(inv(zh)))
-        got = braiding(v, v).matrix
-        assert got.rows == got.cols == 4
-        assert got == want
-        q = ctx.q()
-        assert intrinsic_dim((coev, ev)) == -(q + inv(q))
+    _all_pass(["braiding.rmatrix"])
 
 
 def test_criterion_5():
     # projector audit for 1 <= n <= p-1: idempotent, kills every hook,
     # closure (-1)^n [n+1], and the top closure vanishes
-    for p in ALL_P:
-        ctx = field(p)
-        for n in range(1, p):
-            e = jones_wenzl(ctx, n)
-            assert compose(e, e) == e
-            for i in range(1, n):
-                assert compose(hook(ctx, n, i), e).is_zero()
-                assert compose(e, hook(ctx, n, i)).is_zero()
-            want = qint(ctx, n + 1) if n % 2 == 0 else -qint(ctx, n + 1)
-            assert markov_close(e) == want
-        assert markov_close(jones_wenzl(ctx, p - 1)).is_zero()
+    _all_pass(["jw.projectors"])
 
 
 def test_criterion_6():
     # only the unit is transparent on the recursion side, and the witness
     # monodromy spectra carry the expected eigenvalues
-    for p in ALL_P:
-        ctx = field(p)
-        ring = wp_ring(p)
-        table = wp_twists(p)
-        assert muger_candidates(ring, table) == {(1, 1)}
-        spec = monodromy(ring, table, (2, 1), (1, -1))
-        assert spec.multiset() == Counter({-ctx.one(): 1})
-        spec = monodromy(ring, table, (2, 1), (2, 1))
-        if p == 2:
-            assert spec.multiset() == Counter({make_root(ctx, -6): 4})
-        else:
-            assert spec.multiset() == Counter(
-                {make_root(ctx, -6): 1, make_root(ctx, 2): 1}
-            )
-            assert spec.by_factor()[(1, 1)] == make_root(ctx, -6)
+    _all_pass(["modularity.wp_center"])
 
 
 def test_criterion_7():
     # the inverse twists computed from the module operators coincide with
-    # the recursion-side table under the label bijection, and both assign
-    # -q^{3/2} to the two-dimensional object
-    for p in ALL_P:
-        ctx = field(p)
-        inverse_table = uq_twists(p, inverse=True)
-        direct_table = wp_twists(p)
-        assign = iso_T(p).assign
-        for lab in inverse_table.ring.labels:
-            assert inverse_table.theta[lab] == direct_table.theta[assign[lab]]
-        assert inverse_table.theta[(2, 0)] == -make_root(ctx, 3)
-        assert direct_table.theta[(2, 1)] == -make_root(ctx, 3)
+    # the recursion-side table under the label bijection (which sends
+    # (2,0) to (2,+)), and the table assigns -q^{3/2} to (2,+)
+    _all_pass(["twists.match_under_iso", "twists.two_dim_value"])
 
 
 def test_criterion_8():
     # weight-difference phases: the vacuum channel gives -q^{-3/2}, the
     # adjacent channel q^{1/2} for p > 2, and the square is q^{-3}
-    for p in ALL_P:
-        ctx = field(p)
-        h12 = conformal_weight(p, 1, 2)
-        single = voa_monodromy_phase(p, h12, h12, Fraction(0))
-        assert single == -make_root(ctx, -3)
-        squared = voa_monodromy_phase(p, h12, h12, Fraction(0), squared=True)
-        assert squared == make_root(ctx, -6)
-        assert squared == single * single
-        if p > 2:
-            h13 = conformal_weight(p, 1, 3)
-            assert voa_monodromy_phase(p, h12, h12, h13) == make_root(ctx, 1)
+    _all_pass(["phase.channels"])
 
 
 def test_criterion_9():
-    # window isomorphism, composite induction, the four-term image of the
-    # vacuum cover, and the odd-index transparent candidates
-    for p in ALL_P:
-        assert check_grring_iso_K(p, r_max=6)
-        for r in range(1, 7):
-            for s in range(1, p + 1):
-                want = induction_F(p, (r, s))
-                got = Counter()
-                for mid, m1 in induction_I(p, (r, s), r_max=8).items():
-                    for lab, m2 in induction_Iprime(p, mid).items():
-                        got[lab] += m1 * m2
-                assert got == want, (p, r, s)
-        image = Counter()
-        for lab, mult in {(1, 1): 2, (2, p - 1): 1}.items():
-            for target, n in induction_F(p, lab).items():
-                image[target] += mult * n
-        assert image == Counter({(1, 1): 2, (p - 1, -1): 2})
-        assert sum(image.values()) == 4
-        cands = muger_candidates(singlet_ring(p, 6), singlet_twists(p, 6))
-        assert cands == {(r, 1) for r in (-5, -3, -1, 1, 3, 5)}
+    # window isomorphism with the four-term image of the vacuum cover,
+    # composite induction, and the odd-index transparent candidates of
+    # the window-6 singlet ring
+    _all_pass(["grring.iso_K", "grring.composition",
+               "modularity.singlet_center"], rmax=6)
 
 
 def test_criterion_10():
@@ -215,21 +93,15 @@ def test_criterion_10():
     # rings, 10^4 random in-window triples and 10^3 DSL round trips in
     # total across p, diagram functoriality and snake words, module
     # relation audits, the balancing identity through dimension 12, and
-    # the braid-relation check on all four candidates
+    # the braid relation and the hexagon on all four candidates
+    # per-p shares rounded up, so the totals reach 10^4 and 10^3
     triples_per_p = -(-10000 // len(ALL_P))
     roundtrips_per_p = -(-1000 // len(ALL_P))
-    assert triples_per_p * len(ALL_P) >= 10000
-    assert roundtrips_per_p * len(ALL_P) >= 1000
-    opts = {
-        "rmax": None,
-        "seed": 2026,
-        "triples": triples_per_p,
-        "roundtrips": roundtrips_per_p,
-    }
-    for p in ALL_P:
-        for res in SUITES["properties"](p, opts):
-            assert res["status"] == "pass", (p, res["check"], res["detail"])
-        ctx = field(p)
-        for c in braiding_candidates(ctx):
-            assert check_yang_baxter(c)
-            assert check_hexagon(c)
+    _all_pass(["fusion.associativity",
+               "braiding.yang_baxter",
+               "properties.truncated_associativity",
+               "properties.tl_words",
+               "properties.module_relations",
+               "properties.balancing",
+               "properties.dsl_roundtrip"],
+              seed=2026, triples=triples_per_p, roundtrips=roundtrips_per_p)

@@ -5,6 +5,7 @@ Frozen expectations:
   * fuse -p 3 "X[2,+]*X[3,+]"  ->  2*X[1,-] + 2*X[2,+]
   * fuse -p 2 "M[3,1]*M[3,1]"  ->  M[5,1]
   * the index letter p resolves to the -p value
+  * jw, braid-check, fpdim and twists print exactly their frozen text
   * exit codes: 0 ok, 1 verification failure, 2 usage/parse trouble
 """
 
@@ -214,22 +215,34 @@ def test_cmd_fuse_range(capsys):
 
 
 def test_cmd_jw(capsys):
-    assert main(["jw", "-p", "5", "-n", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "markov" in out
+    assert main(["jw", "-p", "5", "-n", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "p=5: jw(3) terms=5 idempotent=yes hooks-killed=yes markov=-1\n")
     assert main(["jw", "-p", "3", "-n", "3"]) == 2
 
 
+def test_cmd_braid_check(capsys):
+    assert main(["braid-check", "-p", "4"]) == 0
+    assert capsys.readouterr().out == (
+        "p=4: hexagon solutions=4 (expected 4) yang-baxter=yes "
+        "inverse-pairs=yes\n")
+
+
 def test_cmd_fpdim(capsys):
-    assert main(["fpdim", "-p", "2..3"]) == 0
+    assert main(["fpdim", "-p", "2..5"]) == 0
     out = capsys.readouterr().out
-    assert "16" in out and "54" in out
+    assert out.splitlines() == ["p=2: 16", "p=3: 54", "p=4: 128", "p=5: 250"]
 
 
 def test_cmd_twists(capsys):
     assert main(["twists", "-p", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "X[2,+]" in out
+    assert capsys.readouterr().out.splitlines() == [
+        "p=2 X[1,-]: 1",
+        "p=2 X[1,+]: 1",
+        "p=2 X[2,-]: z^3",
+        "p=2 X[2,+]: -z^3",
+        "p=2 module route (inverse twists) agrees: yes",
+    ]
 
 
 def test_cmd_muger(capsys):
@@ -247,6 +260,18 @@ def test_cmd_phase(capsys):
     assert main(["phase", "-p", "2", "0", "0", "1/3"]) == 2
 
 
+def test_module_entry_point_quiet_stderr():
+    # `python -m ribbonkit.cli` runs the front end without a runpy warning
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ribbonkit.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ribbonkit.cli", "fpdim", "-p", "2"],
+        capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout == b"p=2: 16\n"
+    assert proc.stderr == b""
+
+
 def test_cmd_usage(capsys):
     assert main([]) == 2
     assert main(["fuse", "-p", "1", "V[1]"]) == 2
@@ -259,6 +284,10 @@ def test_cmd_usage(capsys):
     (["phase", "-p", "3", "0", "x/2", "0"], "invalid conformal weight 'x/2'"),
     (["muger", "-p", "3", "--rmax", "0"], "window must be >= 1, got 0"),
     (["muger", "-p", "3", "--rmax", "-2"], "window must be >= 1, got -2"),
+    (["verify", "-p", "3", "--suite", "phase", "--rmax", "2"],
+     "window must be >= 3, got 2"),
+    (["verify", "-p", "3", "--suite", "modularity", "--rmax", "1"],
+     "window must be >= 3, got 1"),
 ])
 def test_cmd_malformed_argument(capsys, argv, message):
     # refused by argparse before any work: exit 2, one error line
@@ -329,6 +358,19 @@ def test_verify_negative_counts(capsys, argv, message):
 
 
 # -- verify -------------------------------------------------------------------
+
+
+def test_verify_window_three_accepted(capsys):
+    # the lower side of this limit is in test_cmd_malformed_argument
+    argv = ["verify", "-p", "2..3", "--rmax", "3"]
+    assert main(argv + ["--suite", "phase"]) == 0
+    assert main(argv + ["--suite", "modularity"]) == 0
+    out = capsys.readouterr().out
+    assert "phase.linking" in out and "modularity.singlet_center" in out
+    assert "[fail]" not in out
+    # the other verbs still take any window from 1 up
+    assert main(["muger", "-p", "3", "--rmax", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "p=3 wp: X[1,+]"
 
 
 def test_verify_single_suite(capsys):

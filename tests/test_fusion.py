@@ -37,7 +37,6 @@ from ribbonkit.fusion import (
     RingMorphism,
     TruncationOverflow,
     check_grring_iso_K,
-    check_iso_T,
     conformal_weight,
     fpdim_category,
     fpdim_object,
@@ -178,7 +177,7 @@ def test_wp_ring_associative_all_triples(p):
 
 @pytest.mark.parametrize("p", ALL_P)
 def test_check_iso_T(p):
-    ok, witness = check_iso_T(p)
+    ok, witness = iso_T(p).check()
     assert ok and witness is None
 
 
