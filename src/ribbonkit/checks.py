@@ -10,14 +10,16 @@ front end, which imports this module), and one seeded rng per p, shared by
 the randomized properties checks in a fixed draw order.
 
 The check verbs print intermediate data rather than a verdict; the helpers
-they share with the checks (jw_audit, hexagon_winners, inverse_pairs_ok,
+they share with the checks (jw_audit, hexagon_winners, inverse_pair_failures,
 fpdim_routes, twist_routes) live here too.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import time
+import traceback
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -60,7 +62,10 @@ def _timed(name: str, p: int, fn) -> dict:
     try:
         ok, detail = fn()
     except Exception as err:  # a crash counts as a failed check
-        ok, detail = False, f"{type(err).__name__}: {err}"
+        where = traceback.extract_tb(err.__traceback__)[-1]
+        ok, detail = False, (f"{type(err).__name__} at "
+                             f"{os.path.basename(where.filename)}:"
+                             f"{where.lineno}: {err}")
     return {
         "check": name, "p": p, "status": "pass" if ok else "fail",
         "detail": detail, "elapsed": round(time.perf_counter() - t0, 4),
@@ -82,9 +87,9 @@ def jw_audit(ctx, n: int):
     Markov closure) for jw(n)."""
     e = jones_wenzl(ctx, n)
     idempotent = compose(e, e) == e
-    alive = [i for i in range(1, n)
-             if not (compose(hook(ctx, n, i), e).is_zero()
-                     and compose(e, hook(ctx, n, i)).is_zero())]
+    hooks = {i: hook(ctx, n, i) for i in range(1, n)}
+    alive = [i for i, h in hooks.items()
+             if not (compose(h, e).is_zero() and compose(e, h).is_zero())]
     return e, idempotent, alive, markov_close(e)
 
 
@@ -96,12 +101,13 @@ def hexagon_winners(ctx) -> list:
             if check_hexagon(ctx.root(j) * f + inv(ctx.root(j)) * ident)]
 
 
-def inverse_pairs_ok(cands) -> bool:
-    """Candidates 0,1 and 2,3 are mutually inverse braidings."""
-    c0, c1, c2, c3 = cands
-    ident = identity(c0.ctx, 2)
-    return (compose(c0, c1) == ident and compose(c1, c0) == ident
-            and compose(c2, c3) == ident and compose(c3, c2) == ident)
+def inverse_pair_failures(cands) -> list:
+    """The ordered pairs (i, j) among (0, 1), (1, 0), (2, 3), (3, 2) whose
+    composite cands[i] . cands[j] is not the identity; empty when candidates
+    0,1 and 2,3 are mutually inverse braidings."""
+    ident = identity(cands[0].ctx, 2)
+    return [(i, j) for i, j in ((0, 1), (1, 0), (2, 3), (3, 2))
+            if compose(cands[i], cands[j]) != ident]
 
 
 def fpdim_routes(p: int):
@@ -174,6 +180,10 @@ def _braiding_hexagon(p, env):
     ok = (len(winners) == 4
           and set(winners) == {zh, inv(zh), -zh, -inv(zh)}
           and all(a * a in (q, inv(q)) for a in winners))
+    if not ok:
+        found = ", ".join(map(str, winners))
+        return False, (f"hexagon solutions [{found}] among {ctx.N} scanned "
+                       "units, expected the four +-q^(+-1/2)")
     return ok, f"{len(winners)} hexagon solutions among {ctx.N} scanned units"
 
 
@@ -189,8 +199,11 @@ def _braiding_yang_baxter(p, env):
 
 @check("braiding.inverse_pairs")
 def _braiding_inverse_pairs(p, env):
-    ok = inverse_pairs_ok(braiding_candidates(field(p)))
-    return ok, "candidates pair into mutually inverse braidings"
+    bad = inverse_pair_failures(braiding_candidates(field(p)))
+    return not bad, (
+        "candidates pair into mutually inverse braidings" if not bad else
+        "; ".join(f"candidate {i} composed with candidate {j} is not the "
+                  "identity" for i, j in bad))
 
 
 @check("braiding.rmatrix")
@@ -216,6 +229,7 @@ def _jw_projectors(p, env):
     ctx = field(p)
     problems = []
     for n in range(1, p):
+        # the loop ends at n = p - 1, leaving closure at the top projector
         _, idempotent, alive, closure = jw_audit(ctx, n)
         if not idempotent:
             problems.append(f"jw({n}) is not idempotent")
@@ -223,7 +237,7 @@ def _jw_projectors(p, env):
         want = qint(ctx, n + 1) if n % 2 == 0 else -qint(ctx, n + 1)
         if closure != want:
             problems.append(f"jw({n}) has the wrong closure")
-    if not markov_close(jones_wenzl(ctx, p - 1)).is_zero():
+    if not closure.is_zero():
         problems.append("top projector closure is nonzero")
     return not problems, ("; ".join(problems) if problems else
                           f"n=1..{p - 1}: idempotent, hook-killing, "
@@ -277,7 +291,10 @@ def _modularity_singlet_center(p, env):
     cands = muger_candidates(singlet_ring(p, rmax), singlet_twists(p, rmax))
     # every odd first index of the requested window, with s = 1
     want = {(r, 1) for r in range(-rmax, rmax + 1) if r % 2}
-    return cands == want, (
+    if cands != want:
+        return False, (f"transparent candidates missing {sorted(want - cands)}"
+                       f", extra {sorted(cands - want)}")
+    return True, (
         f"{len(cands)} transparent candidates, all odd first index, "
         "a properly degenerate center"
     )
@@ -286,7 +303,13 @@ def _modularity_singlet_center(p, env):
 @check("modularity.quantum_order")
 def _modularity_quantum_order(p, env):
     report = quantum_order_check(p)
-    return report["ok"], (
+    if not report["ok"]:
+        false = [f for f in ("closed_form", "steinberg_vanishes",
+                             "geometric_sum_zero") if not report[f]]
+        if report["order_q2"] != p:
+            false.append(f"order_q2 == p (order_q2={report['order_q2']})")
+        return False, f"false report fields: {', '.join(false)}"
+    return True, (
         "dimension recursion closed form, vanishing top dimension, "
         f"ord(q^2)={report['order_q2']}, vanishing geometric sum"
     )
@@ -297,14 +320,19 @@ def _phase_channels(p, env):
     ctx = field(p)
     h12 = conformal_weight(p, 1, 2)
     got = voa_monodromy_phase(p, h12, h12, Fraction(0))
-    ok = got == -make_root(ctx, -3)
     sq = voa_monodromy_phase(p, h12, h12, Fraction(0), squared=True)
-    ok = ok and sq == make_root(ctx, -6) == got * got
+    channels = [("vacuum", got, -make_root(ctx, -3)),
+                ("squared vacuum", sq, make_root(ctx, -6)),
+                ("vacuum phase squared", got * got, make_root(ctx, -6))]
     if p > 2:
         h13 = conformal_weight(p, 1, 3)
-        ok = ok and (voa_monodromy_phase(p, h12, h12, h13)
-                     == make_root(ctx, 1))
-    return ok, "vacuum and adjacent channels match the exact roots"
+        channels.append(("adjacent h_{1,3}",
+                         voa_monodromy_phase(p, h12, h12, h13),
+                         make_root(ctx, 1)))
+    for name, value, want in channels:
+        if value != want:
+            return False, f"{name} channel gives {value}, expected {want}"
+    return True, "vacuum and adjacent channels match the exact roots"
 
 
 @check("phase.linking")
@@ -327,10 +355,10 @@ def _phase_linking(p, env):
 
 @check("grring.iso_K")
 def _grring_iso_K(p, env):
-    return check_grring_iso_K(p, r_max=6), (
-        "window products, restriction route, and the four-term "
-        "vacuum-cover image all agree"
-    )
+    ok, witness = check_grring_iso_K(p, r_max=6)
+    return ok, ("window products, restriction route, and the four-term "
+                "vacuum-cover image all agree" if ok else
+                "{} fails at {}: got {}".format(*witness))
 
 
 @check("grring.composition")

@@ -42,7 +42,7 @@ from .ribbon import (
     voa_monodromy_phase, wp_twists,
 )
 from .checks import (
-    SUITES, fpdim_routes, hexagon_winners, inverse_pairs_ok, jw_audit,
+    SUITES, fpdim_routes, hexagon_winners, inverse_pair_failures, jw_audit,
     run_checks, twist_routes,
 )
 
@@ -428,7 +428,7 @@ def _cmd_braid_check(args, ps) -> int:
         winners = hexagon_winners(ctx)
         cands = braiding_candidates(ctx)
         yb = all(check_yang_baxter(c) for c in cands)
-        inverse_ok = inverse_pairs_ok(cands)
+        inverse_ok = not inverse_pair_failures(cands)
         ok = len(winners) == 4 and yb and inverse_ok
         bad += not ok
         _emit(args, {

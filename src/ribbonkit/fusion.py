@@ -6,18 +6,19 @@ factors of explicit tensor products) and the generator-recursion ring
 disjoint code paths on purpose: the ring isomorphism between them is a
 checked statement, not a construction.
 
-Also here: Frobenius-Perron data with exactness certificates, the truncated
-Virasoro / singlet character rings, the induction maps between them, and a
-plain-JSON surface for all of it.
+Also here: Frobenius-Perron data, the truncated Virasoro / singlet character
+rings, the induction maps between them, and a plain-JSON surface for all of
+it.  Frobenius-Perron values come from one pure-Python power iteration,
+_perron: integer characters read off its Perron vector are certified by
+exact arithmetic, and rings without one report its floating eigenvalue.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
-
-import numpy as np
 
 from .cyclo import field
 from .qrep import (
@@ -231,6 +232,16 @@ def uq_ring(p: int) -> FusionRing:
 # -- the generator-recursion ring ---------------------------------------------
 
 
+def _apply(cols, v) -> list:
+    """The matrix with sparse columns cols (dicts row -> entry) times v."""
+    out = [0] * len(v)
+    for vj, col in zip(v, cols):
+        if vj:
+            for i, c in col.items():
+                out[i] += c * vj
+    return out
+
+
 def wp_ring(p: int) -> FusionRing:
     """Ring on labels (s, sign) generated by (2, +) and (1, -).
 
@@ -247,40 +258,40 @@ def wp_ring(p: int) -> FusionRing:
     idx = {lab: i for i, lab in enumerate(labels)}
     n = 2 * p
 
-    m2 = np.zeros((n, n), dtype=np.int64)
-    for s in range(1, p + 1):
-        for eps in (1, -1):
-            j = idx[(s, eps)]
-            if s == p:
-                m2[idx[(1, -eps)], j] += 2
-                if p > 1:
-                    m2[idx[(p - 1, eps)], j] += 2
-            else:
-                m2[idx[(s + 1, eps)], j] += 1
-                if s > 1:
-                    m2[idx[(s - 1, eps)], j] += 1
-    m1 = np.zeros((n, n), dtype=np.int64)
-    for s in range(1, p + 1):
-        for eps in (1, -1):
-            m1[idx[(s, -eps)], idx[(s, eps)]] = 1
-    if not np.array_equal(m1 @ m2, m2 @ m1):
+    # integer columns of the generators: (2, +) takes (s, eps) to
+    # (s - 1, eps) + (s + 1, eps), and the Steinberg label (p, eps) to
+    # 2 (p - 1, eps) + 2 (1, -eps); (1, -) flips the sign
+    gen2 = []
+    for s, eps in labels:
+        nbrs = [(1, -eps), (p - 1, eps)] if s == p else \
+            [(s + 1, eps), (s - 1, eps)]
+        gen2.append({idx[lab]: 2 if s == p else 1
+                     for lab in nbrs if lab in idx})
+    gen1 = [{idx[(s, -eps)]: 1} for s, eps in labels]
+    basis = [[int(i == j) for i in range(n)] for j in range(n)]
+    if any(_apply(gen1, _apply(gen2, e)) != _apply(gen2, _apply(gen1, e))
+           for e in basis):
         raise NegativityError("generator operators fail to commute")
 
-    ops = {(1, 1): np.eye(n, dtype=np.int64), (2, 1): m2}
-    for s in range(3, p + 1):
-        ops[(s, 1)] = m2 @ ops[(s - 1, 1)] - ops[(s - 2, 1)]
-    for s in range(1, p + 1):
-        ops[(s, -1)] = m1 @ ops[(s, 1)]
+    # column b of the operator of (s, +) is U_{s-1}(X) e_b, by
+    # U_s = X U_{s-1} - U_{s-2} from U_{-1} = 0, U_0 = 1; (s, -) flips it
+    cols = {}
+    for b, e in zip(labels, basis):
+        prev, cur = [0] * n, e
+        for s in range(1, p + 1):
+            if s > 1:
+                prev, cur = cur, [x - y for x, y in
+                                  zip(_apply(gen2, cur), prev)]
+            cols[((s, 1), b)] = cur
+            cols[((s, -1), b)] = _apply(gen1, cur)
 
     constants = {}
     for a in labels:
         for b in labels:
-            col = ops[a][:, idx[b]]
-            if (col < 0).any():
+            col = cols[(a, b)]
+            if min(col) < 0:
                 raise NegativityError(f"negative constant in {a!r} * {b!r}")
-            constants[(a, b)] = {
-                labels[k]: int(col[k]) for k in range(n) if col[k]
-            }
+            constants[(a, b)] = {labels[k]: c for k, c in enumerate(col) if c}
     ring = FusionRing(labels, (1, 1), constants, {lab: lab for lab in labels})
     _RING_CACHE[("wp", p)] = ring
     return ring
@@ -309,59 +320,63 @@ class FPDimResult:
         return f"FPDimResult({self.value}, {tag})"
 
 
-def _left_mult_matrix(ring, combo):
-    n = len(ring.labels)
+def _perron(ring, combo, max_iter: int):
+    """(eigenvalue, unit vector, max-norm residual) of the Perron pair of
+    left multiplication by combo, by power iteration from the all-ones
+    vector: stops below residual 1e-10, raises ConvergenceError after
+    max_iter steps, and gives (0.0, zero vector, 0.0) if M kills it."""
     pos = {lab: i for i, lab in enumerate(ring.labels)}
-    m = np.zeros((n, n))
+    cols = [Counter() for _ in ring.labels]
     for a, ma in combo.items():
         for b in ring.labels:
             for k, c in ring.constants[(a, b)].items():
-                m[pos[k], pos[b]] += ma * c
-    return m
+                cols[pos[b]][pos[k]] += ma * c
+    image = _apply(cols, [1.0] * len(cols))
+    for _ in range(max_iter):
+        norm = math.hypot(*image)
+        if norm == 0.0:
+            return 0.0, image, 0.0
+        w = [x / norm for x in image]
+        image = _apply(cols, w)
+        lam = sum(x * y for x, y in zip(w, image))
+        residual = max(abs(y - lam * x) for x, y in zip(w, image))
+        if residual < 1e-10:
+            return lam, w, residual
+    raise ConvergenceError(
+        f"power iteration did not reach 1e-10 within {max_iter} steps"
+    )
 
 
 def _fp_character(ring):
     """Positive character label -> Fraction, or None when not integral.
 
-    Candidate values come from the Perron eigenvector of the total left
-    multiplication; the certificate is an exact integer re-check of every
-    product relation, so a returned character is proven, not numerical.
-    """
+    Candidate values are read off the ring constants against the Perron
+    vector of the total left multiplication (_perron); the certificate is
+    an exact integer re-check of every product relation, so a returned
+    character is proven, not numerical."""
     if ring._character_known:
         return ring._character
-    total = _left_mult_matrix(
-        ring, Counter({lab: 1 for lab in ring.labels})
-    )
-    eigvals, eigvecs = np.linalg.eig(total)
-    vec = np.real(eigvecs[:, int(np.argmax(np.real(eigvals)))])
-    vec = np.abs(vec)
-    anchor = int(np.argmax(vec))
+    ring._character_known = True
+    try:
+        _, vec, _ = _perron(ring, dict.fromkeys(ring.labels, 1), 10000)
+    except ConvergenceError:
+        return None
+    anchor = max(range(len(vec)), key=vec.__getitem__)
+    top = ring.labels[anchor]
     candidate = {}
-    ok = True
-    for i, lab in enumerate(ring.labels):
-        mi = _left_mult_matrix(ring, Counter({lab: 1}))
-        lam = float((mi @ vec)[anchor] / vec[anchor])
+    for a in ring.labels:
+        lam = sum(ring.constants[(a, b)].get(top, 0) * x
+                  for b, x in zip(ring.labels, vec)) / vec[anchor]
         rounded = round(lam)
         if abs(lam - rounded) > 1e-6 or rounded < 1:
-            ok = False
-            break
-        candidate[lab] = rounded
-    if ok and candidate[ring.unit] == 1:
-        for a in ring.labels:
-            for b in ring.labels:
-                total_ab = sum(
-                    n * candidate[k] for k, n in ring.constants[(a, b)].items()
-                )
-                if total_ab != candidate[a] * candidate[b]:
-                    ok = False
-                    break
-            if not ok:
-                break
-    if ok and candidate.get(ring.unit) == 1:
-        ring._character = {lab: Fraction(v) for lab, v in candidate.items()}
-    else:
-        ring._character = None
-    ring._character_known = True
+            return None
+        candidate[a] = rounded
+    # at (unit, unit) this forces candidate[unit] = candidate[unit]^2 = 1
+    for (a, b), row in ring.constants.items():
+        if sum(n * candidate[k] for k, n in row.items()) != \
+                candidate[a] * candidate[b]:
+            return None
+    ring._character = {lab: Fraction(v) for lab, v in candidate.items()}
     return ring._character
 
 
@@ -370,7 +385,7 @@ def fpdim_object(ring, x, max_iter: int = 10000) -> FPDimResult:
 
     Exact (Fraction) whenever the ring carries a certified integer
     character; otherwise the Perron eigenvalue of left multiplication via
-    power iteration, required to reach residual < 1e-10.
+    power iteration (_perron), required to reach residual < 1e-10.
     """
     combo = Counter(x) if isinstance(x, (dict, Counter)) else Counter({x: 1})
     for lab in combo:
@@ -381,24 +396,8 @@ def fpdim_object(ring, x, max_iter: int = 10000) -> FPDimResult:
         value = sum((char[lab] * mult for lab, mult in combo.items()),
                     Fraction(0))
         return FPDimResult(value, True)
-
-    m = _left_mult_matrix(ring, combo)
-    v = np.ones(len(ring.labels))
-    lam = 0.0
-    for _ in range(max_iter):
-        w = m @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return FPDimResult(0.0, False, 0.0)
-        w /= norm
-        lam = float(w @ (m @ w))
-        residual = float(np.max(np.abs(m @ w - lam * w)))
-        v = w
-        if residual < 1e-10:
-            return FPDimResult(lam, False, residual)
-    raise ConvergenceError(
-        f"power iteration did not reach 1e-10 within {max_iter} steps"
-    )
+    lam, _, residual = _perron(ring, combo, max_iter)
+    return FPDimResult(lam, False, residual)
 
 
 def fpdim_category(ring, projective_classes) -> Fraction:
@@ -568,39 +567,42 @@ def induction_Iprime(p: int, lab) -> Counter:
     return Counter({(s, _eps(r)): 1})
 
 
-def check_grring_iso_K(p: int, r_max: int = DEFAULT_RMAX) -> bool:
+def check_grring_iso_K(p: int, r_max: int = DEFAULT_RMAX):
     """Cross-check the truncated Virasoro ring against the module side.
 
     Verifies, inside the window: the vacuum label is neutral; first-column
     products follow the classical composition rule; restriction of each
     explicit module through the label bijection matches r copies of the
     sign-alternating image; and the vacuum projective cover class
-    2[L_{1,1}] + [L_{2,p-1}] has the expected four-term image.
+    2[L_{1,1}] + [L_{2,p-1}] has the expected four-term image.  Returns
+    (ok, witness); witness is None on success, otherwise (step, label or
+    pair, what that step computed) for the first failing step.
     """
     ring = vir_ring(p, r_max)
     ctx = field(p)
     t = iso_T(p)
 
     for lab in ring.labels:
-        if ring.product(ring.unit, lab) != Counter({lab: 1}):
-            return False
+        got = ring.product(ring.unit, lab)
+        if got != Counter({lab: 1}):
+            return False, ("unit row", lab, dict(got))
 
     for r in range(1, r_max + 1):
-        for rp in range(1, r_max + 1):
-            if r + rp - 1 > r_max:
-                continue
+        for rp in range(1, r_max + 2 - r):
             want = Counter(
                 {(rr, 1): 1 for rr in range(abs(r - rp) + 1, r + rp, 2)}
             )
-            if ring.product((r, 1), (rp, 1)) != want:
-                return False
+            got = ring.product((r, 1), (rp, 1))
+            if got != want:
+                return False, ("first-column product", ((r, 1), (rp, 1)),
+                               dict(got))
 
     for r in range(1, r_max + 1):
         for s in range(1, p + 1):
             module = tensor(simple_L(ctx, r - 1), simple_V(ctx, s))
             pushed = t.push(uq_classes(module))
             if pushed != induction_F(p, (r, s)):
-                return False
+                return False, ("restriction route", (r, s), dict(pushed))
 
     vac_cover = Counter({(1, 1): 2, (2, p - 1): 1})
     image = Counter()
@@ -608,10 +610,8 @@ def check_grring_iso_K(p: int, r_max: int = DEFAULT_RMAX) -> bool:
         for k, n in induction_F(p, lab).items():
             image[k] += mult * n
     if image != Counter({(1, 1): 2, (p - 1, -1): 2}):
-        return False
-    if sum(image.values()) != 4:
-        return False
-    return True
+        return False, ("vacuum-cover image", dict(vac_cover), dict(image))
+    return True, None
 
 
 # -- JSON surfaces ------------------------------------------------------------

@@ -28,6 +28,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from ribbonkit import fusion
 from ribbonkit.cyclo import field
 from ribbonkit.qrep import chi_module, simple_L, simple_V, tensor, uq_classes
 from ribbonkit.fusion import (
@@ -181,6 +182,17 @@ def test_check_iso_T(p):
     assert ok and witness is None
 
 
+@pytest.mark.parametrize("p", [8, 13, 20])
+def test_recursion_ring_matches_module_ring(p):
+    # past the acceptance range: the integer recursion ring against the
+    # module-side ring, and both certified characters against s
+    ok, witness = iso_T(p).check()
+    assert ok, witness
+    for ring in (uq_ring(p), wp_ring(p)):
+        assert fusion._fp_character(ring) == {
+            lab: Fraction(lab[0]) for lab in ring.labels}
+
+
 def test_iso_T_is_label_map():
     t = iso_T(3)
     assert t.assign[(2, 0)] == (2, 1)
@@ -295,6 +307,22 @@ def test_fpdim_golden_ring():
     assert not res.exact
     assert abs(res.value - (1 + 5 ** 0.5) / 2) < 1e-9
     assert res.residual is not None and res.residual < 1e-10
+
+
+def test_fpdim_unsettled_perron_vector():
+    # x * x = 0: the total multiplication is a Jordan block, power iteration
+    # creeps towards its eigenvector too slowly to settle, and that means no
+    # character rather than an error; x alone is nilpotent, dimension 0
+    consts = {
+        ("1", "1"): {"1": 1}, ("1", "x"): {"x": 1},
+        ("x", "1"): {"x": 1}, ("x", "x"): {},
+    }
+    ring = FusionRing(["1", "x"], "1", consts, {"1": "1", "x": "x"})
+    with pytest.raises(ConvergenceError):
+        fusion._perron(ring, {"1": 1, "x": 1}, 10000)
+    assert fusion._fp_character(ring) is None
+    res = fpdim_object(ring, "x")
+    assert not res.exact and res.value == 0.0 and res.residual == 0.0
 
 
 def test_negative_constant_rejected():
@@ -438,8 +466,41 @@ def test_parity_consistency(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_check_grring_iso_K(p):
-    assert check_grring_iso_K(p, r_max=6)
+def test_check_grring_iso_K(p, monkeypatch):
+    # criterion 9 runs the check as is; here each step gets one broken
+    # input and must come back as the witness with its label or pair
+    product, induce = fusion.TruncatedRing.product, fusion.induction_F
+
+    def extra_product(pair):
+        def mutated(self, a, b):
+            out = product(self, a, b)
+            if (a, b) == pair:
+                out[(1, 1)] += 1
+            return out
+        return mutated
+
+    def extra_image(lab0):
+        return lambda q, lab: induce(q, lab) + Counter(
+            {(1, 1): int(lab == lab0)})
+
+    cases = [
+        ((fusion.TruncatedRing, "product", extra_product(((1, 1), (1, p)))),
+         6, ("unit row", (1, p), {(1, p): 1, (1, 1): 1})),
+        ((fusion.TruncatedRing, "product", extra_product(((2, 1), (2, 1)))),
+         6, ("first-column product", ((2, 1), (2, 1)),
+             {(1, 1): 2, (3, 1): 1})),
+        ((fusion, "induction_F", extra_image((3, 1))),
+         6, ("restriction route", (3, 1), {(1, 1): 3})),
+        # at window 1 only r = 1 is restricted, so the cover's (2, p-1)
+        # image reaches the last step unchecked
+        ((fusion, "induction_F", extra_image((2, p - 1))),
+         1, ("vacuum-cover image", {(1, 1): 2, (2, p - 1): 1},
+             {(1, 1): 3, (p - 1, -1): 2})),
+    ]
+    for patch, r_max, want in cases:
+        with monkeypatch.context() as m:
+            m.setattr(*patch)
+            assert check_grring_iso_K(p, r_max=r_max) == (False, want)
 
 
 @pytest.mark.parametrize("p", [2, 3])
