@@ -22,7 +22,7 @@ import time
 import traceback
 from collections import Counter
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from .cyclo import field, inv, make_root, qint
 from .tldiag import (
@@ -383,24 +383,17 @@ def _random_trunc_label(rng, kind: str, p: int):
     return (rng.randint(-2, 2), rng.randint(1, p))
 
 
-def _memo_product(ring, memo: dict, a, b):
-    key = (a, b)
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = ring.product(a, b)
-    return hit
-
-
 @check("properties.truncated_associativity")
 def _truncated_associativity(p, env):
     rng = env["rng"]
     total = env["triples"]
     window = max(12, env["rmax"])
-    rings = {"vir": vir_ring(p, window), "singlet": singlet_ring(p, window)}
-    memo: dict = {"vir": {}, "singlet": {}}
+    # each distinct product is computed once per run of this check
+    products = {"vir": cache(vir_ring(p, window).product),
+                "singlet": cache(singlet_ring(p, window).product)}
     for k in range(total):
         kind = "vir" if k % 2 == 0 else "singlet"
-        prod = partial(_memo_product, rings[kind], memo[kind])
+        prod = products[kind]
         a, b, c = (_random_trunc_label(rng, kind, p) for _ in range(3))
         left, right = Counter(), Counter()
         for lab, mult in prod(a, b).items():

@@ -6,7 +6,8 @@ numerators over one positive common denominator, in lowest terms (the nf_elem
 form of FLINT/Antic). Phi_N is monic, so reduction is integer arithmetic and
 rationals appear only at the API edges: constructor input, rational(), the
 Fraction view `coeffs`, str/parse_cyc and embed_complex. Inverses come from
-an extended Euclid over Z[x] and are memoised per field context.
+an extended Euclid over Z[x]. Every memo here (fields, Phi_n, q-integers,
+inverses) is a functools.cache.
 
 The distinguished roots are q = zeta_N^2 (so q = e^{pi*i/p} under the
 reporting embedding) and the square-root branch q^{1/2} = zeta_N.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import cmath
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import gcd, lcm
 from operator import add as _add, neg as _neg, sub as _sub
 from typing import Iterable, Sequence
@@ -65,7 +66,7 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
-@lru_cache(maxsize=None)
+@cache
 def _cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Phi_n as ascending integer coefficients, by exact division of x^n - 1
     by the product of Phi_d over proper divisors d."""
@@ -85,8 +86,9 @@ def _cyclotomic_poly(n: int) -> tuple[int, ...]:
 class FieldContext:
     """Q(zeta_{4p}): minimal polynomial, reduction data, cached root powers.
 
-    Instances are immutable and interned per p via field(p). The memo dicts
-    _qint_cache and _inv_cache only ever gain exact values.
+    Instances are immutable and interned per p via field(p). The memos
+    keyed by a context (qint, _inverse, tldiag.jones_wenzl) are
+    functools caches holding its exact values.
     """
 
     def __init__(self, p: int):
@@ -121,8 +123,6 @@ class FieldContext:
             powers.append(_make(self, tuple(cur), 1))
             cur = times_z(cur)
         self._root_powers = tuple(powers)
-        self._qint_cache: dict[int, CycNumber] = {}
-        self._inv_cache: dict[tuple, CycNumber] = {}
 
     # -- constructors
 
@@ -154,7 +154,7 @@ class FieldContext:
         return f"FieldContext(p={self.p})"
 
 
-@lru_cache(maxsize=None)
+@cache
 def field(p: int) -> FieldContext:
     return FieldContext(p)
 
@@ -190,11 +190,6 @@ class CycNumber:
         self.ctx = ctx
         self.num, self.den = _split(cs)
 
-    @classmethod
-    def _raw(cls, ctx, coeffs) -> "CycNumber":
-        # trusted constructor: coeffs already reduced rationals of full length
-        return _make(ctx, *_split([Fraction(c) for c in coeffs]))
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The power-basis coefficients as Fractions."""
@@ -205,9 +200,6 @@ class CycNumber:
 
     def is_zero(self) -> bool:
         return not any(self.num)
-
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
 
     # -- arithmetic
 
@@ -309,48 +301,7 @@ class CycNumber:
 
     def inv(self) -> "CycNumber":
         """Multiplicative inverse, memoised per field context."""
-        cache = self.ctx._inv_cache
-        key = (self.num, self.den)
-        out = cache.get(key)
-        if out is None:
-            out = cache[key] = self._euclid_inverse()
-        return out
-
-    def _euclid_inverse(self) -> "CycNumber":
-        """Extended Euclid against Phi_N over Z[x], by pseudo-division.
-
-        Each pair (r, t) keeps t * num == r (mod Phi); a pseudo-division step
-        scales by the divisor's leading coefficient so everything stays
-        integral, and the joint content of (r, t) is divided out each round.
-        The last remainder is a nonzero constant c, since Phi_N is
-        irreducible, so 1/(num/den) = den * t / c.
-        """
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic element")
-        ctx = self.ctx
-        r0, t0 = list(ctx.minimal_polynomial), [0]
-        r1, t1 = _trim(list(self.num)), [1]
-        while len(r1) > 1:
-            lead, d = r1[-1], len(r1) - 1
-            r, t = r0, t0
-            while len(r) > d:
-                c, s = r[-1], len(r) - 1 - d
-                r = [lead * x for x in r]
-                for j, y in enumerate(r1):
-                    r[s + j] -= c * y
-                t = [lead * x for x in t] + [0] * (s + len(t1) - len(t))
-                for j, y in enumerate(t1):
-                    t[s + j] -= c * y
-                _trim(r)
-            _trim(t)
-            g = gcd(*r, *t)
-            r0, t0 = r1, t1
-            r1, t1 = [x // g for x in r], [x // g for x in t]
-        c = r1[0]
-        assert c != 0, "Phi_N is irreducible, so the gcd is a unit"
-        scale = self.den if c > 0 else -self.den
-        num = [x * scale for x in t1] + [0] * (ctx.degree - len(t1))
-        return _normalised(ctx, tuple(num), abs(c))
+        return _inverse(self.ctx, self.num, self.den)
 
     # -- equality / hashing
 
@@ -419,6 +370,43 @@ def _normalised(ctx: FieldContext, num: tuple[int, ...], den: int) -> CycNumber:
     return _make(ctx, num, den)
 
 
+@cache
+def _inverse(ctx: FieldContext, num: tuple[int, ...], den: int) -> CycNumber:
+    """Extended Euclid against Phi_N over Z[x], by pseudo-division.
+
+    Each pair (r, t) keeps t * num == r (mod Phi); a pseudo-division step
+    scales by the divisor's leading coefficient so everything stays
+    integral, and the joint content of (r, t) is divided out each round.
+    The last remainder is a nonzero constant c, since Phi_N is
+    irreducible, so 1/(num/den) = den * t / c.
+    """
+    if not any(num):
+        raise ZeroDivisionError("inverse of zero cyclotomic element")
+    r0, t0 = list(ctx.minimal_polynomial), [0]
+    r1, t1 = _trim(list(num)), [1]
+    while len(r1) > 1:
+        lead, d = r1[-1], len(r1) - 1
+        r, t = r0, t0
+        while len(r) > d:
+            c, s = r[-1], len(r) - 1 - d
+            r = [lead * x for x in r]
+            for j, y in enumerate(r1):
+                r[s + j] -= c * y
+            t = [lead * x for x in t] + [0] * (s + len(t1) - len(t))
+            for j, y in enumerate(t1):
+                t[s + j] -= c * y
+            _trim(r)
+        _trim(t)
+        g = gcd(*r, *t)
+        r0, t0 = r1, t1
+        r1, t1 = [x // g for x in r], [x // g for x in t]
+    c = r1[0]
+    assert c != 0, "Phi_N is irreducible, so the gcd is a unit"
+    scale = den if c > 0 else -den
+    out = [x * scale for x in t1] + [0] * (ctx.degree - len(t1))
+    return _normalised(ctx, tuple(out), abs(c))
+
+
 _TERM_RE = re.compile(
     r"^(?P<coeff>\d+(?:/\d+)?)?\*?(?:(?P<var>z)(?:\^(?P<pow>\d+))?)?$"
 )
@@ -477,15 +465,11 @@ def inv(a: CycNumber) -> CycNumber:
     return a.inv()
 
 
+@cache
 def qint(ctx: FieldContext, n: int) -> CycNumber:
     """[n] = (q^n - q^{-n})/(q - q^{-1})."""
-    cached = ctx._qint_cache.get(n)
-    if cached is not None:
-        return cached
     q = ctx.q()
-    val = (q**n - q**-n) / (q - q**-1)
-    ctx._qint_cache[n] = val
-    return val
+    return (q**n - q**-n) / (q - q**-1)
 
 
 def qfact(ctx: FieldContext, n: int) -> CycNumber:

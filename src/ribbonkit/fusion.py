@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import product as iproduct
 
 from .cyclo import field
@@ -100,8 +101,6 @@ class FusionRing:
             if self.constants[(self.unit, a)] != Counter({a: 1}) or \
                     self.constants[(a, self.unit)] != Counter({a: 1}):
                 raise ValueError(f"unit does not act trivially on {a!r}")
-        self._character = None
-        self._character_known = False
 
     def product(self, a, b) -> Counter:
         return Counter(self.constants[(a, b)])
@@ -188,9 +187,6 @@ class RingMorphism:
 
 # -- the module-oracle ring ---------------------------------------------------
 
-_RING_CACHE: dict = {}
-
-
 def _uq_rep_weights(p: int, s: int, eps: int) -> list:
     # chi shifts every weight by p
     return [eps * p + s - 1 - 2 * i for i in range(s)]
@@ -208,15 +204,13 @@ def _convolve(wa, wb) -> list:
     return out
 
 
+@cache
 def uq_ring(p: int) -> FusionRing:
     """Grothendieck ring of the 2p simple weight modules at level p.
 
     Constants are composition-factor multiplicities of pairwise tensor
     products, computed from characters; every label is self-dual.
     """
-    cached = _RING_CACHE.get(("uq", p))
-    if cached is not None:
-        return cached
     labels = [(s, eps) for s in range(1, p + 1) for eps in (0, 1)]
     wts = {lab: _uq_rep_weights(p, *lab) for lab in labels}
     constants = {}
@@ -224,9 +218,7 @@ def uq_ring(p: int) -> FusionRing:
         for b in labels:
             dec = decompose_character(p, _convolve(wts[a], wts[b]))
             constants[(a, b)] = dict(restrict_classes(dec))
-    ring = FusionRing(labels, (1, 0), constants, {lab: lab for lab in labels})
-    _RING_CACHE[("uq", p)] = ring
-    return ring
+    return FusionRing(labels, (1, 0), constants, {lab: lab for lab in labels})
 
 
 # -- the generator-recursion ring ---------------------------------------------
@@ -242,6 +234,7 @@ def _apply(cols, v) -> list:
     return out
 
 
+@cache
 def wp_ring(p: int) -> FusionRing:
     """Ring on labels (s, sign) generated by (2, +) and (1, -).
 
@@ -251,9 +244,6 @@ def wp_ring(p: int) -> FusionRing:
     swap), and constants are read off the resulting operators.  Negative
     or fractional entries would abort the build.
     """
-    cached = _RING_CACHE.get(("wp", p))
-    if cached is not None:
-        return cached
     labels = [(s, eps) for s in range(1, p + 1) for eps in (1, -1)]
     idx = {lab: i for i, lab in enumerate(labels)}
     n = 2 * p
@@ -292,9 +282,7 @@ def wp_ring(p: int) -> FusionRing:
             if min(col) < 0:
                 raise NegativityError(f"negative constant in {a!r} * {b!r}")
             constants[(a, b)] = {labels[k]: c for k, c in enumerate(col) if c}
-    ring = FusionRing(labels, (1, 1), constants, {lab: lab for lab in labels})
-    _RING_CACHE[("wp", p)] = ring
-    return ring
+    return FusionRing(labels, (1, 1), constants, {lab: lab for lab in labels})
 
 
 def iso_T(p: int) -> RingMorphism:
@@ -347,6 +335,7 @@ def _perron(ring, combo, max_iter: int):
     )
 
 
+@cache
 def _fp_character(ring):
     """Positive character label -> Fraction, or None when not integral.
 
@@ -354,9 +343,6 @@ def _fp_character(ring):
     vector of the total left multiplication (_perron); the certificate is
     an exact integer re-check of every product relation, so a returned
     character is proven, not numerical."""
-    if ring._character_known:
-        return ring._character
-    ring._character_known = True
     try:
         _, vec, _ = _perron(ring, dict.fromkeys(ring.labels, 1), 10000)
     except ConvergenceError:
@@ -376,8 +362,7 @@ def _fp_character(ring):
         if sum(n * candidate[k] for k, n in row.items()) != \
                 candidate[a] * candidate[b]:
             return None
-    ring._character = {lab: Fraction(v) for lab, v in candidate.items()}
-    return ring._character
+    return {lab: Fraction(v) for lab, v in candidate.items()}
 
 
 def fpdim_object(ring, x, max_iter: int = 10000) -> FPDimResult:

@@ -21,6 +21,7 @@ per (result diagram, loop count) group.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Sequence
 
 from .cyclo import CycNumber, FieldContext, inv, qint
@@ -393,16 +394,15 @@ def tensor(f: TLMorphism, g: TLMorphism) -> TLMorphism:
     return TLMorphism(ctx, n, m, terms)
 
 
-_JW_CACHE: dict = {}
-
-
+@cache
 def jones_wenzl(ctx: FieldContext, n: int) -> TLMorphism:
     """The n-strand Jones-Wenzl idempotent, for 1 <= n <= p-1.
 
     Wenzl recursion in the loop-value convention: with jw' = jw(n-1) x id,
         jw(n) = jw' + ([n-1]/[n]) * jw' . E_{n-1} . jw'
     (the coefficient sign follows the Chebyshev-in-d normalization, which is
-    the one making jw(2) = id - d^{-1} cup.cap idempotent).
+    the one making jw(2) = id - d^{-1} cup.cap idempotent).  Memoised per
+    context and n, so jw(n) reuses jw(n-1).
     """
     if n < 1:
         raise ValueError("strand count must be >= 1")
@@ -410,22 +410,12 @@ def jones_wenzl(ctx: FieldContext, n: int) -> TLMorphism:
         raise QuantumOrderError(
             f"[{min(n, ctx.p)}] = 0 at p={ctx.p}; jones_wenzl needs n <= p-1"
         )
-    cached = _JW_CACHE.get((ctx.p, n))
-    if cached is not None:
-        return cached
-    jw = identity(ctx, 1)
-    _JW_CACHE.setdefault((ctx.p, 1), jw)
-    for k in range(2, n + 1):
-        hit = _JW_CACHE.get((ctx.p, k))
-        if hit is not None:
-            jw = hit
-            continue
-        prev = tensor(jw, identity(ctx, 1))
-        coeff = qint(ctx, k - 1) / qint(ctx, k)
-        corr = compose(compose(prev, hook(ctx, k, k - 1)), prev)
-        jw = prev + coeff * corr
-        _JW_CACHE[(ctx.p, k)] = jw
-    return jw
+    if n == 1:
+        return identity(ctx, 1)
+    prev = tensor(jones_wenzl(ctx, n - 1), identity(ctx, 1))
+    coeff = qint(ctx, n - 1) / qint(ctx, n)
+    corr = compose(compose(prev, hook(ctx, n, n - 1)), prev)
+    return prev + coeff * corr
 
 
 def _rainbow(ctx: FieldContext, n: int, as_top: bool) -> TLMorphism:

@@ -29,8 +29,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ribbonkit import fusion
-from ribbonkit.cyclo import field
+from ribbonkit.cyclo import field, qint
 from ribbonkit.qrep import chi_module, simple_L, simple_V, tensor, uq_classes
+from ribbonkit.tldiag import jones_wenzl
 from ribbonkit.fusion import (
     ConvergenceError,
     FusionRing,
@@ -191,6 +192,20 @@ def test_recursion_ring_matches_module_ring(p):
     for ring in (uq_ring(p), wp_ring(p)):
         assert fusion._fp_character(ring) == {
             lab: Fraction(lab[0]) for lab in ring.labels}
+
+
+def test_memos_are_shared():
+    # a repeat call hands back the memoised object itself; the inverse is
+    # keyed by value, so an equal element built afresh finds it too
+    ctx = field(7)
+    assert qint(ctx, 3) is qint(ctx, 3)
+    assert (qint(ctx, 3) + 1).inv() is (qint(ctx, 3) + 1).inv()
+    assert jones_wenzl(ctx, 4) is jones_wenzl(ctx, 4)
+    assert uq_ring(7) is uq_ring(7)
+    assert wp_ring(7) is wp_ring(7)
+    for ring in (uq_ring(7), wp_ring(7)):
+        char = fusion._fp_character(ring)
+        assert char is not None and fusion._fp_character(ring) is char
 
 
 def test_iso_T_is_label_map():

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ribbonkit import tldiag
-from ribbonkit.cyclo import field, inv, qint
+from ribbonkit.cyclo import FieldContext, field, inv, qint
 from ribbonkit.tldiag import (
     BoundaryMismatch,
     QuantumOrderError,
@@ -168,6 +168,16 @@ def test_jw_out_of_range(p):
     ctx = field(p)
     with pytest.raises(QuantumOrderError):
         jones_wenzl(ctx, p)
+
+
+def test_jw_memo_is_keyed_by_context():
+    # a context built directly, not interned by field(), shares p with
+    # field(5) but not its projectors: composing them would mix contexts
+    jones_wenzl(field(5), 3)
+    c = FieldContext(5)
+    jw = jones_wenzl(c, 3)
+    assert jw.ctx is c
+    assert compose(jw, identity(c, 3)) == jw
 
 
 # -- Markov closure ----------------------------------------------------------
