@@ -569,6 +569,9 @@ _window = _int_at_least("window", 1)
 # reach 3; below that the check (and at window 1 the singlet center scan)
 # would fail on the input, not on the mathematics
 _verify_window = _int_at_least("window", 3)
+# at window 1 nearly every singlet pair overflows and is skipped, so nothing
+# refutes M[-1,p] and the Muger scan would list it as transparent
+_muger_window = _int_at_least("window", 2)
 _count = _int_at_least("count", 0)
 
 
@@ -597,7 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="hexagon scan, braid relation, inverses"))
     common(sub.add_parser("fpdim", help="category dimension, both routes"))
     common(sub.add_parser("twists", help="twist table with cross-check"))
-    common(sub.add_parser("muger", help="transparent-object candidates"))
+    common(sub.add_parser("muger", help="transparent-object candidates"),
+           _muger_window)
     sp = sub.add_parser("phase", help="monodromy phase from three weights")
     common(sp)
     sp.add_argument("--squared", action="store_true")

@@ -28,6 +28,7 @@ from .qrep import (
     restrict_classes,
     simple_L,
     simple_V,
+    string_weights,
     tensor,
     uq_classes,
 )
@@ -187,21 +188,12 @@ class RingMorphism:
 
 # -- the module-oracle ring ---------------------------------------------------
 
-def _uq_rep_weights(p: int, s: int, eps: int) -> list:
-    # chi shifts every weight by p
-    return [eps * p + s - 1 - 2 * i for i in range(s)]
-
-
-def _convolve(wa, wb) -> list:
+def _convolve(wa: Counter, wb: Counter) -> Counter:
     conv = Counter()
-    ca, cb = Counter(wa), Counter(wb)
-    for w1, c1 in ca.items():
-        for w2, c2 in cb.items():
+    for w1, c1 in wa.items():
+        for w2, c2 in wb.items():
             conv[w1 + w2] += c1 * c2
-    out = []
-    for w, c in conv.items():
-        out.extend([w] * c)
-    return out
+    return conv
 
 
 @cache
@@ -212,7 +204,8 @@ def uq_ring(p: int) -> FusionRing:
     products, computed from characters; every label is self-dual.
     """
     labels = [(s, eps) for s in range(1, p + 1) for eps in (0, 1)]
-    wts = {lab: _uq_rep_weights(p, *lab) for lab in labels}
+    # chi shifts every weight of V_s by p: the string (eps, s)
+    wts = {(s, eps): Counter(string_weights(p, eps, s)) for s, eps in labels}
     constants = {}
     for a in labels:
         for b in labels:
@@ -480,14 +473,10 @@ class TruncatedRing:
                 f"label {lab} outside the r_max={self.r_max} window"
             )
 
-    def _weights(self, lab) -> list:
+    def _weights(self, lab) -> Counter:
         r, s = lab
-        t0 = r - 1
-        if self.kind == "vir":
-            ts = range(-(r - 1), r, 2)
-        else:
-            ts = (t0,)
-        return [t * self.p + s - 1 - 2 * i for t in ts for i in range(s)]
+        ts = range(-(r - 1), r, 2) if self.kind == "vir" else (r - 1,)
+        return Counter(w for t in ts for w in string_weights(self.p, t, s))
 
     def product(self, a, b) -> Counter:
         self._check_label(a)

@@ -8,7 +8,9 @@ everything here is exact, nothing is numeric.
 
 The module also hosts the diagram-to-matrix functor (cups and caps go to the
 coevaluation/evaluation of the self-dual standard module) and a character
-based splitting oracle used by the fusion rings.
+based splitting oracle used by the fusion rings.  A character there is a
+Counter weight -> multiplicity, string_weights is the one definition of a
+p-shifted string, and the peel is one descending pass over the weights.
 """
 
 from collections import Counter
@@ -198,7 +200,7 @@ class WeightModule:
 
     def __init__(self, ctx, weights, E, F, Ep, Fp):
         self.ctx = ctx
-        self.weights = tuple(int(w) for w in weights)
+        self.weights = tuple(map(int, weights))
         self.dimension = len(self.weights)
         self._ops = {"E": E, "F": F, "Ep": Ep, "Fp": Fp}
         for name, op in self._ops.items():
@@ -309,7 +311,7 @@ def simple_V(ctx: FieldContext, s: int) -> WeightModule:
     """The s-dimensional simple with highest weight s-1; requires 1 <= s <= p."""
     if not 1 <= s <= ctx.p:
         raise ValueError(f"s={s} outside 1..{ctx.p}")
-    weights = tuple(s - 1 - 2 * j for j in range(s))
+    weights = tuple(string_weights(ctx.p, 0, s))
     e = {(j - 1, j): qint(ctx, s - j) for j in range(1, s)}
     f = {(j + 1, j): qint(ctx, j + 1) for j in range(s - 1)}
     z = Matrix.zeros(ctx, s, s)
@@ -657,40 +659,44 @@ def selfdual_image(ctx: FieldContext, e: Matrix, n: int):
 # -- composition factors by character arithmetic -----------------------------
 
 
-def peel_strings(p: int, weights) -> Counter:
-    """Split a weight multiset into p-shifted strings, keyed (t, s).
+def string_weights(p: int, t: int, s: int) -> range:
+    """Weights of the string (t, s), V_s shifted by t*p, top weight first."""
+    return range(t * p + s - 1, t * p - s, -2)
 
-    The string (t, s) covers weights t*p + s-1-2i for i < s.  Peeling from
-    the top weight is forced: s is pinned by the residue mod p, so the
-    splitting is unique.  Raises InconsistentCharacter when no splitting
-    exists.
+
+def peel_strings(p: int, weights: Counter) -> Counter:
+    """Split a weight Counter (weight -> count) into p-shifted strings (t, s).
+
+    Peeling from the top weight is forced: s is pinned by the residue mod p,
+    so the splitting is unique.  One descending pass over the distinct
+    weights takes all c copies of the string topped by w at once.  Raises
+    InconsistentCharacter when no splitting exists.
     """
-    remaining = Counter(int(w) for w in weights)
+    remaining = Counter(weights)
     strings: Counter = Counter()
-    while True:
-        live = [w for w, c in remaining.items() if c > 0]
-        if not live:
-            break
-        w = max(live)
+    for w in sorted(remaining, reverse=True):
+        c = remaining[w]
+        if c <= 0:
+            continue
         s = (w % p) + 1
         t = (w - (s - 1)) // p
-        for i in range(s):
-            ww = t * p + s - 1 - 2 * i
-            if remaining.get(ww, 0) <= 0:
+        for ww in string_weights(p, t, s):
+            if remaining[ww] < c:
                 raise InconsistentCharacter(
                     f"missing weight {ww} while peeling the string at {w}"
                 )
-            remaining[ww] -= 1
-        strings[(t, s)] += 1
+            remaining[ww] -= c
+        strings[(t, s)] = c
     return strings
 
 
-def decompose_character(p: int, weights) -> Counter:
-    """Split a weight multiset into simple characters.
+def decompose_character(p: int, weights: Counter) -> Counter:
+    """Split a weight Counter (weight -> count) into simple characters.
 
     Peels highest-weight strings (each the character of a p-shifted simple),
     then assembles, per inner label s, maximal evenly spaced runs of shifts
-    into labels (r, s, chi): chi^chi @ L(r) @ V_s, normalized so chi is 0/1.
+    into labels (r, s, chi): chi^chi @ L(r) @ V_s, normalized so chi is 0/1,
+    in one descending pass that takes each run min(count along it) times.
     Raises InconsistentCharacter when the multiset admits no such splitting.
     """
     by_s: dict = {}
@@ -699,21 +705,22 @@ def decompose_character(p: int, weights) -> Counter:
 
     out = Counter()
     for s, shifts in by_s.items():
-        while shifts.total() > 0:
-            t0 = max(t for t, c in shifts.items() if c > 0)
-            run = [t0]
-            while shifts.get(run[-1] - 2, 0) > 0:
-                run.append(run[-1] - 2)
-            for t in run:
-                shifts[t] -= 1
-            r = len(run) - 1
-            out[(r, s, (t0 - r) % 2)] += 1
+        for t0 in sorted(shifts, reverse=True):
+            while shifts[t0] > 0:
+                run = [t0]
+                while shifts.get(run[-1] - 2, 0) > 0:
+                    run.append(run[-1] - 2)
+                mult = min(shifts[t] for t in run)
+                for t in run:
+                    shifts[t] -= mult
+                r = len(run) - 1
+                out[(r, s, (t0 - r) % 2)] += mult
     return out
 
 
 def decompose_factors(m: WeightModule) -> Counter:
     """Composition-factor multiset of m over labels (r, s, chi)."""
-    return decompose_character(m.ctx.p, m.weights)
+    return decompose_character(m.ctx.p, Counter(m.weights))
 
 
 def restrict_classes(factors: Counter) -> Counter:

@@ -319,12 +319,14 @@ def test_cmd_usage(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["phase", "-p", "3", "1/0", "0", "0"], "invalid conformal weight '1/0'"),
     (["phase", "-p", "3", "0", "x/2", "0"], "invalid conformal weight 'x/2'"),
-    (["muger", "-p", "3", "--rmax", "0"], "window must be >= 1, got 0"),
-    (["muger", "-p", "3", "--rmax", "-2"], "window must be >= 1, got -2"),
+    (["twists", "-p", "3", "--rmax", "0"], "window must be >= 1, got 0"),
+    (["twists", "-p", "3", "--rmax", "-2"], "window must be >= 1, got -2"),
     (["verify", "-p", "3", "--suite", "phase", "--rmax", "2"],
      "window must be >= 3, got 2"),
     (["verify", "-p", "3", "--suite", "modularity", "--rmax", "1"],
      "window must be >= 3, got 1"),
+    # at window 1 the Muger scan skips nearly every pair as an overflow
+    (["muger", "-p", "3", "--rmax", "1"], "window must be >= 2, got 1"),
 ])
 def test_cmd_malformed_argument(capsys, argv, message):
     # refused by argparse before any work: exit 2, one error line
@@ -405,8 +407,8 @@ def test_verify_window_three_accepted(capsys):
     out = capsys.readouterr().out
     assert "phase.linking" in out and "modularity.singlet_center" in out
     assert "[fail]" not in out
-    # the other verbs still take any window from 1 up
-    assert main(["muger", "-p", "3", "--rmax", "1"]) == 0
+    # muger takes any window from 2 up, the other verbs any window from 1
+    assert main(["muger", "-p", "3", "--rmax", "2"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "p=3 wp: X[1,+]"
 
 

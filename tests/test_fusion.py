@@ -423,6 +423,38 @@ def test_singlet_nonunit_column_product(p):
         )
 
 
+def _clebsch_gordan_strings(p, a, b):
+    # product of strings (t, s) (t', s'): the sl(2) series k in s (x) s',
+    # shifted by (t + t')p; a k past p splits into three strings
+    (t, s), (u, v) = a, b
+    out = Counter()
+    for k in range(abs(s - v) + 1, s + v, 2):
+        if k <= p:
+            out[(t + u, k)] += 1
+        else:
+            out[(t + u + 1, k - p)] += 1
+            out[(t + u, 2 * p - k)] += 1
+            out[(t + u - 1, k - p)] += 1
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7])
+def test_singlet_product_matches_closed_form(p):
+    # an oracle independent of the character peel; label (r, s) is the
+    # string (r - 1, s)
+    ring = singlet_ring(p, r_max=4)
+    for a in ring.labels:
+        for b in ring.labels:
+            strings = _clebsch_gordan_strings(
+                p, (a[0] - 1, a[1]), (b[0] - 1, b[1]))
+            want = Counter({(t + 1, s): m for (t, s), m in strings.items()})
+            if all(abs(r) <= 4 for r, _s in want):
+                assert ring.product(a, b) == want, (a, b)
+            else:
+                with pytest.raises(TruncationOverflow):
+                    ring.product(a, b)
+
+
 # -- induction maps ----------------------------------------------------------
 
 

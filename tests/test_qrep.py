@@ -20,7 +20,7 @@ Frozen expectations, derived ahead of the implementation:
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from ribbonkit.cyclo import field, inv, qint
 from ribbonkit import tldiag
@@ -33,14 +33,17 @@ from ribbonkit.qrep import (
     certify_simple,
     check_module,
     chi_module,
+    decompose_character,
     decompose_factors,
     intrinsic_dim,
     module_json,
+    peel_strings,
     quantum_trace,
     selfdual_image,
     selfdual_V,
     simple_L,
     simple_V,
+    string_weights,
     tensor,
     tl_to_matrix,
     twist,
@@ -176,6 +179,41 @@ def test_decompose_mixed_product_single_factor():
             for s in range(1, p + 1):
                 t = tensor(simple_L(ctx, r), simple_V(ctx, s))
                 assert decompose_factors(t) == Counter({(r, s, 0): 1})
+
+
+@given(data=st.data(), p=st.integers(min_value=2, max_value=7))
+def test_peel_strings_round_trip(data, p):
+    # any multiset of strings is recovered from its character
+    strings = Counter(data.draw(st.dictionaries(
+        st.tuples(st.integers(-3, 3), st.integers(1, p)),
+        st.integers(1, 3), min_size=1, max_size=8)))
+    char = Counter()
+    for (t, s), mult in strings.items():
+        for w in string_weights(p, t, s):
+            char[w] += mult
+    assert peel_strings(p, char) == strings
+    # one copy fewer leaves a character only when it was a whole
+    # one-weight string (t, 1); any other dropped copy has no splitting
+    droppable = [w for w in char if w % p or (w // p, 1) not in strings]
+    assume(droppable)
+    char[data.draw(st.sampled_from(sorted(droppable)))] -= 1
+    with pytest.raises(InconsistentCharacter):
+        peel_strings(p, char)
+
+
+@given(data=st.data(), p=st.integers(min_value=2, max_value=7))
+def test_decompose_character_round_trip(data, p):
+    # label (r, s, chi) is the run of strings (chi + r - 2j, s), j <= r;
+    # runs with shared tops and uneven counts test the batched assembly
+    labels = Counter(data.draw(st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(1, p), st.integers(0, 1)),
+        st.integers(1, 3), min_size=1, max_size=8)))
+    char = Counter()
+    for (r, s, chi), mult in labels.items():
+        for j in range(r + 1):
+            for w in string_weights(p, chi + r - 2 * j, s):
+                char[w] += mult
+    assert decompose_character(p, char) == labels
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
