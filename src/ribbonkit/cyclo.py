@@ -84,7 +84,8 @@ def _cyclotomic_poly(n: int) -> tuple[int, ...]:
 
 
 class FieldContext:
-    """Q(zeta_{4p}): minimal polynomial, reduction data, cached root powers.
+    """Q(zeta_{4p}): minimal polynomial, reduction data, cached root powers
+    and their exponent index.
 
     Instances are immutable and interned per p via field(p). The memos
     keyed by a context (qint, _inverse, tldiag.jones_wenzl) are
@@ -123,6 +124,7 @@ class FieldContext:
             powers.append(_make(self, tuple(cur), 1))
             cur = times_z(cur)
         self._root_powers = tuple(powers)
+        self._root_index = {z: k for k, z in enumerate(powers)}
 
     # -- constructors
 
@@ -140,6 +142,11 @@ class FieldContext:
     def root(self, k: int) -> "CycNumber":
         """zeta_N^k, k taken mod N."""
         return self._root_powers[k % self.N]
+
+    def root_exponent(self, x: "CycNumber") -> int | None:
+        """k in 0..N-1 with x == zeta_N^k, or None when x is not an N-th
+        root of unity."""
+        return self._root_index.get(x)
 
     def q(self) -> "CycNumber":
         return self.root(2)

@@ -447,6 +447,10 @@ class TruncatedRing:
     kind "singlet": labels (r, s), r any integer; the product character
     peels into single strings, one label per string.  Any label outside
     the window, as input or output, raises TruncationOverflow.
+
+    The output window is known from the input labels (_first_outside), so
+    an overflowing product is refused before any character is built; the
+    check on each output label stays as a guard.
     """
 
     def __init__(self, p: int, r_max: int, kind: str):
@@ -463,15 +467,46 @@ class TruncatedRing:
         return tuple((r, s) for r in range(lo, self.r_max + 1)
                      for s in range(1, self.p + 1))
 
+    def _outside(self, lab) -> TruncationOverflow:
+        return TruncationOverflow(
+            f"label {lab} outside the r_max={self.r_max} window"
+        )
+
     def _check_label(self, lab):
         r, s = lab
         if not 1 <= s <= self.p:
             raise ValueError(f"inner index {s} outside 1..{self.p}")
         lo = 1 if self.kind == "vir" else -self.r_max
         if not lo <= r <= self.r_max:
-            raise TruncationOverflow(
-                f"label {lab} outside the r_max={self.r_max} window"
-            )
+            raise self._outside(lab)
+
+    def _first_outside(self, a, b):
+        """The first out-of-window label of a * b in peel order, or None.
+
+        Strings (t, s) and (t', s') multiply by the Clebsch-Gordan series
+        k = |s-s'|+1, ..., s+s'-1 shifted by (t+t')p; a k past p splits
+        into strings at t+t'+1, t+t' and t+t'-1.  So the output labels
+        span top = r+r'-1, widened by one on each side when s+s' > p+1
+        (spill).  The Virasoro kind stays at r >= 1 on its own.
+        """
+        (r, s), (r2, s2) = a, b
+        p, r_max = self.p, self.r_max
+        top = r + r2 - 1
+        spill = s + s2 > p + 1
+        if top + spill > r_max:
+            return (top + 1, s + s2 - 1 - p) if spill else (top, s + s2 - 1)
+        if self.kind == "vir" or top - spill >= -r_max:
+            return None
+        # singlet low side: peeling descends, so the highest string that
+        # is still below the window comes first
+        if spill and top + 1 < -r_max:
+            return (top + 1, s + s2 - 1 - p)
+        if top < -r_max:
+            # the largest inner index at top is the largest k <= p of the
+            # series; a k past p leaves 2p - k there, which is never larger
+            k = s + s2 - 1
+            return (top, k if k <= p else p - (k - p) % 2)
+        return (top - 1, s + s2 - 1 - p)
 
     def _weights(self, lab) -> Counter:
         r, s = lab
@@ -481,6 +516,9 @@ class TruncatedRing:
     def product(self, a, b) -> Counter:
         self._check_label(a)
         self._check_label(b)
+        outside = self._first_outside(a, b)
+        if outside is not None:
+            raise self._outside(outside)
         conv = _convolve(self._weights(a), self._weights(b))
         out = Counter()
         if self.kind == "vir":

@@ -1,9 +1,11 @@
 """Ribbon data on top of the fusion rings.
 
-Twist tables are exact roots of unity in the ambient cyclotomic field.
-Monodromy (the square of the braiding) is evaluated on composition factors
-through the balancing identity theta_Z / (theta_X * theta_Y), which is all
-the center and modularity arguments need; no matrices on non-semisimple
+Twist tables are exact roots of unity in the ambient cyclotomic field,
+held as exponents mod 4p.  Monodromy (the square of the braiding) is
+evaluated on composition factors through the balancing identity
+theta_Z / (theta_X * theta_Y), which on exponents is e_Z - e_X - e_Y mod 4p:
+integer arithmetic, with no field multiply or inverse.  That is all the
+center and modularity arguments need; no matrices on non-semisimple
 products are involved.  Phase arithmetic for the vertex-algebra side picks
 the branch that writes e^(pi i Delta) as an integer power of the primitive
 4p-th root.
@@ -38,25 +40,38 @@ class NonRepresentablePhase(ValueError):
 
 
 class TwistTable:
-    """Assignment label -> twist scalar for one ring.
+    """Assignment label -> twist, a 4p-th root of unity, for one ring.
 
-    Checks theta(unit) = 1 and, when the ring carries a duality map,
-    theta(x*) = theta(x).
+    exponent maps each label to k in 0..4p-1 with theta = zeta_4p^k, read
+    once here; a scalar that is not such a root raises ValueError naming
+    its label.  theta keeps the scalars as given, the view for printing
+    and for comparing tables.  Checks theta(unit) = 1 and, when the ring
+    carries a duality map, theta(x*) = theta(x).
     """
 
     def __init__(self, ring, theta):
         if set(theta) != set(ring.labels):
             raise ValueError("twist table must cover every label")
-        one = next(iter(theta.values())).ctx.one()
-        if theta[ring.unit] != one:
+        ctx = next(iter(theta.values())).ctx
+        exponent = {}
+        for lab, value in theta.items():
+            k = ctx.root_exponent(value)
+            if k is None:
+                raise ValueError(
+                    f"theta at {lab!r} is not a {ctx.N}-th root of unity"
+                )
+            exponent[lab] = k
+        if exponent[ring.unit] != 0:
             raise ValueError("theta(unit) must be 1")
         dual = getattr(ring, "dual", None)
         if dual is not None:
-            for lab, value in theta.items():
-                if theta[dual[lab]] != value:
+            for lab, k in exponent.items():
+                if exponent[dual[lab]] != k:
                     raise ValueError(f"theta is not duality-stable at {lab!r}")
         self.ring = ring
+        self.ctx = ctx
         self.theta = dict(theta)
+        self.exponent = exponent
 
 
 class MonodromySpectrum:
@@ -148,11 +163,12 @@ def singlet_twists(p: int, r_max: int = DEFAULT_RMAX) -> TwistTable:
 
 
 def monodromy(ring, twists: TwistTable, x, y) -> MonodromySpectrum:
-    """Balancing eigenvalues of c^2 on the factors of x (x) y."""
-    denom = (twists.theta[x] * twists.theta[y]).inv()
-    entries = []
-    for z, mult in sorted(ring.product(x, y).items(), key=str):
-        entries.append((z, twists.theta[z] * denom, mult))
+    """Balancing eigenvalues of c^2 on the factors of x (x) y, each
+    zeta_4p^(e_z - e_x - e_y) on the twist exponents."""
+    exponent, root = twists.exponent, twists.ctx.root
+    base = exponent[x] + exponent[y]
+    entries = [(z, root(exponent[z] - base), mult)
+               for z, mult in sorted(ring.product(x, y).items(), key=str)]
     return MonodromySpectrum((x, y), entries)
 
 
@@ -164,11 +180,12 @@ def muger_candidates(ring, twists: TwistTable) -> set:
     are skipped: they can neither confirm nor refute a candidate inside
     the truncation.
     """
-    one = next(iter(twists.theta.values())).ctx.one()
+    one = twists.ctx.one()
+    labels = ring.labels
     out = set()
-    for y in ring.labels:
+    for y in labels:
         central = True
-        for x in ring.labels:
+        for x in labels:
             try:
                 spec = monodromy(ring, twists, x, y)
             except TruncationOverflow:
@@ -251,9 +268,8 @@ def voa_monodromy_phase(p: int, h1: Fraction, h2: Fraction, h3: Fraction,
 
 
 def twist_table_json(table: TwistTable) -> dict:
-    ctx = next(iter(table.theta.values())).ctx
     return {
-        "field": ctx.header(),
+        "field": table.ctx.header(),
         "theta": [
             [label_json(lab), str(value)]
             for lab, value in sorted(table.theta.items(), key=str)

@@ -30,7 +30,15 @@ from hypothesis import given, strategies as st
 
 from ribbonkit import fusion
 from ribbonkit.cyclo import field, qint
-from ribbonkit.qrep import chi_module, simple_L, simple_V, tensor, uq_classes
+from ribbonkit.qrep import (
+    chi_module,
+    decompose_character,
+    peel_strings,
+    simple_L,
+    simple_V,
+    tensor,
+    uq_classes,
+)
 from ribbonkit.tldiag import jones_wenzl
 from ribbonkit.fusion import (
     ConvergenceError,
@@ -453,6 +461,50 @@ def test_singlet_product_matches_closed_form(p):
             else:
                 with pytest.raises(TruncationOverflow):
                     ring.product(a, b)
+
+
+def _character_route(ring, a, b):
+    # the whole product character, peeled, then the window checked label by
+    # label in peel order: ("ok", Counter) or ("overflow", message)
+    p, r_max = ring.p, ring.r_max
+    conv = fusion._convolve(ring._weights(a), ring._weights(b))
+    if ring.kind == "vir":
+        dec = decompose_character(p, conv)
+        assert not any(chi for _r, _s, chi in dec)
+        out = Counter({(r + 1, s): m for (r, s, _chi), m in dec.items()})
+    else:
+        out = Counter({(t + 1, s): m
+                       for (t, s), m in peel_strings(p, conv).items()})
+    lo = 1 if ring.kind == "vir" else -r_max
+    for lab in out:
+        if not lo <= lab[0] <= r_max:
+            return "overflow", f"label {lab} outside the r_max={r_max} window"
+    return "ok", out
+
+
+def _no_character(*_args):
+    raise AssertionError("an overflowing product built its character")
+
+
+@pytest.mark.parametrize("kind", ["vir", "singlet"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_truncated_product_matches_character_route(kind, p, monkeypatch):
+    # the refusal from the input labels alone, before any convolution,
+    # names the same label as the window check after the full peel
+    for r_max in (2, 3, 5):
+        ring = fusion.TruncatedRing(p, r_max, kind)
+        for a in ring.labels:
+            for b in ring.labels:
+                want, detail = _character_route(ring, a, b)
+                if want == "ok":
+                    got = ring.product(a, b)
+                    assert list(got.items()) == list(detail.items()), (a, b)
+                    continue
+                with monkeypatch.context() as patch:
+                    patch.setattr(fusion, "_convolve", _no_character)
+                    with pytest.raises(TruncationOverflow) as err:
+                        ring.product(a, b)
+                assert str(err.value) == detail, (r_max, a, b)
 
 
 # -- induction maps ----------------------------------------------------------

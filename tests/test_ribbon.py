@@ -22,8 +22,10 @@ import pytest
 from collections import Counter
 from fractions import Fraction
 
-from ribbonkit.cyclo import embed_complex, field, make_root, qint
-from ribbonkit.fusion import conformal_weight, singlet_ring, wp_ring
+from ribbonkit.cyclo import embed_complex, field, make_root, parse_cyc, qint
+from ribbonkit.fusion import (
+    TruncationOverflow, conformal_weight, singlet_ring, uq_ring, wp_ring,
+)
 from ribbonkit.qrep import simple_V, tensor, twist_inverse
 from ribbonkit.ribbon import (
     MonodromySpectrum,
@@ -122,6 +124,27 @@ def test_twist_table_unit_guard():
         TwistTable(ring, bad)
 
 
+@pytest.mark.parametrize("value", ["2", "z + 1", "0"])
+def test_twist_table_refuses_non_root(value):
+    # a scalar off the 4p-th roots has no exponent: refused by label
+    ring = wp_ring(2)
+    ctx = field(2)
+    theta = {lab: ctx.one() for lab in ring.labels}
+    theta[(2, -1)] = parse_cyc(ctx, value)
+    with pytest.raises(ValueError, match=r"theta at \(2, -1\) is not a "
+                                         r"8-th root of unity"):
+        TwistTable(ring, theta)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_twist_exponents_read_the_roots(p):
+    ctx = field(p)
+    for table in (wp_twists(p), singlet_twists(p, r_max=4)):
+        for lab, value in table.theta.items():
+            assert 0 <= table.exponent[lab] < 4 * p
+            assert ctx.root(table.exponent[lab]) == value
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_twists_are_roots_of_unity(p):
     one = field(p).one()
@@ -182,6 +205,27 @@ def test_monodromy_symmetry():
             left = monodromy(ring, table, x, y)
             right = monodromy(ring, table, y, x)
             assert left.multiset() == right.multiset()
+
+
+@pytest.mark.parametrize("p", ALL_P)
+def test_monodromy_matches_field_route(p):
+    # exponent arithmetic against theta_z * (theta_x * theta_y)^-1 in the
+    # field, on every pair whose product stays in the window
+    tables = [(wp_ring(p), wp_twists(p)),
+              (uq_ring(p), uq_twists(p, inverse=True)),
+              (singlet_ring(p, r_max=4), singlet_twists(p, r_max=4))]
+    for ring, table in tables:
+        theta = table.theta
+        for x in ring.labels:
+            for y in ring.labels:
+                try:
+                    spec = monodromy(ring, table, x, y)
+                except TruncationOverflow:
+                    continue
+                denom = (theta[x] * theta[y]).inv()
+                want = [(z, theta[z] * denom, mult) for z, mult in
+                        sorted(ring.product(x, y).items(), key=str)]
+                assert spec.entries == want, (x, y)
 
 
 def test_monodromy_matches_phase_arithmetic():
