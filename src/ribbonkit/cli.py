@@ -575,8 +575,17 @@ _muger_window = _int_at_least("window", 2)
 _count = _int_at_least("count", 0)
 
 
+class _ArgParser(argparse.ArgumentParser):
+    """argparse that refuses with one stderr line, ``error: <message>``,
+    and exit 2; add_subparsers builds the verbs' parsers with this class
+    too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _ArgParser(
         prog="ribbonkit",
         description="exact fusion, braiding, and modularity calculations",
     )

@@ -7,7 +7,14 @@ form of FLINT/Antic). Phi_N is monic, so reduction is integer arithmetic and
 rationals appear only at the API edges: constructor input, rational(), the
 Fraction view `coeffs`, str/parse_cyc and embed_complex. Inverses come from
 an extended Euclid over Z[x]. Every memo here (fields, Phi_n, q-integers,
-inverses) is a functools.cache.
+q-factorials, inverses) is a functools.cache.
+
+For sums of many products (diagram composition) pack and unpack_sum use
+Kronecker substitution: an operand's numerators become the base-2^w digits
+of one int, so a polynomial product is one int product and a sum of them
+is reduced once. The packed form exists only inside such a sum: callers
+multiply and add the ints they are handed and never read a digit, and the
+layout is private to this module.
 
 The distinguished roots are q = zeta_N^2 (so q = e^{pi*i/p} under the
 reporting embedding) and the square-root branch q^{1/2} = zeta_N.
@@ -272,12 +279,7 @@ class CycNumber:
             if a:
                 for j, b in bs:
                     out[i + j] += a * b
-        base = out[:n]
-        for row, c in zip(ctx._reduction, out[n:]):
-            if c:
-                for i, r in row:
-                    base[i] += c * r
-        return _normalised(ctx, tuple(base), self.den * o.den)
+        return _normalised(ctx, _reduced(ctx, out), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -375,6 +377,74 @@ def _normalised(ctx: FieldContext, num: tuple[int, ...], den: int) -> CycNumber:
             num = tuple([c // g for c in num])
             den //= g
     return _make(ctx, num, den)
+
+
+def _reduced(ctx: FieldContext, out: list[int]) -> tuple[int, ...]:
+    """A product's 2*degree - 1 integer coefficients reduced mod Phi_N."""
+    base = out[:ctx.degree]
+    for row, c in zip(ctx._reduction, out[ctx.degree:]):
+        if c:
+            for i, r in row:
+                base[i] += c * r
+    return tuple(base)
+
+
+# -- packed sums of products (Kronecker substitution)
+
+
+def pack(ctx: FieldContext, left: Sequence[CycNumber],
+         right: Sequence[CycNumber]) -> tuple[list[int], list[int], tuple]:
+    """Pack two operand lists for sums of products a*b, a from left and b
+    from right; returns (left packed, right packed, layout).
+
+    Each side is brought to one common denominator, and each numerator
+    vector becomes one int whose base-2^w digits are its coefficients,
+    signed. The product of two packed ints is the packed product
+    polynomial, and a sum of such products is the packed sum. w is
+    bits(max|a|) + bits(max|b|) + bits(pairs * degree) + 1, so every digit
+    of a sum over at most len(left) * len(right) pairs stays below 2^(w-1)
+    in magnitude and no digit carries into the next. Only unpack_sum reads
+    the layout.
+    """
+    lnums, lden, ltop = _common(left)
+    rnums, rden, rtop = _common(right)
+    summands = len(left) * len(right) * ctx.degree
+    w = ltop.bit_length() + rtop.bit_length() + summands.bit_length() + 1
+    return _packed(lnums, w), _packed(rnums, w), (w, lden * rden)
+
+
+def _common(xs: Sequence[CycNumber]) -> tuple[list[tuple[int, ...]], int, int]:
+    """Numerators over one common denominator, that denominator, and the
+    largest coefficient magnitude."""
+    den = lcm(*[x.den for x in xs])
+    nums = [x.num if x.den == den else tuple([c * (den // x.den) for c in x.num])
+            for x in xs]
+    top = max(max(map(max, nums), default=0), -min(map(min, nums), default=0))
+    return nums, den, top
+
+
+def _packed(nums: list[tuple[int, ...]], w: int) -> list[int]:
+    out = []
+    for v in nums:
+        acc = 0
+        for c in reversed(v):
+            acc = (acc << w) + c
+        out.append(acc)
+    return out
+
+
+def unpack_sum(ctx: FieldContext, packed: int, layout: tuple) -> CycNumber:
+    """The field element of a sum of packed products: the signed digits
+    read once, one reduction mod Phi_N, over the product of the two
+    common denominators."""
+    w, den = layout
+    m = 2 * ctx.degree - 1
+    half = 1 << (w - 1)
+    mask = (1 << w) - 1
+    # add half to every digit, so that each reads as a plain w-bit field
+    packed += half * (((1 << (w * m)) - 1) // mask)
+    out = [((packed >> s) & mask) - half for s in range(0, w * m, w)]
+    return _normalised(ctx, _reduced(ctx, out), den)
 
 
 @cache
@@ -479,12 +549,12 @@ def qint(ctx: FieldContext, n: int) -> CycNumber:
     return (q**n - q**-n) / (q - q**-1)
 
 
+@cache
 def qfact(ctx: FieldContext, n: int) -> CycNumber:
     """[n]! = [1][2]...[n]."""
-    out = ctx.one()
-    for k in range(1, n + 1):
-        out = out * qint(ctx, k)
-    return out
+    if n < 1:
+        return ctx.one()
+    return qfact(ctx, n - 1) * qint(ctx, n)
 
 
 def qbinom(ctx: FieldContext, n: int, k: int) -> CycNumber:

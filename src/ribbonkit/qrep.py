@@ -484,12 +484,13 @@ def twist_inverse(m: WeightModule) -> ModuleMap:
     gpow = ctx.one()
     for j in range(p):
         fe = fpow[j].mul(epow[j])
+        coef = gpow * inv(qfact(ctx, j))
         for (i, k), v in fe.data.items():
             lam = m.weights[k]
             # (-1)^lam = zeta4p^{2p lam}; q^{(j+1)lam} = zeta4p^{2(j+1)lam}
             root = ctx.root(2 * p * lam + lam * lam + j * (j + 1)
                             + 2 * (j + 1) * lam)
-            term = root * gpow * inv(qfact(ctx, j)) * v
+            term = root * coef * v
             cur = acc.get((i, k))
             acc[(i, k)] = term if cur is None else cur + term
         gpow = gpow * (q * q - ctx.one())

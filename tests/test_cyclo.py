@@ -23,10 +23,12 @@ from ribbonkit.cyclo import (
     make_root,
     mul,
     neg,
+    pack,
     parse_cyc,
     qbinom,
     qfact,
     qint,
+    unpack_sum,
 )
 
 ALL_P = [2, 3, 4, 5, 6, 7]
@@ -339,3 +341,22 @@ def test_matches_fraction_reference(data, p):
     assert cmath.isclose(embed_complex(a * b),
                          embed_complex(a) * embed_complex(b),
                          rel_tol=1e-9, abs_tol=1e-9 * float(scale))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("p", [3, 5, 7, 8, 9, 16])
+def test_packed_sum_at_width_bound(p, sign):
+    # three equal operands on each side, every coefficient (2^64 - 1) or
+    # (2^64 - 1)/2: all nine products land on the middle digit with
+    # 9 * degree * (2^64 - 1)^2, which is more than half of 2^(w-1) because
+    # 9 * degree is never a power of two, so a digit one bit narrower
+    # overflows; the sum is checked against the Fraction reference
+    ctx = field(p)
+    m = 2**64 - 1
+    x = CycNumber(ctx, [sign * m] * ctx.degree)
+    y = CycNumber(ctx, [Fraction(m, 2)] * ctx.degree)
+    left, right, layout = pack(ctx, [x] * 3, [y] * 3)
+    got = unpack_sum(ctx, sum(a * b for a in left for b in right), layout)
+    assert got.coeffs == tuple(9 * c for c in ref_mul(ctx, x.coeffs, y.coeffs))
+    assert_normalised(got)
+    assert unpack_sum(ctx, 0, layout) == ctx.zero()

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ribbonkit import fusion
-from ribbonkit.cyclo import field, qint
+from ribbonkit.cyclo import field, qfact, qint
 from ribbonkit.qrep import (
     chi_module,
     decompose_character,
@@ -207,6 +207,7 @@ def test_memos_are_shared():
     # keyed by value, so an equal element built afresh finds it too
     ctx = field(7)
     assert qint(ctx, 3) is qint(ctx, 3)
+    assert qfact(ctx, 5) is qfact(ctx, 5)
     assert (qint(ctx, 3) + 1).inv() is (qint(ctx, 3) + 1).inv()
     assert jones_wenzl(ctx, 4) is jones_wenzl(ctx, 4)
     assert uq_ring(7) is uq_ring(7)
@@ -214,6 +215,15 @@ def test_memos_are_shared():
     for ring in (uq_ring(7), wp_ring(7)):
         char = fusion._fp_character(ring)
         assert char is not None and fusion._fp_character(ring) is char
+    # qfact builds [n]! from the memoised [n-1]!; compare with the product
+    # [1][2]...[n] taken afresh
+    for p in range(2, 10):
+        ctx = field(p)
+        want = ctx.one()
+        for n in range(p + 1):
+            if n:
+                want = want * qint(ctx, n)
+            assert qfact(ctx, n) == want
 
 
 def test_iso_T_is_label_map():

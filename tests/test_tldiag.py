@@ -10,16 +10,20 @@ solutions are a = +-zeta^{+-1/2}, b = a^{-1}.
 
 Composition and tensor of diagrams are checked against test-only copies of
 the node-tuple walker and index remap they replaced: exhaustively on small
-boundaries, and on random morphisms against a term-by-term sum.
+boundaries, and on random morphisms against a term-by-term sum, through
+both summation paths of compose (packed integer sums, and field products
+pair by pair) and with coefficients up to 2^64 over rational denominators.
 """
 
 import itertools
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ribbonkit import tldiag
-from ribbonkit.cyclo import FieldContext, field, inv, qint
+from ribbonkit.cyclo import CycNumber, FieldContext, field, inv, qint
 from ribbonkit.tldiag import (
     BoundaryMismatch,
     QuantumOrderError,
@@ -45,10 +49,31 @@ ALL_P = [2, 3, 4, 5, 6, 7]
 CATALAN = [1, 1, 2, 5, 14, 42, 132]
 
 
-def morphisms(ctx, n, m, max_terms=3):
-    """Strategy: random morphism n -> m with small root-of-unity coefficients."""
+def roots(ctx):
+    """Strategy: a root of unity zeta^k."""
+    return st.integers(min_value=0, max_value=ctx.N - 1).map(ctx.root)
+
+
+def wide_coefficients(ctx):
+    """Strategy: a root of unity, or power-basis coefficients that are
+    integers or fractions of either sign, numerators and denominators up to
+    2^64, often zero."""
+    big = 2**64
+    entry = st.one_of(
+        st.just(0),
+        st.integers(-big, big),
+        st.fractions(min_value=-big, max_value=big, max_denominator=big),
+    )
+    dense = st.lists(entry, min_size=ctx.degree, max_size=ctx.degree).map(
+        lambda cs: CycNumber(ctx, cs))
+    return st.one_of(roots(ctx), dense)
+
+
+def morphisms(ctx, n, m, max_terms=3, coeffs=roots):
+    """Strategy: random morphism n -> m, by default with root-of-unity
+    coefficients."""
     diags = all_diagrams(n, m)
-    coeff = st.integers(min_value=0, max_value=ctx.N - 1).map(ctx.root)
+    coeff = coeffs(ctx)
     term = st.tuples(st.sampled_from(diags), coeff)
     return st.lists(term, min_size=0, max_size=max_terms).map(
         lambda ts: sum(
@@ -450,25 +475,94 @@ def test_tensor_diagrams_exhaustive():
 
 
 @st.composite
-def _composable(draw, p):
+def _composable(draw, p, max_terms=6, coeffs=roots):
     ctx = field(p)
     m = draw(st.integers(0, 4))
     n = draw(st.sampled_from([x for x in range(5) if (x + m) % 2 == 0]))
     k = draw(st.sampled_from([x for x in range(5) if (x + m) % 2 == 0]))
-    f = draw(morphisms(ctx, n, m, max_terms=6))
-    g = draw(morphisms(ctx, m, k, max_terms=6))
+    f = draw(morphisms(ctx, n, m, max_terms=max_terms, coeffs=coeffs))
+    g = draw(morphisms(ctx, m, k, max_terms=max_terms, coeffs=coeffs))
     return f, g
 
 
-@given(data=st.data(), p=st.sampled_from([3, 5, 7]))
+@st.composite
+def _cancelling(draw, p):
+    """Composable f, g with wide coefficients where, when the shapes allow
+    it, two term pairs land on one (result diagram, loop count) with
+    opposite products: f has x at d1 and -x at d2, and d1.e equals d2.e
+    for a term e of g."""
+    ctx = field(p)
+    f, g = draw(_composable(p, max_terms=14, coeffs=wide_coefficients))
+    e = draw(st.sampled_from(all_diagrams(g.bottom_count, g.top_count)))
+    d1 = draw(st.sampled_from(all_diagrams(f.bottom_count, f.top_count)))
+    key = tldiag._compose_partners(d1, e)
+    twins = [d for d in all_diagrams(f.bottom_count, f.top_count)
+             if d != d1 and tldiag._compose_partners(d, e) == key]
+    if not twins:
+        return f, g
+    fterms, gterms = dict(f.terms), dict(g.terms)
+    x = fterms.setdefault(d1, draw(wide_coefficients(ctx)))
+    fterms[draw(st.sampled_from(twins))] = -x
+    gterms.setdefault(e, draw(wide_coefficients(ctx)))
+    return (TLMorphism(ctx, f.bottom_count, f.top_count, fterms),
+            TLMorphism(ctx, g.bottom_count, g.top_count, gterms))
+
+
+def _both_paths(f, g):
+    """compose(f, g) with packed sums for every product, then with field
+    products pair by pair for every product."""
+    out = []
+    for min_pairs in (1, float("inf")):
+        with mock.patch.object(tldiag, "_PACKED_MIN_PAIRS", min_pairs):
+            out.append(compose(f, g))
+    return out
+
+
+@given(data=st.data(), p=st.sampled_from([3, 5, 7, 8, 9, 16]))
 def test_compose_matches_term_by_term_reference(data, p):
-    f, g = data.draw(_composable(p))
-    got = compose(f, g)
+    # dense reduction rows at p = 7 and 9, Phi = z^n + 1 at p = 8 and 16
+    f, g = data.draw(_cancelling(p))
     want = _reference_compose_morphisms(f, g)
+    for got in _both_paths(f, g):
+        assert got == want
+        assert list(got.terms) == list(want.terms)  # same first-seen order
+        assert not any(c.is_zero() for c in got.terms.values())
+        for d in got.terms:
+            _same_diagram(d, TLDiagram(d.bottom_count, d.top_count, d.pairs))
+
+
+def test_compose_prunes_cancelled_groups_and_empty_operands():
+    ctx = field(7)
+    x = CycNumber(ctx, [Fraction(-2**64, 3), 5] + [0] * (ctx.degree - 2))
+    # d1.e and d2.e are one diagram with one loop, d3.e the same diagram
+    # with none: the loop group cancels, the diagram stays
+    d1 = TLDiagram(4, 4, [(0, 1), (2, 3), (4, 7), (5, 6)])
+    d2 = TLDiagram(4, 4, [(0, 1), (2, 5), (3, 4), (6, 7)])
+    d3 = TLDiagram(4, 4, [(0, 7), (1, 6), (2, 5), (3, 4)])
+    e = from_diagram(ctx, TLDiagram(4, 0, [(0, 1), (2, 3)]))
+    f = TLMorphism(ctx, 4, 4, {d1: x, d2: -x, d3: x})
+    zero_f, zero_e = TLMorphism.zero(ctx, 4, 4), TLMorphism.zero(ctx, 4, 0)
+    for got in _both_paths(f, e):
+        assert got == compose(from_diagram(ctx, d3), e) * x
+        assert len(got.terms) == 1
+    for got in _both_paths(f - from_diagram(ctx, d3) * x, e):
+        assert got.is_zero()
+    for got in _both_paths(zero_f, e) + _both_paths(f, zero_e):
+        assert got.is_zero() and (got.bottom_count, got.top_count) == (4, 0)
+
+
+@pytest.mark.parametrize("p", [7, 8])
+def test_compose_packed_width_on_equal_large_coefficients(p):
+    # all 42 diagrams 5 -> 5 with one coefficient whose power-basis entries
+    # all equal 2^64 - 1: every product digit has the same sign, and the
+    # 1764 pairs pile up on few result diagrams
+    ctx = field(p)
+    c = CycNumber(ctx, [2**64 - 1] * ctx.degree)
+    e = TLMorphism(ctx, 5, 5, {d: c for d in all_diagrams(5, 5)})
+    got = compose(e, e)
+    want = _reference_compose_morphisms(e, e)
     assert got == want
-    assert list(got.terms) == list(want.terms)  # same first-seen order
-    for d in got.terms:
-        _same_diagram(d, TLDiagram(d.bottom_count, d.top_count, d.pairs))
+    assert list(got.terms) == list(want.terms)
 
 
 @given(data=st.data(), p=st.sampled_from([3, 5, 7]))
