@@ -194,12 +194,7 @@ class CycNumber:
         if len(cs) > ctx.degree:
             if len(cs) > 2 * ctx.degree - 1:
                 raise ValueError("coefficient list too long to reduce in one pass")
-            base = cs[: ctx.degree]
-            for row, c in zip(ctx._reduction, cs[ctx.degree:]):
-                if c:
-                    for i, r in row:
-                        base[i] += c * r
-            cs = base
+            cs = list(_reduced(ctx, cs))
         cs += [Fraction(0)] * (ctx.degree - len(cs))
         self.ctx = ctx
         self.num, self.den = _split(cs)
@@ -379,8 +374,9 @@ def _normalised(ctx: FieldContext, num: tuple[int, ...], den: int) -> CycNumber:
     return _make(ctx, num, den)
 
 
-def _reduced(ctx: FieldContext, out: list[int]) -> tuple[int, ...]:
-    """A product's 2*degree - 1 integer coefficients reduced mod Phi_N."""
+def _reduced(ctx: FieldContext, out: list) -> tuple:
+    """At most 2*degree - 1 coefficients (ints or Fractions) reduced mod
+    Phi_N to `degree` of them."""
     base = out[:ctx.degree]
     for row, c in zip(ctx._reduction, out[ctx.degree:]):
         if c:
@@ -410,7 +406,11 @@ def pack(ctx: FieldContext, left: Sequence[CycNumber],
     rnums, rden, rtop = _common(right)
     summands = len(left) * len(right) * ctx.degree
     w = ltop.bit_length() + rtop.bit_length() + summands.bit_length() + 1
-    return _packed(lnums, w), _packed(rnums, w), (w, lden * rden)
+    # half in every digit of a product, so that unpack_sum reads each
+    # digit as a plain w-bit field
+    half = 1 << (w - 1)
+    bias = half * (((1 << (w * (2 * ctx.degree - 1))) - 1) // ((1 << w) - 1))
+    return _packed(lnums, w), _packed(rnums, w), (w, lden * rden, bias)
 
 
 def _common(xs: Sequence[CycNumber]) -> tuple[list[tuple[int, ...]], int, int]:
@@ -437,13 +437,12 @@ def unpack_sum(ctx: FieldContext, packed: int, layout: tuple) -> CycNumber:
     """The field element of a sum of packed products: the signed digits
     read once, one reduction mod Phi_N, over the product of the two
     common denominators."""
-    w, den = layout
-    m = 2 * ctx.degree - 1
+    w, den, bias = layout
     half = 1 << (w - 1)
     mask = (1 << w) - 1
-    # add half to every digit, so that each reads as a plain w-bit field
-    packed += half * (((1 << (w * m)) - 1) // mask)
-    out = [((packed >> s) & mask) - half for s in range(0, w * m, w)]
+    packed += bias
+    out = [((packed >> s) & mask) - half
+           for s in range(0, w * (2 * ctx.degree - 1), w)]
     return _normalised(ctx, _reduced(ctx, out), den)
 
 
