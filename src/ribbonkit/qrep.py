@@ -6,10 +6,14 @@ divided-power generators Ep/Fp shift by +-2p and carry the Frobenius part of
 the theory.  Operators are sparse matrices over the exact cyclotomic field;
 everything here is exact, nothing is numeric.
 
+One Gauss-Jordan elimination, _row_reduce, backs the matrix inverse, the
+kernel and the span test of the simplicity certificate.
+
 The module also hosts the diagram-to-matrix functor (cups and caps go to the
-coevaluation/evaluation of the self-dual standard module) and a character
-based splitting oracle used by the fusion rings.  A character there is a
-Counter weight -> multiplicity, string_weights is the one definition of a
+coevaluation/evaluation of the self-dual standard module; each arc weight is
++-zeta^{+-1}, so a basis state carries one integer exponent of zeta) and a
+character based splitting oracle used by the fusion rings.  A character there
+is a Counter weight -> multiplicity, string_weights is the one definition of a
 p-shifted string, and the peel is one descending pass over the weights.
 """
 
@@ -25,6 +29,41 @@ class InconsistentCharacter(ValueError):
 
 
 # -- sparse exact matrices ---------------------------------------------------
+
+
+def _row_reduce(rows, ncols):
+    """Gauss-Jordan on a list of row lists, in place, pivoting in the first
+    ncols columns.  Returns the pivot columns; the row with the k-th pivot
+    ends up at rows[k], scaled to a leading one, and the rows after the
+    pivot rows are zero in the first ncols columns."""
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        hit = next(
+            (r for r in range(top, len(rows)) if not rows[r][col].is_zero()),
+            None,
+        )
+        if hit is None:
+            continue
+        rows[top], rows[hit] = rows[hit], rows[top]
+        lead = rows[top][col]
+        if lead != lead.ctx.one():  # rows reduced before lead with one
+            scale = inv(lead)
+            rows[top] = [x * scale for x in rows[top]]
+        for r in range(len(rows)):
+            if r == top or rows[r][col].is_zero():
+                continue
+            factor = rows[r][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[top])]
+        pivots.append(col)
+    return pivots
+
+
+def _mat_rows(mat):
+    rows = [[mat.ctx.zero()] * mat.cols for _ in range(mat.rows)]
+    for (i, j), v in mat.data.items():
+        rows[i][j] = v
+    return rows
 
 
 class Matrix:
@@ -108,14 +147,6 @@ class Matrix:
                 acc[key] = term if cur is None else cur + term
         return Matrix(self.ctx, self.rows, other.cols, acc)
 
-    def pow_int(self, k: int) -> "Matrix":
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        out = Matrix.identity(self.ctx, self.rows)
-        for _ in range(k):
-            out = out.mul(self)
-        return out
-
     @staticmethod
     def kron(a: "Matrix", b: "Matrix") -> "Matrix":
         a._compat(b)
@@ -126,36 +157,17 @@ class Matrix:
         return Matrix(a.ctx, a.rows * b.rows, a.cols * b.cols, acc)
 
     def inverse(self) -> "Matrix":
-        """Gauss-Jordan inverse; raises ZeroDivisionError when singular."""
+        """Gauss-Jordan on [A | I]; raises ZeroDivisionError when singular."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        ctx = self.ctx
-        zero, one = ctx.zero(), ctx.one()
-        aug = [[self.entry(i, j) for j in range(n)] for i in range(n)]
-        for i in range(n):
-            aug[i].extend(one if j == i else zero for j in range(n))
-        for col in range(n):
-            piv = next(
-                (r for r in range(col, n) if not aug[r][col].is_zero()), None
-            )
-            if piv is None:
-                raise ZeroDivisionError("matrix is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            scale = inv(aug[col][col])
-            aug[col] = [x * scale for x in aug[col]]
-            for r in range(n):
-                if r == col or aug[r][col].is_zero():
-                    continue
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-        acc = {}
-        for i in range(n):
-            for j in range(n):
-                v = aug[i][n + j]
-                if not v.is_zero():
-                    acc[(i, j)] = v
-        return Matrix(ctx, n, n, acc)
+        zero, one = self.ctx.zero(), self.ctx.one()
+        aug = [row + [one if j == i else zero for j in range(n)]
+               for i, row in enumerate(_mat_rows(self))]
+        if _row_reduce(aug, n) != list(range(n)):
+            raise ZeroDivisionError("matrix is singular")
+        return Matrix(self.ctx, n, n, {(i, j): v for i, row in enumerate(aug)
+                                       for j, v in enumerate(row[n:])})
 
     def _compat(self, other, same_shape=False):
         if self.ctx is not other.ctx:
@@ -172,10 +184,6 @@ class Matrix:
             and self.data == other.data
         )
 
-    def __ne__(self, other):
-        out = self.__eq__(other)
-        return out if out is NotImplemented else not out
-
     def __hash__(self):
         return hash((self.rows, self.cols, frozenset(self.data.items())))
 
@@ -184,9 +192,6 @@ class Matrix:
 
 
 # -- modules and maps --------------------------------------------------------
-
-_SHIFTS = (("E", 2), ("F", -2), ("Ep", None), ("Fp", None))
-
 
 class WeightModule:
     """Finite-dimensional weight module with sparse operator actions.
@@ -280,26 +285,21 @@ class ModuleMap:
 
 
 def check_module(m: WeightModule) -> list:
-    """Relation audit: weight shifts, [E,F] commutator, nilpotency.
+    """Relation audit: [E,F] commutator and nilpotency.  Weight shifts need
+    no audit: WeightModule refuses an operator that breaks one.
 
     Returns a list of violation messages, empty when everything holds.
     """
     out = []
     ctx = m.ctx
     p = ctx.p
-    shifts = {"E": 2, "F": -2, "Ep": 2 * p, "Fp": -2 * p}
-    for name, d in shifts.items():
-        op = getattr(m, name)
-        for (i, j) in op.data:
-            if m.weights[i] != m.weights[j] + d:
-                out.append(f"{name}({i},{j}) breaks weight shift")
     comm = m.E.mul(m.F).sub(m.F.mul(m.E))
     target = Matrix.diagonal(ctx, [qint(ctx, w) for w in m.weights])
     if comm != target:
         out.append("[E,F] differs from the weight diagonal")
-    if not m.E.pow_int(p).is_zero():
+    if not _op_powers(m.E, p)[p].is_zero():
         out.append("E^p is nonzero")
-    if not m.F.pow_int(p).is_zero():
+    if not _op_powers(m.F, p)[p].is_zero():
         out.append("F^p is nonzero")
     return out
 
@@ -536,46 +536,31 @@ def tl_to_matrix(ctx: FieldContext, mor: "tldiag.TLMorphism") -> Matrix:
     """Evaluate a diagram morphism on tensor powers of the standard module.
 
     Strand indices are bits (0 = highest weight vector), big-endian per
-    position; each arc contributes its evaluation/coevaluation weight and
-    through-strands propagate the index unchanged.
+    position.  Every arc weight is +-zeta^{+-1}, so a state carries one zeta
+    exponent (each cup or cap adds its weight's, through-strands add none
+    and pass the index on) and meets the diagram coefficient once.
     """
     n, m = mor.bottom_count, mor.top_count
-    zh = ctx.qhalf()
-    ev_val = {(0, 1): -inv(zh), (1, 0): zh}
-    coev_val = {(0, 1): inv(zh), (1, 0): -zh}
+    two_p = 2 * ctx.p  # -1 = zeta^{2p}, so a sign is an exponent shift
     acc: dict = {}
     for diag, coeff in mor.terms.items():
+        # each arc offers two (bottom bits, top bits, zeta exponent) choices
         arcs = []
         for x, y in diag.pairs:
-            if y < n:
-                arcs.append(("ev", x, y))
-            elif x >= n:
-                arcs.append(("coev", m - 1 - (y - n), m - 1 - (x - n)))
-            else:
-                arcs.append(("thru", x, m - 1 - (y - n)))
-        states = [(0, 0, coeff)]  # packed bottom bits, top bits, value
-        for kind, aa, bb in arcs:
-            nxt = []
-            for bot, top, val in states:
-                if kind == "thru":
-                    nxt.append((bot, top, val))
-                    nxt.append((bot | 1 << (n - 1 - aa),
-                                top | 1 << (m - 1 - bb), val))
-                elif kind == "ev":
-                    for (u, w), factor in ev_val.items():
-                        nxt.append((
-                            bot | u << (n - 1 - aa) | w << (n - 1 - bb),
-                            top, val * factor,
-                        ))
-                else:
-                    for (u, w), factor in coev_val.items():
-                        nxt.append((
-                            bot,
-                            top | u << (m - 1 - aa) | w << (m - 1 - bb),
-                            val * factor,
-                        ))
-            states = nxt
-        for bot, top, val in states:
+            if y < n:  # evaluation weights -zeta^{-1} and zeta
+                arcs.append(((1 << (n - 1 - y), 0, two_p - 1),
+                             (1 << (n - 1 - x), 0, 1)))
+            elif x >= n:  # coevaluation weights zeta^{-1} and -zeta
+                arcs.append(((0, 1 << (x - n), -1),
+                             (0, 1 << (y - n), two_p + 1)))
+            else:  # through-strand: both ends 0 or both ends 1
+                arcs.append(((0, 0, 0), (1 << (n - 1 - x), 1 << (y - n), 0)))
+        states = [(0, 0, 0)]  # packed bottom bits, top bits, zeta exponent
+        for arc in arcs:
+            states = [(bot | b, top | t, k + e)
+                      for bot, top, k in states for b, t, e in arc]
+        for bot, top, k in states:
+            val = coeff * ctx.root(k)
             cur = acc.get((top, bot))
             acc[(top, bot)] = val if cur is None else cur + val
     return Matrix(ctx, 1 << m, 1 << n, acc)
@@ -586,13 +571,13 @@ def quantum_trace(ctx: FieldContext, mat: Matrix, n: int) -> CycNumber:
     size = 1 << n
     if (mat.rows, mat.cols) != (size, size):
         raise ValueError(f"matrix is not an endomorphism of {n} strands")
-    sign = ctx.one() if n % 2 == 0 else -ctx.one()
     total = ctx.zero()
     for (i, j), v in mat.data.items():
         if i != j:
             continue
         b = bin(i).count("1")
-        total = total + sign * ctx.root(2 * (2 * b - n)) * v
+        # (-1)^n q^{2b-n}, with -1 = zeta^{2p}
+        total = total + ctx.root(2 * (2 * b - n) + 2 * ctx.p * n) * v
     return total
 
 
@@ -617,10 +602,9 @@ def selfdual_image(ctx: FieldContext, e: Matrix, n: int):
         rows.setdefault(i, []).append((j, v))
 
     def state_weight(u, flip):
+        # (-1)^b zeta^{2b-n} (b -> n-b in the sign when flipped)
         b = bin(u).count("1")
-        sign = 1 if (b if not flip else n - b) % 2 == 0 else -1
-        val = ctx.root(2 * b - n)
-        return val if sign > 0 else -val
+        return ctx.root(2 * b - n + 2 * ctx.p * (n - b if flip else b))
 
     coev_acc: dict = {}
     for u in range(size):
@@ -741,42 +725,10 @@ def uq_classes(m: WeightModule) -> Counter:
 # -- simplicity certificates -------------------------------------------------
 
 
-def _echelon_insert(basis, vec):
-    """Reduce vec against the running echelon basis; insert if independent."""
-    for pivot, row in basis:
-        c = vec[pivot]
-        if not c.is_zero():
-            vec = [a - c * b for a, b in zip(vec, row)]
-    for idx, c in enumerate(vec):
-        if not c.is_zero():
-            scale = inv(c)
-            basis.append((idx, [a * scale for a in vec]))
-            return True
-    return False
-
-
 def _nullspace(rows, dim, ctx):
     """Kernel basis of the linear map given by a list of row vectors."""
-    work = [list(r) for r in rows if any(not c.is_zero() for c in r)]
-    pivots = []
-    top = 0
-    for col in range(dim):
-        hit = next(
-            (r for r in range(top, len(work)) if not work[r][col].is_zero()),
-            None,
-        )
-        if hit is None:
-            continue
-        work[top], work[hit] = work[hit], work[top]
-        scale = inv(work[top][col])
-        work[top] = [x * scale for x in work[top]]
-        for r in range(len(work)):
-            if r == top or work[r][col].is_zero():
-                continue
-            factor = work[r][col]
-            work[r] = [a - factor * b for a, b in zip(work[r], work[top])]
-        pivots.append(col)
-        top += 1
+    work = list(rows)
+    pivots = _row_reduce(work, dim)
     kernel = []
     pivot_set = set(pivots)
     for free in range(dim):
@@ -788,13 +740,6 @@ def _nullspace(rows, dim, ctx):
             vec[pc] = -row[free]
         kernel.append(vec)
     return kernel
-
-
-def _mat_rows(mat):
-    rows = [[mat.ctx.zero()] * mat.cols for _ in range(mat.rows)]
-    for (i, j), v in mat.data.items():
-        rows[i][j] = v
-    return rows
 
 
 def _apply(mat, vec):
@@ -814,17 +759,19 @@ def certify_simple(m: WeightModule) -> bool:
     kernel = _nullspace(rows, m.dimension, ctx)
     if len(kernel) != 1:
         return False
-    basis: list = []
+    # basis stays row reduced; an image is new when it adds a pivot
+    basis = [kernel[0]]
     frontier = [kernel[0]]
-    _echelon_insert(basis, list(kernel[0]))
     while frontier:
         nxt = []
         for vec in frontier:
             for op in (m.F, m.Fp):
                 img = _apply(op, vec)
-                if any(not c.is_zero() for c in img):
-                    if _echelon_insert(basis, list(img)):
-                        nxt.append(img)
+                rank = len(basis)
+                basis.append(img)
+                del basis[len(_row_reduce(basis, m.dimension)):]
+                if len(basis) > rank:
+                    nxt.append(img)
         frontier = nxt
     return len(basis) == m.dimension
 

@@ -17,7 +17,10 @@ Frozen expectations, derived ahead of the implementation:
     (-1)^n [n+1], vanishing at n = p-1
 """
 
+import random
 from collections import Counter
+from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -29,6 +32,7 @@ from ribbonkit.qrep import (
     Matrix,
     ModuleMap,
     WeightModule,
+    _nullspace,
     braiding,
     certify_simple,
     check_module,
@@ -100,6 +104,104 @@ def test_relations_on_tensor_modules(p):
     for a in pool:
         for b in pool:
             assert check_module(tensor(a, b)) == []
+
+
+# -- exact linear algebra ----------------------------------------------------
+
+
+LINALG_P = [2, 3, 5, 8]
+
+
+def _random_element(rng, ctx, zero_share=0.0):
+    """A sum of one to three c * zeta^k with small rational c: zero with
+    probability zero_share, and never zero otherwise."""
+    if rng.random() < zero_share:
+        return ctx.zero()
+    while True:
+        x = ctx.zero()
+        for _ in range(rng.randint(1, 3)):
+            c = ctx.rational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+            x = x + c * ctx.root(rng.randrange(ctx.N))
+        if not x.is_zero():
+            return x
+
+
+@st.composite
+def _invertible(draw, ctx, max_dim=6):
+    """P.L.D.U: a row permutation, unit lower and upper triangular matrices
+    whose entries are zero half the time (so pivots are often missing), and
+    a diagonal without zeros.  Entries come from a drawn seed: one draw per
+    matrix keeps hypothesis fast."""
+    n = draw(st.integers(1, max_dim))
+    perm = draw(st.permutations(range(n)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    one = ctx.one()
+    lower = {(i, i): one for i in range(n)}
+    upper = dict(lower)
+    for i in range(n):
+        for j in range(i):
+            lower[(i, j)] = _random_element(rng, ctx, zero_share=0.5)
+            upper[(j, i)] = _random_element(rng, ctx, zero_share=0.5)
+    diag = [_random_element(rng, ctx) for _ in range(n)]
+    return reduce(Matrix.mul, [
+        Matrix(ctx, n, n, {(i, perm[i]): one for i in range(n)}),
+        Matrix(ctx, n, n, lower),
+        Matrix.diagonal(ctx, diag),
+        Matrix(ctx, n, n, upper),
+    ])
+
+
+def _dense(mat):
+    return [[mat.entry(i, j) for j in range(mat.cols)]
+            for i in range(mat.rows)]
+
+
+def _dot(ctx, row, vec):
+    return sum((a * b for a, b in zip(row, vec)), ctx.zero())
+
+
+@pytest.mark.parametrize("p", LINALG_P)
+@given(data=st.data())
+def test_inverse_round_trip(p, data):
+    ctx = field(p)
+    a = data.draw(_invertible(ctx))
+    n = a.rows
+    a_inv = a.inverse()
+    assert a.mul(a_inv) == Matrix.identity(ctx, n)
+    assert a_inv.mul(a) == Matrix.identity(ctx, n)
+    if n == 1:
+        return
+    # a repeated row makes the matrix singular
+    i, j = data.draw(st.permutations(range(n)))[:2]
+    rows = _dense(a)
+    rows[j] = rows[i]
+    repeated = Matrix(ctx, n, n, {(r, c): v for r, row in enumerate(rows)
+                                  for c, v in enumerate(row)})
+    with pytest.raises(ZeroDivisionError, match="matrix is singular"):
+        repeated.inverse()
+
+
+@pytest.mark.parametrize("p", LINALG_P)
+@given(data=st.data())
+def test_nullspace_dimension_and_kernel(p, data):
+    # k rows of an invertible matrix span k coordinates; combinations of
+    # them (zero rows included) add nothing, wherever they are shuffled in
+    ctx = field(p)
+    a = data.draw(_invertible(ctx))
+    dim = a.rows
+    k = data.draw(st.integers(0, dim))
+    span = _dense(a)[:k]
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    extra = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        coeffs = [_random_element(rng, ctx, zero_share=0.5) for _ in span]
+        extra.append([_dot(ctx, coeffs, col) for col in zip(*span)]
+                     if span else [ctx.zero()] * dim)
+    rows = data.draw(st.permutations(span + extra))
+    kernel = _nullspace(rows, dim, ctx)
+    assert len(kernel) == dim - k
+    for vec in kernel:
+        assert all(_dot(ctx, row, vec).is_zero() for row in rows)
 
 
 # -- tensor ------------------------------------------------------------------
@@ -401,6 +503,68 @@ def test_functor_injective_on_two_strand_hom(p):
     for scalar_entry in (f_v.entry(0, 0), f_v.entry(1, 1)):
         assert f_v != ident.scale(scalar_entry)
     assert not f_v.is_zero()
+
+
+def _reference_tl_to_matrix(ctx, mor):
+    """The functor arc by arc: each state's value is multiplied by the field
+    weight of every arc it crosses."""
+    n, m = mor.bottom_count, mor.top_count
+    zh = ctx.qhalf()
+    ev_val = {(0, 1): -inv(zh), (1, 0): zh}
+    coev_val = {(0, 1): inv(zh), (1, 0): -zh}
+    acc: dict = {}
+    for diag, coeff in mor.terms.items():
+        arcs = []
+        for x, y in diag.pairs:
+            if y < n:
+                arcs.append(("ev", x, y))
+            elif x >= n:
+                arcs.append(("coev", m - 1 - (y - n), m - 1 - (x - n)))
+            else:
+                arcs.append(("thru", x, m - 1 - (y - n)))
+        states = [(0, 0, coeff)]  # packed bottom bits, top bits, value
+        for kind, aa, bb in arcs:
+            nxt = []
+            for bot, top, val in states:
+                if kind == "thru":
+                    nxt.append((bot, top, val))
+                    nxt.append((bot | 1 << (n - 1 - aa),
+                                top | 1 << (m - 1 - bb), val))
+                elif kind == "ev":
+                    for (u, w), factor in ev_val.items():
+                        nxt.append((
+                            bot | u << (n - 1 - aa) | w << (n - 1 - bb),
+                            top, val * factor,
+                        ))
+                else:
+                    for (u, w), factor in coev_val.items():
+                        nxt.append((
+                            bot,
+                            top | u << (m - 1 - aa) | w << (m - 1 - bb),
+                            val * factor,
+                        ))
+            states = nxt
+        for bot, top, val in states:
+            cur = acc.get((top, bot))
+            acc[(top, bot)] = val if cur is None else cur + val
+    return Matrix(ctx, 1 << m, 1 << n, acc)
+
+
+@pytest.mark.parametrize("p", LINALG_P)
+def test_functor_matches_per_arc_reference(p):
+    # every diagram of Hom(n, m), n + m <= 8, alone and all together
+    ctx = field(p)
+    rng = random.Random(p)
+    for n in range(9):
+        for m in range(n % 2, 9 - n, 2):
+            terms = {d: _random_element(rng, ctx)
+                     for d in tldiag.all_diagrams(n, m)}
+            mors = [tldiag.TLMorphism(ctx, n, m, {d: c})
+                    for d, c in terms.items()]
+            mors.append(tldiag.TLMorphism(ctx, n, m, terms))
+            for mor in mors:
+                assert tl_to_matrix(ctx, mor) == _reference_tl_to_matrix(
+                    ctx, mor)
 
 
 @given(data=st.data(), p=st.sampled_from([2, 3]))
