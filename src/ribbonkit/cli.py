@@ -18,7 +18,8 @@ checks behind verify and the data the check verbs print come from
 ribbonkit.checks; the verbs here only render them.  Exit codes: 0 on
 success, 1 when a verification fails, 2 for usage or parse trouble.  -p
 takes one value or an inclusive range A..B; --format json emits one JSON
-object per line.
+object per line.  The argparse tree is built once per process, on the first
+main call, and every later call reuses it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 from .cyclo import field
 from .tldiag import braiding_candidates, check_yang_baxter
@@ -584,7 +586,14 @@ class _ArgParser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and shared after it.
+
+    Nothing in it depends on the call: the defaults are immutable, the type
+    converters pure, parse_args returns a fresh Namespace, and help and
+    errors go to the current sys.stdout/sys.stderr when printed.
+    """
     top = _ArgParser(
         prog="ribbonkit",
         description="exact fusion, braiding, and modularity calculations",

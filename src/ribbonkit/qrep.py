@@ -366,18 +366,23 @@ def _divided(m: WeightModule, powers, generator, k: int) -> Matrix:
 def tensor(m: WeightModule, n: WeightModule) -> WeightModule:
     """Product module under the coproduct
     E -> E@1 + K@E,  F -> F@K^{-1} + 1@F, with the matching divided-power
-    expansion for Ep and Fp."""
+    expansion for Ep and Fp.  Only the weights are computed here; each
+    operator is built on first access, so a product that serves only as a
+    map's domain or codomain costs its weights alone."""
     if m.ctx is not n.ctx:
         raise ContextMismatch("tensor factors from different field contexts")
     ctx = m.ctx
     p = ctx.p
     weights = tuple(wm + wn for wm in m.weights for wn in n.weights)
-    id_m = Matrix.identity(ctx, m.dimension)
-    id_n = Matrix.identity(ctx, n.dimension)
-
-    e_t = Matrix.kron(m.E, id_n).add(Matrix.kron(_kdiag(m, 1), n.E))
-    f_t = Matrix.kron(m.F, _kdiag(n, -1)).add(Matrix.kron(id_m, n.F))
     dim = len(weights)
+
+    def e_t():
+        id_n = Matrix.identity(ctx, n.dimension)
+        return Matrix.kron(m.E, id_n).add(Matrix.kron(_kdiag(m, 1), n.E))
+
+    def f_t():
+        id_m = Matrix.identity(ctx, m.dimension)
+        return Matrix.kron(m.F, _kdiag(n, -1)).add(Matrix.kron(id_m, n.F))
 
     def ep_t():
         me = _op_powers(m.E, p - 1)
@@ -633,6 +638,8 @@ def selfdual_image(ctx: FieldContext, e: Matrix, n: int):
                 cur = ev_acc.get(key)
                 ev_acc[key] = term if cur is None else cur + term
 
+    # the maps are not verified, so their codomain V^{(x)2n} is read for its
+    # dimension only and tensor builds none of its operators
     big = _tensor_power(ctx, simple_V(ctx, 2), n)
     square = tensor(big, big)
     unit = simple_V(ctx, 1)

@@ -19,7 +19,8 @@ coefficient products are summed per (result diagram, loop count) group, and
 each group's sum is reduced and multiplied by d**loops once.  From
 _PACKED_MIN_PAIRS term pairs on, a group's sum is a sum of packed integer
 products (cyclo.pack, cyclo.unpack_sum), so a term pair costs one integer
-product instead of a field multiply.
+product instead of a field multiply; a product with a one-term operand
+multiplies pair by pair.
 """
 
 from __future__ import annotations
@@ -33,7 +34,10 @@ from .cyclo import CycNumber, FieldContext, inv, pack, qint, unpack_sum
 # compose sums packed products (cyclo.pack) from this many term pairs on.
 # Below it, packing both operands and unpacking each group costs more than
 # multiplying pair by pair: measured on Jones-Wenzl terms at p = 5, 7 and 10,
-# a 4x3-term product is faster pair by pair and a 4x4-term one packed.
+# a 4x3-term product is faster pair by pair and a 4x4-term one packed.  A
+# one-term operand stays pair by pair at any size: its pairs almost never
+# share a group, so there is no sum to pack (a 42x1-term hook product at
+# p=7 on a 2-core Xeon: 555 us pair by pair, 738 us packed).
 _PACKED_MIN_PAIRS = 16
 
 
@@ -358,11 +362,12 @@ def all_diagrams(n: int, m: int) -> list[TLDiagram]:
 def compose(f: TLMorphism, g: TLMorphism) -> TLMorphism:
     """Diagrammatic order: f acts first, g second; f: n->m, g: m->k.
 
-    Below _PACKED_MIN_PAIRS term pairs each c1*c2 is a field multiply;
-    from there on both coefficient lists are packed once, a pair adds one
-    integer product to its group, and a group is unpacked once.  Result
-    terms keep the order in which their diagrams first appear over the
-    pairs (f's terms outer, g's inner); zero coefficients are dropped.
+    Below _PACKED_MIN_PAIRS term pairs, or when either operand has one
+    term, each c1*c2 is a field multiply; otherwise both coefficient lists
+    are packed once, a pair adds one integer product to its group, and a
+    group is unpacked once.  Result terms keep the order in which their
+    diagrams first appear over the pairs (f's terms outer, g's inner); zero
+    coefficients are dropped.
     """
     if f.ctx is not g.ctx:
         raise BoundaryMismatch("mixed field contexts")
@@ -374,7 +379,8 @@ def compose(f: TLMorphism, g: TLMorphism) -> TLMorphism:
     ctx = f.ctx
     # sum c1*c2 per (result partner array, loop count); d**loops once each
     groups: dict[tuple, CycNumber] = {}
-    if len(f.terms) * len(g.terms) < _PACKED_MIN_PAIRS:
+    nf, ng = len(f.terms), len(g.terms)
+    if min(nf, ng) <= 1 or nf * ng < _PACKED_MIN_PAIRS:
         for d1, c1 in f.terms.items():
             for d2, c2 in g.terms.items():
                 key = _compose_partners(d1, d2)

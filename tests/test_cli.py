@@ -7,8 +7,12 @@ Frozen expectations:
   * the index letter p resolves to the -p value
   * jw, braid-check, fpdim and twists print exactly their frozen text
   * exit codes: 0 ok, 1 verification failure, 2 usage/parse trouble
+  * the argparse tree is built once per process, and a call after any
+    other prints what it prints in a fresh process
 """
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -19,6 +23,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import ribbonkit
 from ribbonkit.cyclo import field, make_root
@@ -27,6 +32,7 @@ from ribbonkit.cli import (
     MAX_PARENS,
     DSLSyntaxError,
     EvalError,
+    build_parser,
     evaluate,
     format_combination,
     main,
@@ -467,3 +473,177 @@ def test_verify_properties_smoke(capsys):
          "--triples", "50", "--roundtrips", "50"]
     ) == 0
     capsys.readouterr()
+
+
+# -- one parser per process ---------------------------------------------------
+
+VERBS = ("fuse", "jw", "braid-check", "fpdim", "twists", "muger", "phase",
+         "verify")
+
+_IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+from ribbonkit.cli import build_parser, main
+built_at_import = build_parser.cache_info().misses
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"built_at_import": built_at_import, "runs": runs,
+                  "builds": build_parser.cache_info().misses}))
+"""
+
+
+def _in_one_process(*argvs):
+    """Run the argvs in order through main in one fresh interpreter; returns
+    its report: builds before the first call and after the last, and
+    [exit code, stdout, stderr] per call.  Help is wrapped at 80 columns
+    whatever terminal the tests run in."""
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=str(Path(ribbonkit.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IN_ONE_PROCESS, json.dumps(argvs)],
+        capture_output=True, env=env, timeout=120, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    return json.loads(proc.stdout)
+
+
+def _no_elapsed(run):
+    code, out, err = run
+    return [code, re.sub(r"\(\d+\.\d+s\)", "(elapsed)", out), err]
+
+
+def test_parser_built_once_per_process():
+    for argv in (["fpdim", "-p", "2"], ["nonsense"], ["fuse", "-h"]):
+        main(argv)
+    assert build_parser.cache_info().misses == 1
+    report = _in_one_process(*[["fpdim", "-p", "2"], ["-h"], []] * 3)
+    assert report["built_at_import"] == 0  # import time does not pay for it
+    assert report["builds"] == 1
+    assert [code for code, _, _ in report["runs"]] == [0, 0, 2] * 3
+
+
+@pytest.mark.parametrize("first, second", [
+    (["phase", "-p", "2", "--squared", "0", "0", "1/2"],
+     ["phase", "-p", "2", "0", "0", "1/2"]),
+    (["verify", "--suite", "jw", "-p", "2"],
+     ["verify", "--suite", "braiding", "-p", "2"]),
+    # at window 3 M[3,1]*M[3,1] overflows; at the default window it is M[5,1]
+    (["fuse", "--rmax", "3", "-p", "2", "M[2,1]*M[2,1]"],
+     ["fuse", "-p", "2", "M[3,1]*M[3,1]"]),
+    (["fuse", "-p", "1", "V[1]"], ["fuse", "-p", "3", "X[2,+]*X[3,+]"]),
+    (["-h"], ["fuse", "-p", "3", "X[2,+]*X[3,+]"]),
+], ids=["phase-squared", "verify-suite", "fuse-window", "fuse-refused",
+        "help"])
+def test_reused_parser_leaks_nothing(first, second):
+    # the second call prints what it prints in a fresh process
+    report = _in_one_process(first, second)
+    alone = _in_one_process(second)["runs"][0]
+    assert _no_elapsed(report["runs"][1]) == _no_elapsed(alone)
+    assert alone[0] == 0 and alone[2] == ""
+    assert report["builds"] == 1
+
+
+def test_help_text_same_on_every_call():
+    argvs = [["-h"]] + [[verb, "-h"] for verb in VERBS]
+    runs = _in_one_process(*argvs, *argvs)["runs"]
+    assert runs[:len(argvs)] == runs[len(argvs):]
+    for (code, out, err), argv in zip(runs, argvs * 2):
+        assert code == 0 and err == ""
+        assert out.startswith(f"usage: {' '.join(['ribbonkit'] + argv[:-1])}")
+
+
+# -- CLI fuzzer ---------------------------------------------------------------
+
+# every size stays small: p <= 5, n <= 4, windows <= 6, and verify runs one
+# cheap suite with no random triples or round trips
+_CHEAP_SUITES = ("fpdim", "braiding", "jw", "twists", "phase", "grring")
+_CHECK_VERBS = {"verify", "jw", "braid-check", "fpdim", "twists"}
+
+
+def _small_ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+# each generator mixes well-formed values with junk, so that the verbs run
+# as often as argparse and the range parser refuse
+_P = st.one_of(
+    _small_ints(2, 5),
+    st.tuples(st.integers(2, 5), st.integers(2, 5)).map(
+        lambda ends: f"{min(ends)}..{max(ends)}"),
+    st.sampled_from(["1", "2..1", "x", "2..", "..3", "", "-1", "0..4"]),
+)
+_INDEX = _small_ints(-2, 6) | st.just("p")
+_ATOM = st.one_of(
+    st.just("chi"),
+    _small_ints(0, 3),
+    _INDEX.map(lambda s: f"V[{s}]"),
+    st.tuples(_INDEX, st.sampled_from("+-")).map(
+        lambda idx: f"X[{idx[0]},{idx[1]}]"),
+    st.tuples(st.sampled_from("LM"), _INDEX, _INDEX).map(
+        lambda idx: f"{idx[0]}[{idx[1]},{idx[2]}]"),
+)
+_DSL = st.one_of(
+    st.recursive(_ATOM, lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*"), inner).map("".join),
+        inner.map(lambda e: f"({e})")), max_leaves=4),
+    st.text(alphabet="VXLMchi[],+-*()0123456789p", max_size=24),
+)
+_WEIGHT = st.one_of(
+    st.tuples(st.integers(-1, 8), st.sampled_from([1, 2, 2, 3, 4])).map(
+        lambda nd: f"{nd[0]}/{nd[1]}"),
+    st.sampled_from(["0", "1/3", "1/0", "x", "-1/4", ""]),
+)
+_OPTION = st.one_of(
+    st.tuples(st.just("--rmax"), _small_ints(-1, 6)),
+    st.tuples(st.just("--seed"), _small_ints(-2, 9)),
+    st.tuples(st.just("--format"), st.sampled_from(["text", "json"])),
+    st.sampled_from([("--rmax", "x"), ("--format", "xml"), ("-n", "2"),
+                     ("--squared",), ("--bogus",), ("extra",)]),
+)
+
+
+@st.composite
+def _argv(draw):
+    verb = draw(st.sampled_from(VERBS + ("nonsense", "-h", "")))
+    argv = [verb]
+    if draw(st.integers(0, 9)):
+        argv += ["-p", draw(_P)]
+    if verb == "fuse":
+        argv.append(draw(_DSL))
+    elif verb == "jw":
+        argv += ["-n", draw(_small_ints(1, 4) | st.sampled_from(["0", "x"]))]
+    elif verb == "phase":
+        count = draw(st.sampled_from([3, 3, 3, 2, 4]))
+        argv += draw(st.lists(_WEIGHT, min_size=count, max_size=count))
+        if draw(st.booleans()):
+            argv.append("--squared")
+    argv += [tok for opt in draw(st.lists(_OPTION, max_size=2)) for tok in opt]
+    if verb == "verify":
+        argv += ["--suite", draw(st.sampled_from(_CHEAP_SUITES)),
+                 "--triples", "0", "--roundtrips", "0"]
+    return argv
+
+
+@given(argv=_argv())
+@example(argv=["fpdim", "-p", "1"])
+@example(argv=["verify", "-p", "2..1", "--suite", "jw", "--triples", "0",
+               "--roundtrips", "0"])
+@example(argv=["jw", "-p", "x", "-n", "2"])
+@example(argv=["fuse", "-p", "2..", "V[2]*V[2]"])
+def test_cli_fuzz(argv):
+    # every input ends in exit 0, 1 or 2 without a traceback; exit 2 is one
+    # "error:" line, and exit 1 (a failed verification) comes only from the
+    # verbs that verify
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code == 2:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+    if code == 1:
+        assert argv[0] in _CHECK_VERBS

@@ -21,6 +21,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -492,6 +493,19 @@ def test_quantum_trace_matches_markov(p):
     e_top = tl_to_matrix(ctx, tldiag.jones_wenzl(ctx, p - 1))
     pair = selfdual_image(ctx, e_top, p - 1)
     assert intrinsic_dim(pair).is_zero()
+
+
+def test_selfdual_image_builds_no_operator():
+    # the pair's codomain V^{(x)2n} serves only as a shape: its operators,
+    # Kronecker products of size 4^n, are built only when read
+    ctx = field(4)
+    e_top = tl_to_matrix(ctx, tldiag.jones_wenzl(ctx, 3))
+    with mock.patch.object(Matrix, "kron", side_effect=AssertionError):
+        coev, ev = selfdual_image(ctx, e_top, 3)
+    square = coev.codomain
+    assert square is ev.domain and square.dimension == 64
+    assert intrinsic_dim((coev, ev)).is_zero()
+    assert check_module(square) == []
 
 
 @pytest.mark.parametrize("p", ALL_P)

@@ -518,6 +518,24 @@ def _both_paths(f, g):
     return out
 
 
+@st.composite
+def _one_term_and_many(draw, p):
+    """Endomorphisms of 5 strands: one with a single term and a wide
+    coefficient, one with a term count at or next to _PACKED_MIN_PAIRS (42
+    diagrams to draw from) and root-of-unity coefficients."""
+    ctx = field(p)
+    diags = all_diagrams(5, 5)
+    wide = wide_coefficients(ctx).filter(lambda c: not c.is_zero())
+    one = TLMorphism(ctx, 5, 5, {draw(st.sampled_from(diags)): draw(wide)})
+    count = draw(st.sampled_from([tldiag._PACKED_MIN_PAIRS + k
+                                  for k in (-1, 0, 1)]))
+    many = draw(st.permutations(diags))[:count]
+    exps = draw(st.lists(st.integers(0, ctx.N - 1), min_size=count,
+                         max_size=count))
+    return one, TLMorphism(ctx, 5, 5, {d: ctx.root(k)
+                                       for d, k in zip(many, exps)})
+
+
 @given(data=st.data(), p=st.sampled_from([3, 5, 7, 8, 9, 16]))
 def test_compose_matches_term_by_term_reference(data, p):
     # dense reduction rows at p = 7 and 9, Phi = z^n + 1 at p = 8 and 16
@@ -529,6 +547,16 @@ def test_compose_matches_term_by_term_reference(data, p):
         assert not any(c.is_zero() for c in got.terms.values())
         for d in got.terms:
             _same_diagram(d, TLDiagram(d.bottom_count, d.top_count, d.pairs))
+    # a one-term operand on either side goes pair by pair, however many
+    # terms the other has
+    one, many = data.draw(_one_term_and_many(p))
+    for f, g in ((one, many), (many, one)):
+        want = _reference_compose_morphisms(f, g)
+        with mock.patch.object(tldiag, "pack",
+                               side_effect=AssertionError("packed")):
+            got = compose(f, g)
+        assert got == want
+        assert list(got.terms) == list(want.terms)
 
 
 def test_compose_prunes_cancelled_groups_and_empty_operands():
