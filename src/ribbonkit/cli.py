@@ -28,6 +28,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -529,11 +530,14 @@ def _cmd_verify(args, ps) -> int:
 
 
 def _parse_prange(text: str) -> list:
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
+    lo_text, dots, hi_text = text.partition("..")
+    try:
+        lo = int(lo_text)
+        hi = int(hi_text) if dots else lo
+    except ValueError:
+        raise ValueError(
+            f"-p must be an integer P or a range A..B, got {text!r}"
+        ) from None
     if lo < 2 or hi < lo:
         raise ValueError(
             f"p range {text!r} must satisfy 2 <= first <= last"
@@ -577,10 +581,20 @@ _muger_window = _int_at_least("window", 2)
 _count = _int_at_least("count", 0)
 
 
+# argparse reads a token that starts with "-" as an option unless it matches
+# this; no option here looks like a number, so a negative fraction such as a
+# conformal weight -1/2 is then a positional, as -1 and -0.5 already are
+_NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+
 class _ArgParser(argparse.ArgumentParser):
     """argparse that refuses with one stderr line, ``error: <message>``,
-    and exit 2; add_subparsers builds the verbs' parsers with this class
-    too."""
+    and exit 2, and reads negative fractions as numbers; add_subparsers
+    builds the verbs' parsers with this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")

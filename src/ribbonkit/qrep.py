@@ -18,7 +18,7 @@ p-shifted string, and the peel is one descending pass over the weights.
 """
 
 from collections import Counter
-from functools import reduce
+from functools import cache, reduce
 
 from .cyclo import ContextMismatch, CycNumber, FieldContext, inv, qfact, qint
 from . import tldiag
@@ -348,9 +348,12 @@ def _kdiag(m: WeightModule, t: int) -> Matrix:
 
 
 def _op_powers(op: Matrix, top: int) -> list:
+    """[op^0, ..., op^top]; multiplying stops at the first zero power, and
+    every later entry is that same zero matrix."""
     out = [Matrix.identity(op.ctx, op.rows)]
-    for _ in range(top):
+    while len(out) <= top and not out[-1].is_zero():
         out.append(op.mul(out[-1]))
+    out += [out[-1]] * (top + 1 - len(out))
     return out
 
 
@@ -361,6 +364,23 @@ def _divided(m: WeightModule, powers, generator, k: int) -> Matrix:
     if k == m.ctx.p:
         return generator
     return powers[k].scale(inv(qfact(m.ctx, k)))
+
+
+def _divided_pairs(m: WeightModule, n: WeightModule, name: str):
+    """(k, m's X^{(k)}, n's X^{(p-k)}) for X = E or F, for the k where both
+    divided powers are nonzero.  m's side is built first; n's powers are
+    built only up to the largest p-k that a nonzero left factor needs."""
+    p = m.ctx.p
+    gen = name + "p"
+    mpow = _op_powers(getattr(m, name), p - 1)
+    lefts = [(k, _divided(m, mpow, getattr(m, gen), k)) for k in range(p + 1)]
+    lefts = [(k, left) for k, left in lefts if not left.is_zero()]
+    need = max((p - k for k, _ in lefts if 0 < k < p), default=0)
+    npow = _op_powers(getattr(n, name), need)
+    for k, left in lefts:
+        right = _divided(n, npow, getattr(n, gen), p - k)
+        if not right.is_zero():
+            yield k, left, right
 
 
 def tensor(m: WeightModule, n: WeightModule) -> WeightModule:
@@ -385,29 +405,21 @@ def tensor(m: WeightModule, n: WeightModule) -> WeightModule:
         return Matrix.kron(m.F, _kdiag(n, -1)).add(Matrix.kron(id_m, n.F))
 
     def ep_t():
-        me = _op_powers(m.E, p - 1)
-        ne = _op_powers(n.E, p - 1)
         out = Matrix.zeros(ctx, dim, dim)
-        for k in range(p + 1):
-            left = _divided(m, me, m.Ep, k).mul(_kdiag(m, p - k))
-            right = _divided(n, ne, n.Ep, p - k)
-            if not (left.is_zero() or right.is_zero()):
-                out = out.add(
-                    Matrix.kron(left, right).scale(ctx.root(2 * k * (p - k)))
-                )
+        for k, left, right in _divided_pairs(m, n, "E"):
+            left = left.mul(_kdiag(m, p - k))
+            out = out.add(
+                Matrix.kron(left, right).scale(ctx.root(2 * k * (p - k)))
+            )
         return out
 
     def fp_t():
-        mf = _op_powers(m.F, p - 1)
-        nf = _op_powers(n.F, p - 1)
         out = Matrix.zeros(ctx, dim, dim)
-        for k in range(p + 1):
-            left = _divided(m, mf, m.Fp, k)
-            right = _kdiag(n, -k).mul(_divided(n, nf, n.Fp, p - k))
-            if not (left.is_zero() or right.is_zero()):
-                out = out.add(
-                    Matrix.kron(left, right).scale(ctx.root(-2 * k * (p - k)))
-                )
+        for k, left, right in _divided_pairs(m, n, "F"):
+            right = _kdiag(n, -k).mul(right)
+            out = out.add(
+                Matrix.kron(left, right).scale(ctx.root(-2 * k * (p - k)))
+            )
         return out
 
     return WeightModule(ctx, weights, e_t, f_t, ep_t, fp_t)
@@ -422,6 +434,37 @@ def _tensor_power(ctx, base: WeightModule, n: int) -> WeightModule:
 # -- braiding and twist ------------------------------------------------------
 
 
+@cache
+def _braiding_coefs(ctx: FieldContext) -> tuple:
+    """c_j = q^{-j(j-1)/2} (q^{-1}-q)^j / [j]! for j < p."""
+    q = ctx.q()
+    coef = []
+    gauss = ctx.one()
+    for j in range(ctx.p):
+        # q^{-j(j-1)/2} = zeta4p^{-j(j-1)}
+        coef.append(ctx.root(-j * (j - 1)) * gauss * inv(qfact(ctx, j)))
+        gauss = gauss * (inv(q) - q)
+    return tuple(coef)
+
+
+@cache
+def _twist_coefs(ctx: FieldContext) -> tuple:
+    """(q^2-1)^j / [j]! for j < p, the sum coefficients of the inverse twist."""
+    q = ctx.q()
+    coef = []
+    gpow = ctx.one()
+    for j in range(ctx.p):
+        coef.append(gpow * inv(qfact(ctx, j)))
+        gpow = gpow * (q * q - ctx.one())
+    return tuple(coef)
+
+
+@cache
+def _twist_term(ctx: FieldContext, j: int, e: int) -> CycNumber:
+    """zeta4p^e (q^2-1)^j / [j]!, with e already reduced mod 4p."""
+    return ctx.root(e) * _twist_coefs(ctx)[j]
+
+
 def braiding(m: WeightModule, n: WeightModule) -> ModuleMap:
     """The braiding tensor(m,n) -> tensor(n,m):
     v@w -> zeta^{-lam.mu} sum_j c_j F^j w @ E^j v, with
@@ -431,7 +474,6 @@ def braiding(m: WeightModule, n: WeightModule) -> ModuleMap:
         raise ContextMismatch("braiding inputs from different field contexts")
     ctx = m.ctx
     p = ctx.p
-    q = ctx.q()
     dm, dn = m.dimension, n.dimension
 
     def by_column(mats):
@@ -446,13 +488,7 @@ def braiding(m: WeightModule, n: WeightModule) -> ModuleMap:
     e_cols = by_column(_op_powers(m.E, p - 1))
     f_cols = by_column(_op_powers(n.F, p - 1))
 
-    coef = []
-    gauss = ctx.one()
-    for j in range(p):
-        # q^{-j(j-1)/2} = zeta4p^{-j(j-1)}
-        coef.append(ctx.root(-j * (j - 1)) * gauss * inv(qfact(ctx, j)))
-        gauss = gauss * (inv(q) - q)
-
+    coef = _braiding_coefs(ctx)
     acc: dict = {}
     for i in range(dm):
         lam = m.weights[i]
@@ -482,23 +518,20 @@ def twist_inverse(m: WeightModule) -> ModuleMap:
          ((q^2-1)^j/[j]!) F^j E^j w   (lam the weight of w)."""
     ctx = m.ctx
     p = ctx.p
-    q = ctx.q()
     epow = _op_powers(m.E, p - 1)
     fpow = _op_powers(m.F, p - 1)
     acc: dict = {}
-    gpow = ctx.one()
     for j in range(p):
+        if epow[j].is_zero():  # so are F^j E^j and every later term
+            break
         fe = fpow[j].mul(epow[j])
-        coef = gpow * inv(qfact(ctx, j))
         for (i, k), v in fe.data.items():
             lam = m.weights[k]
             # (-1)^lam = zeta4p^{2p lam}; q^{(j+1)lam} = zeta4p^{2(j+1)lam}
-            root = ctx.root(2 * p * lam + lam * lam + j * (j + 1)
-                            + 2 * (j + 1) * lam)
-            term = root * coef * v
+            e = 2 * p * lam + lam * lam + j * (j + 1) + 2 * (j + 1) * lam
+            term = _twist_term(ctx, j, e % ctx.N) * v
             cur = acc.get((i, k))
             acc[(i, k)] = term if cur is None else cur + term
-        gpow = gpow * (q * q - ctx.one())
     mat = Matrix(ctx, m.dimension, m.dimension, acc)
     return ModuleMap(m, m, mat, verify=True)
 

@@ -267,6 +267,15 @@ def test_cmd_phase(capsys):
     assert main(["phase", "-p", "2", "0", "0", "1/3"]) == 2
 
 
+@pytest.mark.parametrize("weights", [
+    ["-1/2", "0", "0"], ["--", "-1/2", "0", "0"], ["-0.5", "0", "0"],
+])
+def test_cmd_phase_negative_weight(capsys, weights):
+    # a negative fraction is a weight, not an option, with or without "--"
+    assert main(["phase", "-p", "3"] + weights) == 0
+    assert capsys.readouterr() == ("z^3\n", "")
+
+
 def test_module_entry_point_quiet_stderr():
     # `python -m ribbonkit.cli` runs the front end without a runpy warning
     env = dict(os.environ,
@@ -350,6 +359,18 @@ def _refusal_id(value):
     ([], "error: the following arguments are required: verb"),
     (["phase", "-p", "2", "1", "2"],
      "error: the following arguments are required: h"),
+    (["phase", "-p", "3", "--bogus", "0", "0", "0"],
+     "error: unrecognized arguments: --bogus"),
+    (["phase", "-p", "3", "-1/0", "0", "0"],
+     "error: argument h: invalid conformal weight '-1/0'"),
+    (["fpdim", "-p", "2.."],
+     "error: -p must be an integer P or a range A..B, got '2..'"),
+    (["fpdim", "-p", "x"],
+     "error: -p must be an integer P or a range A..B, got 'x'"),
+    (["fpdim", "-p", "..5"],
+     "error: -p must be an integer P or a range A..B, got '..5'"),
+    (["fpdim", "-p", "5..3"],
+     "error: p range '5..3' must satisfy 2 <= first <= last"),
 ], ids=_refusal_id)
 def test_cmd_malformed_argument(capsys, argv, line):
     # refused before any work: exit 2, one stderr line and no usage block

@@ -24,6 +24,7 @@ Frozen expectations, derived before implementation:
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -34,8 +35,10 @@ from ribbonkit.qrep import (
     chi_module,
     decompose_character,
     peel_strings,
+    restrict_classes,
     simple_L,
     simple_V,
+    string_weights,
     tensor,
     uq_classes,
 )
@@ -112,6 +115,33 @@ def test_uq_ring_generic_rules(p):
     for s in range(1, p + 1):
         lhs = ring.product((1, 1), (s, 0))
         assert lhs == Counter({(s, 1): 1})
+
+
+@pytest.mark.parametrize("p", range(2, 13))
+def test_uq_ring_constants_match_ordered_pair_loop(p):
+    # each unordered pair is decomposed once; the dict handed to FusionRing
+    # must equal the one that decomposes every ordered pair, key order and
+    # the order of each entry included
+    seen = []
+
+    def capture(labels, unit, constants, dual):
+        seen.append(constants)
+        return FusionRing(labels, unit, constants, dual)
+
+    with mock.patch.object(fusion, "FusionRing", capture):
+        fusion.uq_ring.__wrapped__(p)
+    got, = seen
+    labels = [(s, eps) for s in range(1, p + 1) for eps in (0, 1)]
+    wts = {(s, eps): Counter(string_weights(p, eps, s)) for s, eps in labels}
+    ref = {}
+    for a in labels:
+        for b in labels:
+            dec = decompose_character(p, fusion._convolve(wts[a], wts[b]))
+            ref[(a, b)] = dict(restrict_classes(dec))
+    assert [(key, list(row.items())) for key, row in got.items()] == \
+        [(key, list(row.items())) for key, row in ref.items()]
+    for a, b in got:
+        assert a == b or got[(a, b)] is not got[(b, a)]
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])

@@ -26,7 +26,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from ribbonkit.cyclo import field, inv, qint
+from ribbonkit.cyclo import field, inv, qfact, qint
 from ribbonkit import tldiag
 from ribbonkit.qrep import (
     InconsistentCharacter,
@@ -34,6 +34,7 @@ from ribbonkit.qrep import (
     ModuleMap,
     WeightModule,
     _nullspace,
+    _op_powers,
     braiding,
     certify_simple,
     check_module,
@@ -96,6 +97,33 @@ def test_relations_on_all_small_modules(p):
     mods.append(chi_module(ctx))
     for m in mods:
         assert check_module(m) == []
+
+
+def test_planted_long_string_fails_nilpotency():
+    # E along a string of p+1 weights: E^p is the nonzero corner entry, and
+    # the powers still run to index p although none of them vanishes
+    ctx = field(3)
+    p = ctx.p
+    e = Matrix(ctx, p + 1, p + 1, {(j - 1, j): ctx.one() for j in range(1, p + 1)})
+    z = Matrix.zeros(ctx, p + 1, p + 1)
+    m = WeightModule(ctx, range(2 * p, -1, -2), e, z, z, z)
+    powers = _op_powers(m.E, p)
+    assert len(powers) == p + 1
+    assert powers[p] == Matrix(ctx, p + 1, p + 1, {(0, p): ctx.one()})
+    assert "E^p is nonzero" in check_module(m)
+    assert "F^p is nonzero" not in check_module(m)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_op_powers_stop_at_zero(p):
+    # the powers of a nilpotent operator past the first zero are zero, and
+    # there are still top + 1 of them
+    ctx = field(p)
+    e = simple_V(ctx, 2).E
+    powers = _op_powers(e, p)
+    assert len(powers) == p + 1
+    assert powers[:2] == [Matrix.identity(ctx, 2), e]
+    assert all(x.is_zero() for x in powers[2:])
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -423,6 +451,110 @@ def test_twist_inverse_scalars(p):
     tw = twist(simple_V(ctx, 2)).matrix
     assert tw == Matrix.identity(ctx, 2).scale(inv(-(ctx.qhalf() ** 3)))
     assert (-(ctx.qhalf() ** 3)) == -(q * ctx.qhalf())
+
+
+# -- fast paths against the term-by-term constructions ----------------------
+
+
+def _all_powers(op, top):
+    # every power up to top, zero or not
+    out = [Matrix.identity(op.ctx, op.rows)]
+    for _ in range(top):
+        out.append(op.mul(out[-1]))
+    return out
+
+
+def _reference_divided(m, powers, generator, k):
+    if k == 0:
+        return Matrix.identity(m.ctx, m.dimension)
+    if k == m.ctx.p:
+        return generator
+    return powers[k].scale(inv(qfact(m.ctx, k)))
+
+
+def _kpow(m, t):
+    ctx = m.ctx
+    return Matrix.diagonal(ctx, [ctx.root(2 * t * w) for w in m.weights])
+
+
+def _reference_ep_fp(m, n):
+    """Ep and Fp of m (x) n, every divided-power term of the coproduct
+    built on both sides before the zero terms are dropped."""
+    ctx = m.ctx
+    p = ctx.p
+    dim = m.dimension * n.dimension
+    me, ne = _all_powers(m.E, p - 1), _all_powers(n.E, p - 1)
+    mf, nf = _all_powers(m.F, p - 1), _all_powers(n.F, p - 1)
+    ep = Matrix.zeros(ctx, dim, dim)
+    fp = Matrix.zeros(ctx, dim, dim)
+    for k in range(p + 1):
+        left = _reference_divided(m, me, m.Ep, k).mul(_kpow(m, p - k))
+        right = _reference_divided(n, ne, n.Ep, p - k)
+        if not (left.is_zero() or right.is_zero()):
+            ep = ep.add(
+                Matrix.kron(left, right).scale(ctx.root(2 * k * (p - k))))
+        left = _reference_divided(m, mf, m.Fp, k)
+        right = _kpow(n, -k).mul(_reference_divided(n, nf, n.Fp, p - k))
+        if not (left.is_zero() or right.is_zero()):
+            fp = fp.add(
+                Matrix.kron(left, right).scale(ctx.root(-2 * k * (p - k))))
+    return ep, fp
+
+
+def _reference_twist_inverse(m):
+    """The inverse twist matrix with every power to p-1, the coefficients
+    (q^2-1)^j/[j]! rebuilt per call and one root per matrix entry."""
+    ctx = m.ctx
+    p = ctx.p
+    q = ctx.q()
+    epow, fpow = _all_powers(m.E, p - 1), _all_powers(m.F, p - 1)
+    acc = {}
+    gpow = ctx.one()
+    for j in range(p):
+        fe = fpow[j].mul(epow[j])
+        coef = gpow * inv(qfact(ctx, j))
+        for (i, k), v in fe.data.items():
+            lam = m.weights[k]
+            root = ctx.root(2 * p * lam + lam * lam + j * (j + 1)
+                            + 2 * (j + 1) * lam)
+            term = root * coef * v
+            cur = acc.get((i, k))
+            acc[(i, k)] = term if cur is None else cur + term
+        gpow = gpow * (q * q - ctx.one())
+    return Matrix(ctx, m.dimension, m.dimension, acc)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+def test_tensor_divided_powers_match_reference(p):
+    ctx = field(p)
+    chi = chi_module(ctx)
+    pairs = [(chi, simple_V(ctx, s)) for s in (1, 2, p)]
+    for r in (1, 2):
+        ell = simple_L(ctx, r)
+        pairs += [(ell, simple_V(ctx, 2)), (simple_V(ctx, 2), ell),
+                  (ell, simple_V(ctx, p)), (simple_V(ctx, p), ell),
+                  (chi, ell), (ell, chi), (ell, simple_L(ctx, 1))]
+    for m, n in pairs:
+        prod = tensor(m, n)
+        ep, fp = _reference_ep_fp(m, n)
+        assert prod.Ep == ep
+        assert prod.Fp == fp
+    # the Frobenius part survives only where a factor carries one
+    assert not tensor(simple_L(ctx, 1), simple_V(ctx, 2)).Ep.is_zero()
+    assert tensor(chi, simple_V(ctx, p)).Ep.is_zero()
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7, 8])
+def test_twist_inverse_matches_reference(p):
+    ctx = field(p)
+    v2, vp = simple_V(ctx, 2), simple_V(ctx, p)
+    mods = [simple_V(ctx, s) for s in range(1, p + 1)]
+    mods += [tensor(chi_module(ctx), simple_V(ctx, s)) for s in range(1, p + 1)]
+    mods += [tensor(v2, v2), tensor(v2, vp), tensor(simple_L(ctx, 1), v2)]
+    for m in mods:
+        got = twist_inverse(m)
+        assert got.verified
+        assert got.matrix == _reference_twist_inverse(m)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
