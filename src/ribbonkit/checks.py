@@ -172,6 +172,28 @@ def _fusion_iso_T(p, env):
                 if ok else f"witness {witness}")
 
 
+@check("fusion.truncated_closed_form")
+def _fusion_truncated_closed_form(p, env):
+    # both routes are commutative by construction (the series and the
+    # convolution are symmetric in their operands), so unordered pairs do
+    rmax = env["rmax"]
+    pairs = 0
+    for ring in (vir_ring(p, rmax), singlet_ring(p, rmax)):
+        labels = ring.labels
+        for i, a in enumerate(labels):
+            for b in labels[i:]:
+                if not ring.fits(a, b):
+                    continue
+                got, want = ring.product(a, b), ring.character_product(a, b)
+                if got != want:
+                    return False, (f"{ring.kind} {a}*{b}: closed form "
+                                   f"{dict(got)}, character route "
+                                   f"{dict(want)}")
+                pairs += 1
+    return True, (f"closed form equals the character route on all {pairs} "
+                  f"in-window unordered pairs of window {rmax}, both kinds")
+
+
 @check("braiding.hexagon")
 def _braiding_hexagon(p, env):
     ctx = field(p)

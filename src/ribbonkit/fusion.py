@@ -106,6 +106,10 @@ class FusionRing:
     def product(self, a, b) -> Counter:
         return Counter(self.constants[(a, b)])
 
+    def fits(self, a, b) -> bool:
+        """Every product of a finite ring is defined (cf. TruncatedRing)."""
+        return True
+
     def all_pairs(self):
         return list(self.constants.keys())
 
@@ -448,17 +452,20 @@ def singlet_labels(p: int, r_max: int = DEFAULT_RMAX) -> list:
 
 
 class TruncatedRing:
-    """Products on a truncated label window, computed from characters.
+    """Products on a truncated label window, in closed form.
 
-    kind "vir": labels (r, s), r >= 1; the product character decomposes
-    into symmetric blocks (r', s') only, each mapped back to a label.
-    kind "singlet": labels (r, s), r any integer; the product character
-    peels into single strings, one label per string.  Any label outside
-    the window, as input or output, raises TruncationOverflow.
+    kind "vir": labels (r, s), r >= 1, each the symmetric block of strings
+    (t, s) at t = -(r-1), ..., r-1.  kind "singlet": labels (r, s), r any
+    integer, each the single string (r-1, s).  product multiplies labels by
+    the Clebsch-Gordan series (see _first_outside); character_product
+    convolves the weight characters and peels the result, the route the
+    closed form is checked against (checks: fusion.truncated_closed_form).
+    Any label outside the window, as input or output, raises
+    TruncationOverflow.
 
-    The output window is known from the input labels (_first_outside), so
-    an overflowing product is refused before any character is built; the
-    check on each output label stays as a guard.
+    The output window is known from the input labels (_first_outside, and
+    fits for a caller that only asks), so an overflowing product is refused
+    before any work; the check on each output label stays as a guard.
     """
 
     def __init__(self, p: int, r_max: int, kind: str):
@@ -516,17 +523,65 @@ class TruncatedRing:
             return (top, k if k <= p else p - (k - p) % 2)
         return (top - 1, s + s2 - 1 - p)
 
-    def _weights(self, lab) -> Counter:
-        r, s = lab
-        ts = range(-(r - 1), r, 2) if self.kind == "vir" else (r - 1,)
-        return Counter(w for t in ts for w in string_weights(self.p, t, s))
+    def fits(self, a, b) -> bool:
+        """Whether a * b stays inside the window, from the labels alone."""
+        return self._first_outside(a, b) is None
 
-    def product(self, a, b) -> Counter:
+    def _admit(self, a, b):
         self._check_label(a)
         self._check_label(b)
         outside = self._first_outside(a, b)
         if outside is not None:
             raise self._outside(outside)
+
+    def product(self, a, b) -> Counter:
+        """a * b from the Clebsch-Gordan series, keyed in peel order.
+
+        Singlet: (r,s)(r',s') gives, at t = r+r'-1 and for each k of the
+        series, (t, k) when k <= p, else (t+1, k-p), (t, 2p-k), (t-1, k-p).
+        Virasoro: the same for each t = |r-r'|+1, ..., r+r'-1 of the sl(2)
+        series in r, with no (0, k-p) block at t = 1.  The keys come in the
+        character route's order, the descending top weight (r-1)p + s-1
+        of each string: (r, s) descending, and for the Virasoro kind
+        grouped by s, each group ranked by its highest block.
+        """
+        self._admit(a, b)
+        (r, s), (r2, s2) = a, b
+        p = self.p
+        vir = self.kind == "vir"
+        ts = range(abs(r - r2) + 1, r + r2, 2) if vir else (r + r2 - 1,)
+        ks = range(abs(s - s2) + 1, s + s2, 2)
+        out = Counter()
+        for t in ts:
+            for k in ks:
+                if k <= p:
+                    out[(t, k)] += 1
+                else:
+                    out[(t + 1, k - p)] += 1
+                    out[(t, 2 * p - k)] += 1
+                    if t > 1 or not vir:
+                        out[(t - 1, k - p)] += 1
+        if vir:
+            top = {}
+            for t, k in out:
+                top[k] = max(top.get(k, t), t)
+            order = sorted(out, key=lambda lab: (top[lab[1]], lab[1], lab[0]),
+                           reverse=True)
+        else:
+            order = sorted(out, reverse=True)
+        out = Counter({lab: out[lab] for lab in order})
+        for lab in out:
+            self._check_label(lab)
+        return out
+
+    def _weights(self, lab) -> Counter:
+        r, s = lab
+        ts = range(-(r - 1), r, 2) if self.kind == "vir" else (r - 1,)
+        return Counter(w for t in ts for w in string_weights(self.p, t, s))
+
+    def character_product(self, a, b) -> Counter:
+        """a * b by convolving the two weight characters and peeling."""
+        self._admit(a, b)
         conv = _convolve(self._weights(a), self._weights(b))
         out = Counter()
         if self.kind == "vir":

@@ -18,8 +18,7 @@ from fractions import Fraction
 
 from .cyclo import field, make_root, qint
 from .fusion import (
-    DEFAULT_RMAX, TruncationOverflow, conformal_weight, label_json,
-    singlet_ring,
+    DEFAULT_RMAX, conformal_weight, label_json, singlet_ring,
 )
 from .qrep import (
     Matrix,
@@ -177,8 +176,8 @@ def muger_candidates(ring, twists: TwistTable) -> set:
 
     A necessary condition for transparency, checked eigenvalue by
     eigenvalue.  On truncated rings, pairs whose product leaves the window
-    are skipped: they can neither confirm nor refute a candidate inside
-    the truncation.
+    (ring.fits is false) are skipped: they can neither confirm nor refute
+    a candidate inside the truncation.
     """
     one = twists.ctx.one()
     labels = ring.labels
@@ -186,10 +185,9 @@ def muger_candidates(ring, twists: TwistTable) -> set:
     for y in labels:
         central = True
         for x in labels:
-            try:
-                spec = monodromy(ring, twists, x, y)
-            except TruncationOverflow:
+            if not ring.fits(x, y):
                 continue
+            spec = monodromy(ring, twists, x, y)
             if any(eig != one for _, eig, _ in spec.entries):
                 central = False
                 break

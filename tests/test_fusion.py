@@ -30,6 +30,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ribbonkit import fusion
+from ribbonkit.checks import CHECKS
 from ribbonkit.cyclo import field, qfact, qint
 from ribbonkit.qrep import (
     chi_module,
@@ -217,8 +218,28 @@ def test_wp_ring_associative_all_triples(p):
 
 @pytest.mark.parametrize("p", ALL_P)
 def test_check_iso_T(p):
-    ok, witness = iso_T(p).check()
-    assert ok and witness is None
+    # criterion 2 runs the clean check; here each law gets one planted
+    # fault at this p and must come back as the witness
+    t = iso_T(p)
+    uq, wp = t.source, t.target
+
+    doubled = dict(t.assign)
+    doubled[(p, 1)] = doubled[(p, 0)]
+    assert RingMorphism(uq, wp, doubled).check() == (
+        False, ("not a bijection onto the target basis", None, None))
+
+    swapped = dict(t.assign)
+    swapped[(1, 0)], swapped[(1, 1)] = swapped[(1, 1)], swapped[(1, 0)]
+    assert RingMorphism(uq, wp, swapped).check() == (
+        False, ("unit is not preserved", None, None))
+
+    last = uq.all_pairs()[-1]
+    image = (t.assign[last[0]], t.assign[last[1]])
+    consts = {pair: dict(wp.product(*pair)) for pair in wp.all_pairs()}
+    consts[image][wp.unit] = consts[image].get(wp.unit, 0) + 1
+    bumped = FusionRing(wp.labels, wp.unit, consts, dict(wp.dual))
+    assert RingMorphism(uq, bumped, dict(t.assign)).check() == (
+        False, (last, t.push(uq.product(*last)), Counter(consts[image])))
 
 
 @pytest.mark.parametrize("p", [8, 13, 20])
@@ -545,6 +566,106 @@ def test_truncated_product_matches_character_route(kind, p, monkeypatch):
                     with pytest.raises(TruncationOverflow) as err:
                         ring.product(a, b)
                 assert str(err.value) == detail, (r_max, a, b)
+
+
+def _outcome(route, a, b):
+    # ("ok", items in key order) or ("overflow", refusal text)
+    try:
+        return "ok", list(route(a, b).items())
+    except TruncationOverflow as err:
+        return "overflow", str(err)
+
+
+@pytest.mark.parametrize("kind", ["vir", "singlet"])
+@pytest.mark.parametrize("p, r_max", [(4, 8), (8, 8), (11, 8), (20, 3)])
+def test_closed_form_matches_character_routes(kind, p, r_max):
+    # the closed form against the library's character route and the
+    # test-local one: values, key order and refusal text.  The character
+    # routes are commutative by construction, so they run once per
+    # unordered pair; the closed form runs on both orders
+    ring = fusion.TruncatedRing(p, r_max, kind)
+    labels = ring.labels
+    for i, a in enumerate(labels):
+        for b in labels[i:]:
+            want, detail = _character_route(ring, a, b)
+            want = (want, list(detail.items()) if want == "ok" else detail)
+            assert _outcome(ring.product, a, b) == want, (a, b)
+            assert _outcome(ring.product, b, a) == want, (b, a)
+            assert _outcome(ring.character_product, a, b) == want, (a, b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_truncated_closed_form_row(p):
+    ok, detail = CHECKS["fusion.truncated_closed_form"](p, {"rmax": 8})
+    pairs = 0
+    for kind in ("vir", "singlet"):
+        ring = fusion.TruncatedRing(p, 8, kind)
+        labels = ring.labels
+        pairs += sum(_character_route(ring, a, b)[0] == "ok"
+                     for i, a in enumerate(labels) for b in labels[i:])
+    assert ok, detail
+    assert detail == (f"closed form equals the character route on all "
+                      f"{pairs} in-window unordered pairs of window 8, "
+                      "both kinds")
+
+
+def _drop_top_spill(only=None):
+    # a closed form that loses the (t+1, k-p) block of the top k > p of the
+    # series at the top t, on every pair or on the one pair given
+    product = fusion.TruncatedRing.product
+
+    def planted(self, a, b):
+        out = product(self, a, b)
+        (r, s), (r2, s2) = a, b
+        k = s + s2 - 1
+        if k > self.p and only in (None, (a, b)):
+            out[(r + r2, k - self.p)] -= 1
+        return +out
+    return planted
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_truncated_closed_form_row_names_the_pair(p, monkeypatch):
+    row = CHECKS["fusion.truncated_closed_form"]
+    # on every pair: the first Virasoro pair with s + s' > p + 1 in scan
+    # order comes back
+    with monkeypatch.context() as m:
+        m.setattr(fusion.TruncatedRing, "product", _drop_top_spill())
+        ok, detail = row(p, {"rmax": 8})
+    assert not ok
+    assert detail.startswith(f"vir (1, 2)*(1, {p}): closed form "), detail
+    # on one singlet pair alone: that pair, with both results
+    pair = ((-1, p), (2, p))
+    ring = singlet_ring(p, 8)
+    planted = _drop_top_spill(only=pair)
+    want = (False, (f"singlet (-1, {p})*(2, {p}): closed form "
+                    f"{dict(planted(ring, *pair))}, character route "
+                    f"{dict(ring.character_product(*pair))}"))
+    with monkeypatch.context() as m:
+        m.setattr(fusion.TruncatedRing, "product", planted)
+        assert row(p, {"rmax": 8}) == want
+
+
+@pytest.mark.parametrize("kind", ["vir", "singlet"])
+@pytest.mark.parametrize("p", ALL_P)
+def test_fits_is_the_refusal(kind, p):
+    for r_max in range(1, 6):
+        ring = fusion.TruncatedRing(p, r_max, kind)
+        for a in ring.labels:
+            for b in ring.labels:
+                try:
+                    ring.product(a, b)
+                    refused = False
+                except TruncationOverflow:
+                    refused = True
+                assert ring.fits(a, b) is not refused, (r_max, a, b)
+
+
+def test_finite_rings_fit_everywhere():
+    rings = [toy_z2_ring()] + [f(p) for p in (2, 3, 5) for f in (uq_ring,
+                                                                  wp_ring)]
+    for ring in rings:
+        assert all(ring.fits(a, b) is True for a, b in ring.all_pairs())
 
 
 # -- induction maps ----------------------------------------------------------

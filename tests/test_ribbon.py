@@ -22,6 +22,8 @@ import pytest
 from collections import Counter
 from fractions import Fraction
 
+from ribbonkit import fusion
+from ribbonkit.checks import CHECKS
 from ribbonkit.cyclo import embed_complex, field, make_root, parse_cyc, qint
 from ribbonkit.fusion import (
     TruncationOverflow, conformal_weight, singlet_ring, uq_ring, wp_ring,
@@ -261,6 +263,26 @@ def test_muger_singlet(p):
     table = singlet_twists(p, r_max=6)
     got = muger_candidates(ring, table)
     assert got == {(r, 1) for r in (-5, -3, -1, 1, 3, 5)}
+
+
+def _window_only(product):
+    # a product that fails the test on any pair the window refuses, so a
+    # scan that still asked for one (and caught the refusal) shows up
+    def guarded(self, a, b):
+        assert self.fits(a, b), f"scan asked for {a} * {b}"
+        return product(self, a, b)
+    return guarded
+
+
+@pytest.mark.parametrize("p", ALL_P)
+def test_muger_scan_asks_only_fitting_pairs(p, monkeypatch):
+    monkeypatch.setattr(fusion.TruncatedRing, "product",
+                        _window_only(fusion.TruncatedRing.product))
+    ring = singlet_ring(p, r_max=6)
+    got = muger_candidates(ring, singlet_twists(p, r_max=6))
+    assert got == {(r, 1) for r in (-5, -3, -1, 1, 3, 5)}
+    ok, detail = CHECKS["modularity.singlet_center"](p, {"rmax": 8})
+    assert ok, detail
 
 
 def test_muger_toy_all_central():
