@@ -121,7 +121,7 @@ def twist_routes(p: int):
     """The recursion-side twist table, and the labels where the inverse
     module twists disagree with it under the label bijection."""
     table = wp_twists(p)
-    module_side = uq_twists(p, inverse=True)
+    module_side = uq_twists(p)
     assign = iso_T(p).assign
     bad = [lab for lab in module_side.ring.labels
            if module_side.theta[lab] != table.theta[assign[lab]]]

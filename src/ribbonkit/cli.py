@@ -299,7 +299,7 @@ def _build_ring(family: str, p: int, rmax):
     return maker(p, rmax)
 
 
-def _atom_label(node, labels, p: int):
+def _atom_label(node, ring, p: int):
     _, fam, idx = node
     idx = tuple(p if v == "p" else v for v in idx)
     if fam == "chi":
@@ -308,7 +308,7 @@ def _atom_label(node, labels, p: int):
         lab = (idx[0], 0)
     else:
         lab = idx
-    if lab not in labels:
+    if lab not in ring:
         raise EvalError(f"label {_atom_str(node)} is not in the p={p} ring")
     return lab
 
@@ -319,14 +319,14 @@ def _add_into(acc: dict, combo: dict, scale: int):
     return acc
 
 
-def _eval(node, ring, labels, p):
+def _eval(node, ring, p):
     kind = node[0]
     if kind == "int":
         return {ring.unit: node[1]}
     if kind == "atom":
-        return {_atom_label(node, labels, p): 1}
-    left = _eval(node[1], ring, labels, p)
-    right = _eval(node[2], ring, labels, p)
+        return {_atom_label(node, ring, p): 1}
+    left = _eval(node[1], ring, p)
+    right = _eval(node[2], ring, p)
     if kind == "add":
         return _add_into(dict(left), right, 1)
     if kind == "sub":
@@ -346,9 +346,8 @@ def evaluate(node, p: int, rmax=DEFAULT_RMAX) -> Counter:
     """
     family = expression_family(node)
     ring = _build_ring(family, p, rmax)
-    labels = set(ring.labels)
     try:
-        combo = _eval(node, ring, labels, p)
+        combo = _eval(node, ring, p)
     except TruncationOverflow as err:
         raise EvalError(str(err)) from err
     return Counter({lab: mult for lab, mult in combo.items() if mult})

@@ -525,18 +525,6 @@ def make_root(ctx: FieldContext, k: int) -> CycNumber:
     return ctx.root(k)
 
 
-def add(a: CycNumber, b: CycNumber) -> CycNumber:
-    return a + b
-
-
-def mul(a: CycNumber, b: CycNumber) -> CycNumber:
-    return a * b
-
-
-def neg(a: CycNumber) -> CycNumber:
-    return -a
-
-
 def inv(a: CycNumber) -> CycNumber:
     return a.inv()
 
@@ -554,14 +542,6 @@ def qfact(ctx: FieldContext, n: int) -> CycNumber:
     if n < 1:
         return ctx.one()
     return qfact(ctx, n - 1) * qint(ctx, n)
-
-
-def qbinom(ctx: FieldContext, n: int, k: int) -> CycNumber:
-    """[n choose k] = [n]!/([k]![n-k]!); requires the denominator nonzero."""
-    den = qfact(ctx, k) * qfact(ctx, n - k)
-    if den.is_zero():
-        raise ZeroDivisionError(f"[{k}]! [{n - k}]! vanishes at p={ctx.p}")
-    return qfact(ctx, n) / den
 
 
 def embed_complex(a: CycNumber) -> complex:

@@ -49,6 +49,9 @@ class ConvergenceError(RuntimeError):
 # truncation window of the infinite label families unless one is given
 DEFAULT_RMAX = 8
 
+# power-iteration steps before _perron gives up
+_PERRON_MAX_ITER = 10000
+
 
 # -- based rings with nonnegative integer constants ---------------------------
 
@@ -67,7 +70,7 @@ class FusionRing:
 
     def __init__(self, labels, unit, constants, dual):
         self.labels = tuple(labels)
-        universe = set(self.labels)
+        self._universe = universe = frozenset(self.labels)
         if len(universe) != len(self.labels):
             raise ValueError("duplicate labels")
         if unit not in universe:
@@ -102,6 +105,9 @@ class FusionRing:
             if self.constants[(self.unit, a)] != Counter({a: 1}) or \
                     self.constants[(a, self.unit)] != Counter({a: 1}):
                 raise ValueError(f"unit does not act trivially on {a!r}")
+
+    def __contains__(self, lab) -> bool:
+        return lab in self._universe
 
     def product(self, a, b) -> Counter:
         return Counter(self.constants[(a, b)])
@@ -155,9 +161,8 @@ class RingMorphism:
     def __init__(self, source, target, assign):
         if set(assign) != set(source.labels):
             raise ValueError("assignment must cover every source label")
-        tuniv = set(target.labels)
         for v in assign.values():
-            if v not in tuniv:
+            if v not in target:
                 raise ValueError(f"{v!r} is not a target label")
         self.source = source
         self.target = target
@@ -313,11 +318,12 @@ class FPDimResult:
         return f"FPDimResult({self.value}, {tag})"
 
 
-def _perron(ring, combo, max_iter: int):
+def _perron(ring, combo):
     """(eigenvalue, unit vector, max-norm residual) of the Perron pair of
     left multiplication by combo, by power iteration from the all-ones
     vector: stops below residual 1e-10, raises ConvergenceError after
-    max_iter steps, and gives (0.0, zero vector, 0.0) if M kills it."""
+    _PERRON_MAX_ITER steps, and gives (0.0, zero vector, 0.0) if M kills
+    it."""
     pos = {lab: i for i, lab in enumerate(ring.labels)}
     cols = [Counter() for _ in ring.labels]
     for a, ma in combo.items():
@@ -325,7 +331,7 @@ def _perron(ring, combo, max_iter: int):
             for k, c in ring.constants[(a, b)].items():
                 cols[pos[b]][pos[k]] += ma * c
     image = _apply(cols, [1.0] * len(cols))
-    for _ in range(max_iter):
+    for _ in range(_PERRON_MAX_ITER):
         norm = math.hypot(*image)
         if norm == 0.0:
             return 0.0, image, 0.0
@@ -336,7 +342,7 @@ def _perron(ring, combo, max_iter: int):
         if residual < 1e-10:
             return lam, w, residual
     raise ConvergenceError(
-        f"power iteration did not reach 1e-10 within {max_iter} steps"
+        f"power iteration did not reach 1e-10 within {_PERRON_MAX_ITER} steps"
     )
 
 
@@ -349,7 +355,7 @@ def _fp_character(ring):
     an exact integer re-check of every product relation, so a returned
     character is proven, not numerical."""
     try:
-        _, vec, _ = _perron(ring, dict.fromkeys(ring.labels, 1), 10000)
+        _, vec, _ = _perron(ring, dict.fromkeys(ring.labels, 1))
     except ConvergenceError:
         return None
     anchor = max(range(len(vec)), key=vec.__getitem__)
@@ -370,7 +376,7 @@ def _fp_character(ring):
     return {lab: Fraction(v) for lab, v in candidate.items()}
 
 
-def fpdim_object(ring, x, max_iter: int = 10000) -> FPDimResult:
+def fpdim_object(ring, x) -> FPDimResult:
     """Frobenius-Perron dimension of a label or Z+-combination of labels.
 
     Exact (Fraction) whenever the ring carries a certified integer
@@ -379,14 +385,14 @@ def fpdim_object(ring, x, max_iter: int = 10000) -> FPDimResult:
     """
     combo = Counter(x) if isinstance(x, (dict, Counter)) else Counter({x: 1})
     for lab in combo:
-        if lab not in set(ring.labels):
+        if lab not in ring:
             raise ValueError(f"{lab!r} is not a label of this ring")
     char = _fp_character(ring)
     if char is not None:
         value = sum((char[lab] * mult for lab, mult in combo.items()),
                     Fraction(0))
         return FPDimResult(value, True)
-    lam, _, residual = _perron(ring, combo, max_iter)
+    lam, _, residual = _perron(ring, combo)
     return FPDimResult(lam, False, residual)
 
 
@@ -439,33 +445,20 @@ def conformal_weight(p: int, r: int, s: int) -> Fraction:
     return Fraction((r * p - s) ** 2 - (p - 1) ** 2, 4 * p)
 
 
-def vir_labels(p: int, r_max: int = DEFAULT_RMAX) -> list:
-    """Labels (r, s) with exact conformal weights, 1 <= r <= r_max."""
-    return [((r, s), conformal_weight(p, r, s))
-            for r in range(1, r_max + 1) for s in range(1, p + 1)]
-
-
-def singlet_labels(p: int, r_max: int = DEFAULT_RMAX) -> list:
-    """Labels (r, s) with exact conformal weights, |r| <= r_max."""
-    return [((r, s), conformal_weight(p, r, s))
-            for r in range(-r_max, r_max + 1) for s in range(1, p + 1)]
-
-
 class TruncatedRing:
     """Products on a truncated label window, in closed form.
 
     kind "vir": labels (r, s), r >= 1, each the symmetric block of strings
     (t, s) at t = -(r-1), ..., r-1.  kind "singlet": labels (r, s), r any
     integer, each the single string (r-1, s).  product multiplies labels by
-    the Clebsch-Gordan series (see _first_outside); character_product
-    convolves the weight characters and peels the result, the route the
-    closed form is checked against (checks: fusion.truncated_closed_form).
-    Any label outside the window, as input or output, raises
-    TruncationOverflow.
+    the Clebsch-Gordan series; character_product convolves the weight
+    characters and peels the result, the route the closed form is checked
+    against (checks: fusion.truncated_closed_form).  Any label outside the
+    window, as input or output, raises TruncationOverflow.
 
-    The output window is known from the input labels (_first_outside, and
-    fits for a caller that only asks), so an overflowing product is refused
-    before any work; the check on each output label stays as a guard.
+    The series is the one window rule: fits bounds its first indices, and
+    a pair that does not fit is refused from the series' top block, which
+    holds the first out-of-window label in peel order.
     """
 
     def __init__(self, p: int, r_max: int, kind: str):
@@ -477,62 +470,39 @@ class TruncatedRing:
         self.unit = (1, 1)
 
     @property
+    def _r_min(self) -> int:
+        return 1 if self.kind == "vir" else -self.r_max
+
+    @property
     def labels(self):
-        lo = 1 if self.kind == "vir" else -self.r_max
-        return tuple((r, s) for r in range(lo, self.r_max + 1)
+        return tuple((r, s) for r in range(self._r_min, self.r_max + 1)
                      for s in range(1, self.p + 1))
 
-    def _outside(self, lab) -> TruncationOverflow:
-        return TruncationOverflow(
-            f"label {lab} outside the r_max={self.r_max} window"
-        )
+    def __contains__(self, lab) -> bool:
+        r, s = lab
+        return self._r_min <= r <= self.r_max and 1 <= s <= self.p
 
     def _check_label(self, lab):
-        r, s = lab
+        _, s = lab
         if not 1 <= s <= self.p:
             raise ValueError(f"inner index {s} outside 1..{self.p}")
-        lo = 1 if self.kind == "vir" else -self.r_max
-        if not lo <= r <= self.r_max:
-            raise self._outside(lab)
-
-    def _first_outside(self, a, b):
-        """The first out-of-window label of a * b in peel order, or None.
-
-        Strings (t, s) and (t', s') multiply by the Clebsch-Gordan series
-        k = |s-s'|+1, ..., s+s'-1 shifted by (t+t')p; a k past p splits
-        into strings at t+t'+1, t+t' and t+t'-1.  So the output labels
-        span top = r+r'-1, widened by one on each side when s+s' > p+1
-        (spill).  The Virasoro kind stays at r >= 1 on its own.
-        """
-        (r, s), (r2, s2) = a, b
-        p, r_max = self.p, self.r_max
-        top = r + r2 - 1
-        spill = s + s2 > p + 1
-        if top + spill > r_max:
-            return (top + 1, s + s2 - 1 - p) if spill else (top, s + s2 - 1)
-        if self.kind == "vir" or top - spill >= -r_max:
-            return None
-        # singlet low side: peeling descends, so the highest string that
-        # is still below the window comes first
-        if spill and top + 1 < -r_max:
-            return (top + 1, s + s2 - 1 - p)
-        if top < -r_max:
-            # the largest inner index at top is the largest k <= p of the
-            # series; a k past p leaves 2p - k there, which is never larger
-            k = s + s2 - 1
-            return (top, k if k <= p else p - (k - p) % 2)
-        return (top - 1, s + s2 - 1 - p)
+        if lab not in self:
+            raise TruncationOverflow(
+                f"label {lab} outside the r_max={self.r_max} window"
+            )
 
     def fits(self, a, b) -> bool:
-        """Whether a * b stays inside the window, from the labels alone."""
-        return self._first_outside(a, b) is None
+        """Whether a * b stays inside the window, from the labels alone.
 
-    def _admit(self, a, b):
-        self._check_label(a)
-        self._check_label(b)
-        outside = self._first_outside(a, b)
-        if outside is not None:
-            raise self._outside(outside)
+        The series' first indices span top = r+r'-1, widened by one on
+        each side when some k of the inner series passes p (s+s' > p+1,
+        spill); both ends occur.  The Virasoro kind stays at r >= 1.
+        """
+        (r, s), (r2, s2) = a, b
+        top = r + r2 - 1
+        spill = s + s2 > self.p + 1
+        return top + spill <= self.r_max and (
+            self.kind == "vir" or top - spill >= -self.r_max)
 
     def product(self, a, b) -> Counter:
         """a * b from the Clebsch-Gordan series, keyed in peel order.
@@ -543,13 +513,20 @@ class TruncatedRing:
         series in r, with no (0, k-p) block at t = 1.  The keys come in the
         character route's order, the descending top weight (r-1)p + s-1
         of each string: (r, s) descending, and for the Virasoro kind
-        grouped by s, each group ranked by its highest block.
+        grouped by s, each group ranked by its highest block.  A pair that
+        does not fit builds the top block t = r+r'-1 alone: its first key
+        is the first label past the window, and the check on each output
+        label refuses it.
         """
-        self._admit(a, b)
+        self._check_label(a)
+        self._check_label(b)
         (r, s), (r2, s2) = a, b
         p = self.p
         vir = self.kind == "vir"
-        ts = range(abs(r - r2) + 1, r + r2, 2) if vir else (r + r2 - 1,)
+        if vir and self.fits(a, b):
+            ts = range(abs(r - r2) + 1, r + r2, 2)
+        else:
+            ts = (r + r2 - 1,)
         ks = range(abs(s - s2) + 1, s + s2, 2)
         out = Counter()
         for t in ts:
@@ -581,7 +558,10 @@ class TruncatedRing:
 
     def character_product(self, a, b) -> Counter:
         """a * b by convolving the two weight characters and peeling."""
-        self._admit(a, b)
+        self._check_label(a)
+        self._check_label(b)
+        if not self.fits(a, b):
+            self.product(a, b)  # refuses before any convolution
         conv = _convolve(self._weights(a), self._weights(b))
         out = Counter()
         if self.kind == "vir":

@@ -271,14 +271,6 @@ class ModuleMap:
             if left != right:
                 raise ValueError(f"map fails to intertwine {name}")
 
-    def compose(self, other: "ModuleMap") -> "ModuleMap":
-        """self after other."""
-        if other.codomain is not self.domain:
-            if other.codomain.weights != self.domain.weights:
-                raise ValueError("composition domains disagree")
-        return ModuleMap(other.domain, self.codomain,
-                         self.matrix.mul(other.matrix))
-
     def __repr__(self):
         return (f"ModuleMap({self.domain!r} -> {self.codomain!r}, "
                 f"verified={self.verified})")

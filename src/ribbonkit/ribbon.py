@@ -18,14 +18,13 @@ from fractions import Fraction
 
 from .cyclo import field, make_root, qint
 from .fusion import (
-    DEFAULT_RMAX, conformal_weight, label_json, singlet_ring,
+    DEFAULT_RMAX, conformal_weight, label_json, singlet_ring, uq_ring, wp_ring,
 )
 from .qrep import (
     Matrix,
     chi_module,
     simple_V,
     tensor,
-    twist,
     twist_inverse,
 )
 
@@ -102,8 +101,6 @@ def wp_twists(p: int) -> TwistTable:
     The plus family alternates sign under z^(s^2-1); the minus family
     carries the extra constant -z^(3p^2), the exact form of -e^(3 pi i p/2).
     """
-    from .fusion import wp_ring
-
     ctx = field(p)
     theta = {}
     for s in range(1, p + 1):
@@ -125,22 +122,20 @@ def module_twist_scalar(mat: Matrix):
     return value
 
 
-def uq_twists(p: int, inverse: bool = True) -> TwistTable:
-    """Twist scalars on the module side, computed from the operators.
+def uq_twists(p: int) -> TwistTable:
+    """Inverse twist scalars on the module side, computed from the operators.
 
-    Each simple gets theta (or its inverse) by applying the twist operator
-    and extracting the scalar; a non-scalar result would mean the module
-    was not simple and raises.
+    Each simple gets theta^-1 by applying the inverse twist operator and
+    extracting the scalar; a non-scalar result would mean the module was
+    not simple and raises.
     """
-    from .fusion import uq_ring
-
     ctx = field(p)
-    op = twist_inverse if inverse else twist
     theta = {}
     for s in range(1, p + 1):
-        theta[(s, 0)] = module_twist_scalar(op(simple_V(ctx, s)).matrix)
+        theta[(s, 0)] = module_twist_scalar(
+            twist_inverse(simple_V(ctx, s)).matrix)
         twisted = tensor(chi_module(ctx), simple_V(ctx, s))
-        theta[(s, 1)] = module_twist_scalar(op(twisted).matrix)
+        theta[(s, 1)] = module_twist_scalar(twist_inverse(twisted).matrix)
     return TwistTable(uq_ring(p), theta)
 
 

@@ -17,6 +17,7 @@ import json
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 from collections import Counter
@@ -26,6 +27,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import ribbonkit
+from ribbonkit import fusion
 from ribbonkit.cyclo import field, make_root
 from ribbonkit.cli import (
     MAX_DEPTH,
@@ -213,6 +215,59 @@ def test_cmd_fuse_errors(capsys):
     assert "offset 4" in err
     assert main(["fuse", "-p", "3", "V[9]"]) == 2
     assert main(["fuse", "-p", "2", "--rmax", "3", "M[3,1]*M[3,1]"]) == 2
+
+
+def _no_window(self):
+    raise AssertionError("the whole window was built")
+
+
+def test_cmd_fuse_checks_atoms_without_the_window(capsys, monkeypatch):
+    # atoms are checked by the ring's bounds, never against a label set
+    monkeypatch.setattr(fusion.TruncatedRing, "labels", property(_no_window))
+    assert main(["fuse", "-p", "3", "L[2,1]*L[2,1]"]) == 0
+    assert capsys.readouterr().out == "L[1,1] + L[3,1]\n"
+    assert main(["fuse", "-p", "3", "M[-2,3]*M[3,1]"]) == 0
+    assert capsys.readouterr().out == "M[0,3]\n"
+    assert main(["fuse", "-p", "4", "--rmax", "8", "L[9,1]*L[1,1]"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: label L[9,1] is not in the p=4 ring\n")
+    # 2*10**8 + 1 first indices: the atom check reads only the bounds
+    big = "M[100000000,1]*M[100000000,1]"
+    assert main(["fuse", "-p", "2", big, "--rmax", "100000000"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: label (199999999, 1) outside the r_max=100000000 "
+        "window\n")
+
+
+def _readme_examples():
+    # (argv, output lines) of each `$ ribbonkit ...` example in README's sh
+    # blocks; a block whose output is elided with `...` is left out
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        lines = block.splitlines()
+        if "..." in lines:
+            continue
+        for line in lines:
+            if line.startswith("$ ribbonkit "):
+                examples.append((shlex.split(line)[2:], []))
+            elif line and examples and not line.startswith("$"):
+                examples[-1][1].append(line)
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_has_examples():
+    assert README_EXAMPLES
+
+
+@pytest.mark.parametrize("argv, lines", README_EXAMPLES,
+                         ids=[" ".join(argv) for argv, _ in README_EXAMPLES])
+def test_readme_examples(capsys, argv, lines):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 def test_cmd_fuse_range(capsys):

@@ -22,6 +22,7 @@ Frozen expectations, derived before implementation:
 """
 
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -59,11 +60,9 @@ from ribbonkit.fusion import (
     induction_Iprime,
     iso_T,
     ring_json,
-    singlet_labels,
     singlet_ring,
     uq_projective_classes,
     uq_ring,
-    vir_labels,
     vir_ring,
     wp_projective_classes,
     wp_ring,
@@ -402,8 +401,8 @@ def test_fpdim_unsettled_perron_vector():
         ("x", "1"): {"x": 1}, ("x", "x"): {},
     }
     ring = FusionRing(["1", "x"], "1", consts, {"1": "1", "x": "x"})
-    with pytest.raises(ConvergenceError):
-        fusion._perron(ring, {"1": 1, "x": 1}, 10000)
+    with pytest.raises(ConvergenceError, match="within 10000 steps"):
+        fusion._perron(ring, {"1": 1, "x": 1})
     assert fusion._fp_character(ring) is None
     res = fpdim_object(ring, "x")
     assert not res.exact and res.value == 0.0 and res.residual == 0.0
@@ -425,7 +424,7 @@ def test_negative_constant_rejected():
 def test_conformal_weights(p):
     assert conformal_weight(p, 1, 1) == 0
     assert conformal_weight(p, 1, 2) == Fraction(3, 4 * p) - Fraction(1, 2)
-    vl = vir_labels(p, 4)
+    vl = [(lab, conformal_weight(p, *lab)) for lab in vir_ring(p, 4).labels]
     assert ((1, 1), Fraction(0)) in vl
     assert len(vl) == 4 * p
 
@@ -471,7 +470,8 @@ def test_singlet_ring_invertibles():
 
 
 def test_singlet_labels_range():
-    labs = singlet_labels(2, 3)
+    labs = [(lab, conformal_weight(2, *lab))
+            for lab in singlet_ring(2, 3).labels]
     rs = {r for (r, s), _h in labs}
     assert rs == {-3, -2, -1, 0, 1, 2, 3}
     assert ((1, 1), Fraction(0)) in labs
@@ -504,6 +504,22 @@ def _clebsch_gordan_strings(p, a, b):
             out[(t + u + 1, k - p)] += 1
             out[(t + u, 2 * p - k)] += 1
             out[(t + u - 1, k - p)] += 1
+    return out
+
+
+def _series_labels(kind, p, a, b):
+    # every label of a * b, with no window.  A singlet label (r, s) is the
+    # string (r - 1, s); Virasoro labels add the sl(2) series in r, each
+    # term the string series at that r, with no (0, k-p) block at r = 1
+    (r, s), (r2, s2) = a, b
+    if kind == "singlet":
+        strings = _clebsch_gordan_strings(p, (r - 1, s), (r2 - 1, s2))
+        return Counter({(t + 1, k): m for (t, k), m in strings.items()})
+    out = Counter()
+    for rr in range(abs(r - r2) + 1, r + r2, 2):
+        for lab, m in _clebsch_gordan_strings(p, (rr, s), (0, s2)).items():
+            if lab[0] > 0:
+                out[lab] += m
     return out
 
 
@@ -659,6 +675,75 @@ def test_fits_is_the_refusal(kind, p):
                 except TruncationOverflow:
                     refused = True
                 assert ring.fits(a, b) is not refused, (r_max, a, b)
+
+
+@pytest.mark.parametrize("kind", ["vir", "singlet"])
+@pytest.mark.parametrize("p", range(2, 11))
+def test_fits_matches_the_series(kind, p):
+    # fits against the series itself: true exactly when every label of
+    # a * b lies in the window.  A pair of window w lies in every larger
+    # window, so each pair's series is built once, at the largest
+    rings = [fusion.TruncatedRing(p, w, kind) for w in range(1, 9)]
+    for a in rings[-1].labels:
+        for b in rings[-1].labels:
+            rs = [r for r, _s in _series_labels(kind, p, a, b)]
+            for ring in rings:
+                w = ring.r_max
+                if max(abs(a[0]), abs(b[0])) > w:
+                    continue
+                lo = 1 if kind == "vir" else -w
+                inside = lo <= min(rs) and max(rs) <= w
+                assert ring.fits(a, b) is inside, (w, a, b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_vir_product_matches_the_series(p):
+    # the Virasoro half of the test-local series is the product wherever
+    # it fits (test_singlet_product_matches_closed_form has the singlet)
+    ring = vir_ring(p, r_max=4)
+    for a in ring.labels:
+        for b in ring.labels:
+            if ring.fits(a, b):
+                want = _series_labels("vir", p, a, b)
+                assert ring.product(a, b) == want, (a, b)
+
+
+@pytest.mark.parametrize("a, name", [((10**6, 1), (1999999, 1)),
+                                     ((10**6, 2), (2000000, 1))])
+def test_refusal_builds_the_top_block_only(a, name):
+    # the full series in r has 10**6 blocks; a refusal builds only the top
+    ring = vir_ring(2, 10**6)
+    start = time.perf_counter()
+    with pytest.raises(TruncationOverflow) as err:
+        ring.product(a, a)
+    assert time.perf_counter() - start < 0.5
+    assert str(err.value) == f"label {name} outside the r_max=1000000 window"
+
+
+@pytest.mark.parametrize("kind", ["vir", "singlet"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_character_product_refuses_before_convolving(kind, p, monkeypatch):
+    for r_max in (2, 3):
+        ring = fusion.TruncatedRing(p, r_max, kind)
+        refused = [(a, b, _character_route(ring, a, b)[1])
+                   for a in ring.labels for b in ring.labels
+                   if not ring.fits(a, b)]
+        assert refused
+        with monkeypatch.context() as patch:
+            patch.setattr(fusion, "_convolve", _no_character)
+            for a, b, text in refused:
+                with pytest.raises(TruncationOverflow) as err:
+                    ring.character_product(a, b)
+                assert str(err.value) == text, (r_max, a, b)
+
+
+def test_label_membership():
+    ring = uq_ring(3)
+    assert (3, 1) in ring and (4, 0) not in ring and "x" not in ring
+    for kind in ("vir", "singlet"):
+        ring = fusion.TruncatedRing(3, 2, kind)
+        grid = [(r, s) for r in range(-4, 5) for s in range(-1, 6)]
+        assert [lab for lab in grid if lab in ring] == sorted(ring.labels)
 
 
 def test_finite_rings_fit_everywhere():

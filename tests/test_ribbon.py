@@ -28,7 +28,9 @@ from ribbonkit.cyclo import embed_complex, field, make_root, parse_cyc, qint
 from ribbonkit.fusion import (
     TruncationOverflow, conformal_weight, singlet_ring, uq_ring, wp_ring,
 )
-from ribbonkit.qrep import simple_V, tensor, twist_inverse
+from ribbonkit.qrep import (
+    Matrix, chi_module, simple_V, tensor, twist, twist_inverse,
+)
 from ribbonkit.ribbon import (
     MonodromySpectrum,
     NonRepresentablePhase,
@@ -85,7 +87,7 @@ def test_wp_twist_numeric_crosscheck(p):
 @pytest.mark.parametrize("p", ALL_P)
 def test_uq_inverse_twist_values(p):
     ctx = field(p)
-    table = uq_twists(p, inverse=True)
+    table = uq_twists(p)
     assert table.theta[(1, 0)] == ctx.one()
     assert table.theta[(2, 0)] == -make_root(ctx, 3)
 
@@ -94,7 +96,7 @@ def test_uq_inverse_twist_values(p):
 def test_twist_tables_match_under_T(p):
     # the ribbon-matching statement: inverse module twists transported by
     # the label bijection reproduce the recursion-side table exactly
-    inv_table = uq_twists(p, inverse=True)
+    inv_table = uq_twists(p)
     wp_table = wp_twists(p)
     for s in range(1, p + 1):
         assert inv_table.theta[(s, 0)] == wp_table.theta[(s, 1)]
@@ -103,11 +105,12 @@ def test_twist_tables_match_under_T(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_uq_twist_directions_cancel(p):
-    fwd = uq_twists(p, inverse=False)
-    bwd = uq_twists(p, inverse=True)
-    one = field(p).one()
-    for lab, value in fwd.theta.items():
-        assert value * bwd.theta[lab] == one
+    # the twist and its inverse compose to the identity on the 2p simples
+    ctx = field(p)
+    for s in range(1, p + 1):
+        for m in (simple_V(ctx, s), tensor(chi_module(ctx), simple_V(ctx, s))):
+            got = twist(m).matrix.mul(twist_inverse(m).matrix)
+            assert got == Matrix.identity(ctx, m.dimension), (s, m)
 
 
 def test_module_twist_scalar_rejects_mixed_module():
@@ -150,7 +153,7 @@ def test_twist_exponents_read_the_roots(p):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_twists_are_roots_of_unity(p):
     one = field(p).one()
-    for table in (wp_twists(p), uq_twists(p, inverse=True)):
+    for table in (wp_twists(p), uq_twists(p)):
         for value in table.theta.values():
             assert value ** (8 * p) == one
     stable = singlet_twists(p, r_max=4)
@@ -214,7 +217,7 @@ def test_monodromy_matches_field_route(p):
     # exponent arithmetic against theta_z * (theta_x * theta_y)^-1 in the
     # field, on every pair whose product stays in the window
     tables = [(wp_ring(p), wp_twists(p)),
-              (uq_ring(p), uq_twists(p, inverse=True)),
+              (uq_ring(p), uq_twists(p)),
               (singlet_ring(p, r_max=4), singlet_twists(p, r_max=4))]
     for ring, table in tables:
         theta = table.theta
