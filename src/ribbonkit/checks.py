@@ -35,9 +35,10 @@ from .qrep import (
     simple_L, simple_V, tensor, tl_to_matrix, twist_inverse,
 )
 from .fusion import (
-    check_grring_iso_K, conformal_weight, fpdim_category, fpdim_object,
-    induction_F, induction_I, induction_Iprime, iso_T, singlet_ring,
-    uq_projective_classes, uq_ring, vir_ring, wp_projective_classes, wp_ring,
+    associative, check_grring_iso_K, conformal_weight, fpdim_category,
+    fpdim_object, induction_F, induction_I, induction_Iprime, iso_T, linear,
+    singlet_ring, uq_projective_classes, uq_ring, vir_ring,
+    wp_projective_classes, wp_ring,
 )
 from .ribbon import (
     monodromy, muger_candidates, quantum_order_check, singlet_twists,
@@ -170,6 +171,38 @@ def _fusion_iso_T(p, env):
     ok, witness = morphism.check(pairs=pairs)
     return ok, ("label bijection is a ring isomorphism on all pairs"
                 if ok else f"witness {witness}")
+
+
+@check("fusion.duality_pattern")
+def _fusion_duality_pattern(p, env):
+    # the delta rule N_{ab}^unit = delta_{b,a*} fails exactly where classical
+    # folding feeds the unit: the two Steinberg pairs, and chi-mixed pairs
+    # whose classical range reaches p+1 with the right parity; each such
+    # product holds the unit twice
+    want = {((p, 0), (p, 0)), ((p, 1), (p, 1))}
+    want.update(((s1, e), (s2, 1 - e))
+                for s1 in range(1, p + 1) for s2 in range(1, p + 1)
+                for e in (0, 1)
+                if s1 + s2 >= p + 2 and (s1 + s2 - p) % 2 == 0)
+    morphism = iso_T(p)
+    assign = morphism.assign
+    for name, ring, expected in (
+            ("uq_ring", morphism.source, want),
+            ("wp_ring", morphism.target,
+             {(assign[a], assign[b]) for a, b in want})):
+        bad = ring.check_duality()
+        missing = sorted(expected.difference(bad))
+        extra = sorted(set(bad) - expected)
+        if missing:
+            return False, f"{name}: missing violation at {missing[0]}"
+        if extra:
+            return False, f"{name}: extra violation at {extra[0]}"
+        for a, b in bad:
+            n = ring.constants[(a, b)].get(ring.unit, 0)
+            if n != 2:
+                return False, f"{name}: unit multiplicity {n} at {(a, b)}"
+    return True, (f"delta rule fails on exactly the {len(want)} Steinberg "
+                  "and chi-mixed pairs of both rings, unit twice in each")
 
 
 @check("fusion.truncated_closed_form")
@@ -387,12 +420,9 @@ def _grring_iso_K(p, env):
 def _grring_composition(p, env):
     for r in range(1, 7):
         for s in range(1, p + 1):
-            want = induction_F(p, (r, s))
-            got = Counter()
-            for mid, m1 in induction_I(p, (r, s), r_max=8).items():
-                for lab, m2 in induction_Iprime(p, mid).items():
-                    got[lab] += m1 * m2
-            if got != want:
+            got = linear(partial(induction_Iprime, p),
+                         induction_I(p, (r, s), r_max=8))
+            if got != induction_F(p, (r, s)):
                 return False, f"composite differs at ({r},{s})"
     return True, "second induction after first equals the direct map"
 
@@ -415,16 +445,8 @@ def _truncated_associativity(p, env):
                 "singlet": cache(singlet_ring(p, window).product)}
     for k in range(total):
         kind = "vir" if k % 2 == 0 else "singlet"
-        prod = products[kind]
         a, b, c = (_random_trunc_label(rng, kind, p) for _ in range(3))
-        left, right = Counter(), Counter()
-        for lab, mult in prod(a, b).items():
-            for z, n in prod(lab, c).items():
-                left[z] += mult * n
-        for lab, mult in prod(b, c).items():
-            for z, n in prod(a, lab).items():
-                right[z] += mult * n
-        if +left != +right:
+        if not associative(products[kind], a, b, c):
             return False, f"{kind} triple {a},{b},{c} breaks"
     return True, f"{total} random in-window triples in both truncations"
 

@@ -37,8 +37,8 @@ from functools import cache
 from .cyclo import field
 from .tldiag import braiding_candidates, check_yang_baxter
 from .fusion import (
-    DEFAULT_RMAX, TruncationOverflow, singlet_ring, uq_ring, vir_ring,
-    wp_ring,
+    DEFAULT_RMAX, TruncationOverflow, linear, singlet_ring, uq_ring,
+    vir_ring, wp_ring,
 )
 from .ribbon import (
     muger_candidates, singlet_twists, twist_table_json, voa_monodromy_phase,
@@ -313,13 +313,7 @@ def _atom_label(node, ring, p: int):
     return lab
 
 
-def _add_into(acc: dict, combo: dict, scale: int):
-    for lab, mult in combo.items():
-        acc[lab] = acc.get(lab, 0) + scale * mult
-    return acc
-
-
-def _eval(node, ring, p):
+def _eval(node, ring, p) -> dict:
     kind = node[0]
     if kind == "int":
         return {ring.unit: node[1]}
@@ -327,14 +321,16 @@ def _eval(node, ring, p):
         return {_atom_label(node, ring, p): 1}
     left = _eval(node[1], ring, p)
     right = _eval(node[2], ring, p)
+    if kind == "mul":
+        # bilinear: linear in the pair of factors, every pair formed
+        pairs = {(la, lb): ca * cb for la, ca in left.items()
+                 for lb, cb in right.items()}
+        return linear(lambda pair: ring.product(*pair), pairs)
+    out = Counter(left)
     if kind == "add":
-        return _add_into(dict(left), right, 1)
-    if kind == "sub":
-        return _add_into(dict(left), right, -1)
-    out: dict = {}
-    for la, ca in left.items():
-        for lb, cb in right.items():
-            _add_into(out, ring.product(la, lb), ca * cb)
+        out.update(right)
+    else:
+        out.subtract(right)
     return out
 
 
@@ -408,6 +404,7 @@ def _cmd_fuse(args, ps) -> int:
 
 
 def _cmd_jw(args, ps) -> int:
+    bad = 0
     for p in ps:
         e, idem, alive, closure = jw_audit(field(p), args.n)
         hooks = not alive
@@ -418,9 +415,8 @@ def _cmd_jw(args, ps) -> int:
         }, f"p={p}: jw({args.n}) terms={len(e.terms)} "
            f"idempotent={'yes' if idem else 'NO'} "
            f"hooks-killed={'yes' if hooks else 'NO'} markov={closure}")
-        if not (idem and hooks):
-            return 1
-    return 0
+        bad += not (idem and hooks)
+    return 1 if bad else 0
 
 
 def _cmd_braid_check(args, ps) -> int:
@@ -613,16 +609,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="verb", required=True)
 
-    def common(sp, window=_window):
+    def common(sp):
         sp.add_argument("-p", required=True, metavar="P[..Q]",
                         help="parameter p >= 2, or an inclusive range A..B")
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--rmax", type=window, default=DEFAULT_RMAX,
+
+    def window(sp, least):
+        sp.add_argument("--rmax", type=least, default=DEFAULT_RMAX,
                         help="truncation window for the infinite families")
-        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("fuse", help="evaluate a fusion expression")
     common(sp)
+    window(sp, _window)
     sp.add_argument("expr")
     sp = sub.add_parser("jw", help="audit one projector")
     common(sp)
@@ -631,15 +629,18 @@ def build_parser() -> argparse.ArgumentParser:
                           help="hexagon scan, braid relation, inverses"))
     common(sub.add_parser("fpdim", help="category dimension, both routes"))
     common(sub.add_parser("twists", help="twist table with cross-check"))
-    common(sub.add_parser("muger", help="transparent-object candidates"),
-           _muger_window)
+    sp = sub.add_parser("muger", help="transparent-object candidates")
+    common(sp)
+    window(sp, _muger_window)
     sp = sub.add_parser("phase", help="monodromy phase from three weights")
     common(sp)
     sp.add_argument("--squared", action="store_true")
     sp.add_argument("h", nargs=3, type=_weight,
                     help="three conformal weights as fractions")
     sp = sub.add_parser("verify", help="run a verification suite")
-    common(sp, _verify_window)
+    common(sp)
+    window(sp, _verify_window)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--suite", default="all",
                     choices=sorted(SUITES) + ["all"])
     sp.add_argument("--triples", type=_count, default=10000,

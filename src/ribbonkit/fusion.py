@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import product as iproduct
 
 from .cyclo import field
@@ -54,6 +54,27 @@ _PERRON_MAX_ITER = 10000
 
 
 # -- based rings with nonnegative integer constants ---------------------------
+
+
+def linear(f, combo) -> Counter:
+    """The linear extension of f to a Z-combination: sum of mult * f(lab).
+
+    Every entry of combo is visited in order, zero and negative
+    multiplicities included, so f refuses a label whatever its multiplicity.
+    f(lab) is any mapping label -> int and is never modified.
+    """
+    out = Counter()
+    get = out.get  # a miss costs no __missing__ call
+    for lab, mult in combo.items():
+        for k, n in f(lab).items():
+            out[k] = get(k, 0) + mult * n
+    return out
+
+
+def associative(product, a, b, c) -> bool:
+    """Whether (ab)c == a(bc), as positive parts, for product(x, y) -> combo."""
+    return (+linear(lambda k: product(k, c), product(a, b))
+            == +linear(partial(product, a), product(b, c)))
 
 
 class FusionRing:
@@ -119,25 +140,17 @@ class FusionRing:
     def all_pairs(self):
         return list(self.constants.keys())
 
-    def product_combo(self, x, y) -> Counter:
-        out = Counter()
-        for a, ma in x.items():
-            for b, mb in y.items():
-                for k, n in self.constants[(a, b)].items():
-                    out[k] += ma * mb * n
-        return +out
-
     def check_associativity(self, triples=None) -> list:
         """Triples (a, b, c) with (ab)c != a(bc); empty means associative."""
         if triples is None:
             triples = iproduct(self.labels, repeat=3)
-        bad = []
-        for a, b, c in triples:
-            left = self.product_combo(self.constants[(a, b)], Counter({c: 1}))
-            right = self.product_combo(Counter({a: 1}), self.constants[(b, c)])
-            if left != right:
-                bad.append((a, b, c))
-        return bad
+        constants = self.constants
+
+        def lookup(x, y):
+            return constants[(x, y)]
+
+        return [(a, b, c) for a, b, c in triples
+                if not associative(lookup, a, b, c)]
 
     def check_duality(self) -> list:
         """Pairs (a, b) violating N_{ab}^{unit} = delta_{b, a*}.
@@ -169,10 +182,7 @@ class RingMorphism:
         self.assign = dict(assign)
 
     def push(self, combo: Counter) -> Counter:
-        out = Counter()
-        for lab, mult in combo.items():
-            out[self.assign[lab]] += mult
-        return out
+        return linear(lambda lab: {self.assign[lab]: 1}, combo)
 
     def check(self, pairs=None):
         """(ok, witness): basis bijection, unit, and multiplicativity.
@@ -660,10 +670,7 @@ def check_grring_iso_K(p: int, r_max: int = DEFAULT_RMAX):
                 return False, ("restriction route", (r, s), dict(pushed))
 
     vac_cover = Counter({(1, 1): 2, (2, p - 1): 1})
-    image = Counter()
-    for lab, mult in vac_cover.items():
-        for k, n in induction_F(p, lab).items():
-            image[k] += mult * n
+    image = linear(partial(induction_F, p), vac_cover)
     if image != Counter({(1, 1): 2, (p - 1, -1): 2}):
         return False, ("vacuum-cover image", dict(vac_cover), dict(image))
     return True, None

@@ -101,3 +101,25 @@ def test_crashed_row_names_type_and_location(monkeypatch):
     line = explode.__code__.co_firstlineno + 1
     assert row["status"] == "fail"
     assert row["detail"] == f"KeyError at test_checks.py:{line}: 'missing'"
+
+
+def test_duality_pattern_names_missing_and_extra(monkeypatch):
+    # on the module ring the first violation in scan order goes missing;
+    # on the recursion ring one unit pair is added
+    real = fusion.FusionRing.check_duality
+
+    def dropped(ring):
+        bad = real(ring)
+        return bad[1:] if ring.unit == (1, 0) else bad
+
+    def added(ring):
+        bad = real(ring)
+        return bad + [((1, 1), (1, 1))] if ring.unit == (1, 1) else bad
+
+    with monkeypatch.context() as m:
+        detail = _fail_detail(m, "fusion.duality_pattern",
+                              fusion.FusionRing, "check_duality", dropped)
+    assert detail == "uq_ring: missing violation at ((2, 0), (3, 1))"
+    detail = _fail_detail(monkeypatch, "fusion.duality_pattern",
+                          fusion.FusionRing, "check_duality", added)
+    assert detail == "wp_ring: extra violation at ((1, 1), (1, 1))"

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import ribbonkit
-from ribbonkit import fusion
+from ribbonkit import cli, fusion
 from ribbonkit.cyclo import field, make_root
 from ribbonkit.cli import (
     MAX_DEPTH,
@@ -164,6 +164,94 @@ def test_evaluate_reassociation_agrees():
         assert a == b
 
 
+# test-only copies of the hand-written evaluation loops that fusion.linear
+# and Counter.update/subtract replaced
+
+
+def _loop_add_into(acc: dict, combo: dict, scale: int):
+    for lab, mult in combo.items():
+        acc[lab] = acc.get(lab, 0) + scale * mult
+    return acc
+
+
+def _loop_eval(node, ring, p):
+    kind = node[0]
+    if kind == "int":
+        return {ring.unit: node[1]}
+    if kind == "atom":
+        return {cli._atom_label(node, ring, p): 1}
+    left = _loop_eval(node[1], ring, p)
+    right = _loop_eval(node[2], ring, p)
+    if kind == "add":
+        return _loop_add_into(dict(left), right, 1)
+    if kind == "sub":
+        return _loop_add_into(dict(left), right, -1)
+    out: dict = {}
+    for la, ca in left.items():
+        for lb, cb in right.items():
+            _loop_add_into(out, ring.product(la, lb), ca * cb)
+    return out
+
+
+def _outcome(evaluator, node, p, rmax):
+    try:
+        combo = evaluator(node, p, rmax)
+    except ValueError as err:
+        return type(err).__name__, str(err)
+    return "ok", list(combo.items())
+
+
+def _loop_evaluate(node, p, rmax):
+    ring = cli._build_ring(cli.expression_family(node), p, rmax)
+    try:
+        combo = _loop_eval(node, ring, p)
+    except fusion.TruncationOverflow as err:
+        raise EvalError(str(err)) from err
+    return Counter({lab: mult for lab, mult in combo.items() if mult})
+
+
+def _one_family(node, letter: str):
+    # the same tree with every atom moved into the family of letter, so
+    # that products and window refusals occur, not only mixed-ring ones
+    if node[0] == "int":
+        return node
+    if node[0] != "atom":
+        return (node[0], _one_family(node[1], letter),
+                _one_family(node[2], letter))
+    r, s = ([v if isinstance(v, int) else 2 for v in node[2]] + [1, 1])[:2]
+    if letter == "V":
+        return ("atom", "V", (abs(r) % 5 + 1,))
+    if letter == "X":
+        return ("atom", "X", (abs(r) % 5 + 1, 1 if s % 2 else -1))
+    if letter == "L":
+        return ("atom", "L", (abs(r) % 4 + 1, s % 4 + 1))
+    return ("atom", "M", (r % 7 - 3, s % 4 + 1))
+
+
+def test_evaluate_matches_the_loop():
+    # the same Counter, key order included, or the same refusal text, on
+    # random expressions at p <= 7 and windows <= 6
+    rng = random.Random(15)
+    seen = Counter()
+    for _ in range(400):
+        node = random_expression(rng)
+        for tree in (node, *(_one_family(node, x) for x in "VXLM")):
+            p, rmax = rng.randint(2, 7), rng.randint(1, 6)
+            want = _outcome(_loop_evaluate, tree, p, rmax)
+            assert _outcome(evaluate, tree, p, rmax) == want, (tree, p, rmax)
+            seen["ok" if want[0] == "ok" else
+                 "window" if "r_max" in want[1] else "other"] += 1
+    assert min(seen["ok"], seen["window"], seen["other"]) >= 100, seen
+
+
+def test_fuse_refuses_a_zero_multiple_outside_the_window(capsys):
+    # a product is formed even where its multiplicity is zero
+    argv = ["fuse", "-p", "2", "--rmax", "3", "(M[3,1]-M[3,1])*M[3,1]"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: label (5, 1) outside the r_max=3 window"]
+
+
 # -- formatting ---------------------------------------------------------------
 
 
@@ -283,6 +371,21 @@ def test_cmd_jw(capsys):
     assert main(["jw", "-p", "3", "-n", "3"]) == 2
 
 
+def test_cmd_jw_reports_every_p(capsys, monkeypatch):
+    # a failure at one p of the range is counted, not an early return
+    real = cli.jw_audit
+
+    def broken_at_3(ctx, n):
+        e, idempotent, alive, closure = real(ctx, n)
+        return e, idempotent and ctx.p != 3, alive, closure
+
+    monkeypatch.setattr(cli, "jw_audit", broken_at_3)
+    assert main(["jw", "-p", "2..4", "-n", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["p=2", "p=3", "p=4"]
+    assert "idempotent=NO" in lines[1]
+
+
 def test_cmd_braid_check(capsys):
     assert main(["braid-check", "-p", "4"]) == 0
     assert capsys.readouterr().out == (
@@ -400,9 +503,9 @@ def _refusal_id(value):
      "error: argument h: invalid conformal weight '1/0'"),
     (["phase", "-p", "3", "0", "x/2", "0"],
      "error: argument h: invalid conformal weight 'x/2'"),
-    (["twists", "-p", "3", "--rmax", "0"],
+    (["fuse", "-p", "3", "--rmax", "0", "M[1,1]"],
      "error: argument --rmax: window must be >= 1, got 0"),
-    (["twists", "-p", "3", "--rmax", "-2"],
+    (["fuse", "-p", "3", "--rmax", "-2", "M[1,1]"],
      "error: argument --rmax: window must be >= 1, got -2"),
     (["verify", "-p", "3", "--suite", "phase", "--rmax", "2"],
      "error: argument --rmax: window must be >= 3, got 2"),
@@ -426,6 +529,9 @@ def _refusal_id(value):
      "error: -p must be an integer P or a range A..B, got '..5'"),
     (["fpdim", "-p", "5..3"],
      "error: p range '5..3' must satisfy 2 <= first <= last"),
+    # a verb takes only the options it reads
+    (["twists", "-p", "3", "--rmax", "3"],
+     "error: unrecognized arguments: --rmax 3"),
 ], ids=_refusal_id)
 def test_cmd_malformed_argument(capsys, argv, line):
     # refused before any work: exit 2, one stderr line and no usage block

@@ -21,16 +21,18 @@ Frozen expectations, derived before implementation:
     I'(M_{1,2}) = X2+, I'.I = F, M_{r,1}.M_{r',1} = M_{r+r'-1,1}
 """
 
+import itertools
 import random
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ribbonkit import fusion
+from ribbonkit import checks, fusion
 from ribbonkit.checks import CHECKS
 from ribbonkit.cyclo import field, qfact, qint
 from ribbonkit.qrep import (
@@ -210,6 +212,108 @@ def test_wp_ring_stated_rules(p):
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_wp_ring_associative_all_triples(p):
     assert wp_ring(p).check_associativity() == []
+
+
+# -- one linear extension, one associativity test ----------------------------
+#
+# The loops below are test-only copies of the hand-written loops that
+# fusion.linear and fusion.associative replaced; the library must agree with
+# them violation for violation, in order.
+
+
+def _loop_product_combo(ring, x, y) -> Counter:
+    out = Counter()
+    for a, ma in x.items():
+        for b, mb in y.items():
+            for k, n in ring.constants[(a, b)].items():
+                out[k] += ma * mb * n
+    return +out
+
+
+def _loop_check_associativity(ring) -> list:
+    bad = []
+    for a, b, c in itertools.product(ring.labels, repeat=3):
+        left = _loop_product_combo(ring, ring.constants[(a, b)],
+                                   Counter({c: 1}))
+        right = _loop_product_combo(ring, Counter({a: 1}),
+                                    ring.constants[(b, c)])
+        if left != right:
+            bad.append((a, b, c))
+    return bad
+
+
+def _loop_truncated_associativity(p, env):
+    rng = env["rng"]
+    total = env["triples"]
+    window = max(12, env["rmax"])
+    products = {"vir": cache(vir_ring(p, window).product),
+                "singlet": cache(singlet_ring(p, window).product)}
+    for k in range(total):
+        kind = "vir" if k % 2 == 0 else "singlet"
+        prod = products[kind]
+        a, b, c = (checks._random_trunc_label(rng, kind, p) for _ in range(3))
+        left, right = Counter(), Counter()
+        for lab, mult in prod(a, b).items():
+            for z, n in prod(lab, c).items():
+                left[z] += mult * n
+        for lab, mult in prod(b, c).items():
+            for z, n in prod(a, lab).items():
+                right[z] += mult * n
+        if +left != +right:
+            return False, f"{kind} triple {a},{b},{c} breaks"
+    return True, f"{total} random in-window triples in both truncations"
+
+
+def test_linear_visits_every_entry():
+    # zero and negative multiplicities are visited too, in order, and the
+    # images are read, never modified
+    seen = []
+    images = {"a": {"x": 1, "y": 2}, "b": {"y": 1}, "c": {"z": 5}}
+
+    def f(lab):
+        seen.append(lab)
+        return images[lab]
+
+    got = fusion.linear(f, {"a": 2, "b": -3, "c": 0})
+    assert seen == ["a", "b", "c"]
+    assert list(got.items()) == [("x", 2), ("y", 1), ("z", 0)]
+    assert images["a"] == {"x": 1, "y": 2}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_associativity_matches_the_loop_on_a_planted_ring(p):
+    # one bumped constant, built as in test_check_iso_negative_control
+    wp = wp_ring(p)
+    consts = {pair: dict(wp.product(*pair)) for pair in wp.all_pairs()}
+    consts[((2, 1), (2, 1))][(1, 1)] += 1
+    mutated = FusionRing(wp.labels, wp.unit, consts, dict(wp.dual))
+    bad = mutated.check_associativity()
+    assert bad and bad == _loop_check_associativity(mutated)
+    assert wp.check_associativity() == _loop_check_associativity(wp) == []
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_truncated_associativity_names_the_loop_triple(p, monkeypatch):
+    # a closed form that gains one unit on one pair breaks a few triples;
+    # the row and the loop draw the same triples and stop at the same one
+    product = fusion.TruncatedRing.product
+
+    def planted(self, a, b):
+        out = product(self, a, b)
+        if (a, b) == ((2, 1), (2, p)):
+            out[(1, 1)] += 1
+        return out
+
+    def env():
+        return {"rng": random.Random(f"5:{p}:properties"), "triples": 2000,
+                "rmax": 8}
+
+    row = CHECKS["properties.truncated_associativity"]
+    assert row(p, env()) == _loop_truncated_associativity(p, env())
+    monkeypatch.setattr(fusion.TruncatedRing, "product", planted)
+    got = row(p, env())
+    assert not got[0], got
+    assert got == _loop_truncated_associativity(p, env())
 
 
 # -- the isomorphism T -------------------------------------------------------
