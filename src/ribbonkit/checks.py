@@ -36,9 +36,9 @@ from .qrep import (
 )
 from .fusion import (
     associative, check_grring_iso_K, conformal_weight, fpdim_category,
-    fpdim_object, induction_F, induction_I, induction_Iprime, iso_T, linear,
-    singlet_ring, uq_projective_classes, uq_ring, vir_ring,
-    wp_projective_classes, wp_ring,
+    fpdim_object, induction_F, induction_I, induction_Iprime, iso_T,
+    iso_T_labels, linear, singlet_ring, uq_projective_classes, uq_ring,
+    vir_ring, wp_projective_classes, wp_ring,
 )
 from .ribbon import (
     monodromy, muger_candidates, quantum_order_check, singlet_twists,
@@ -122,10 +122,9 @@ def twist_routes(p: int):
     """The recursion-side twist table, and the labels where the inverse
     module twists disagree with it under the label bijection."""
     table = wp_twists(p)
-    module_side = uq_twists(p)
-    assign = iso_T(p).assign
-    bad = [lab for lab in module_side.ring.labels
-           if module_side.theta[lab] != table.theta[assign[lab]]]
+    module = uq_twists(p)
+    bad = [a for a, b in iso_T_labels(p).items()
+           if module.theta[a] != table.theta[b]]
     return table, bad
 
 
@@ -164,11 +163,7 @@ def _fusion_associativity(p, env):
 
 @check("fusion.iso_T")
 def _fusion_iso_T(p, env):
-    morphism = iso_T(p)
-    pairs = morphism.source.all_pairs()
-    if len(pairs) != (2 * p) ** 2:
-        return False, f"{len(pairs)} label pairs, expected {(2 * p) ** 2}"
-    ok, witness = morphism.check(pairs=pairs)
+    ok, witness = iso_T(p).check()
     return ok, ("label bijection is a ring isomorphism on all pairs"
                 if ok else f"witness {witness}")
 

@@ -77,6 +77,11 @@ def associative(product, a, b, c) -> bool:
             == +linear(partial(product, a), product(b, c)))
 
 
+def push(assign, combo) -> Counter:
+    """combo relabelled through assign: the sum of mult * assign[lab]."""
+    return linear(lambda lab: {assign[lab]: 1}, combo)
+
+
 class FusionRing:
     """Finite based ring: labels, unit, sparse constants, duality involution.
 
@@ -181,11 +186,9 @@ class RingMorphism:
         self.target = target
         self.assign = dict(assign)
 
-    def push(self, combo: Counter) -> Counter:
-        return linear(lambda lab: {self.assign[lab]: 1}, combo)
-
-    def check(self, pairs=None):
-        """(ok, witness): basis bijection, unit, and multiplicativity.
+    def check(self):
+        """(ok, witness): basis bijection, unit, and multiplicativity on
+        every pair of source labels.
 
         witness is None on success, otherwise ((a, b), pushed, direct) for
         the first pair where the two routes disagree (unit and bijection
@@ -195,10 +198,8 @@ class RingMorphism:
             return False, ("not a bijection onto the target basis", None, None)
         if self.assign[self.source.unit] != self.target.unit:
             return False, ("unit is not preserved", None, None)
-        if pairs is None:
-            pairs = self.source.all_pairs()
-        for a, b in pairs:
-            pushed = self.push(self.source.constants[(a, b)])
+        for a, b in self.source.all_pairs():
+            pushed = push(self.assign, self.source.constants[(a, b)])
             direct = self.target.constants[(self.assign[a], self.assign[b])]
             if pushed != direct:
                 return False, ((a, b), pushed, Counter(direct))
@@ -305,11 +306,16 @@ def wp_ring(p: int) -> FusionRing:
     return FusionRing(labels, (1, 1), constants, {lab: lab for lab in labels})
 
 
+def iso_T_labels(p: int) -> dict:
+    """The label bijection (s, 0) -> (s, +), (s, 1) -> (s, -); no ring."""
+    return {(s, eps): (s, 1 if eps == 0 else -1)
+            for s in range(1, p + 1) for eps in (0, 1)}
+
+
 def iso_T(p: int) -> RingMorphism:
-    """The label bijection (s, 0) -> (s, +), (s, 1) -> (s, -)."""
-    assign = {(s, eps): (s, 1 if eps == 0 else -1)
-              for s in range(1, p + 1) for eps in (0, 1)}
-    return RingMorphism(uq_ring(p), wp_ring(p), assign)
+    """iso_T_labels(p) as a morphism uq_ring(p) -> wp_ring(p), for the
+    checks that read the constants of both rings."""
+    return RingMorphism(uq_ring(p), wp_ring(p), iso_T_labels(p))
 
 
 # -- Frobenius-Perron dimensions ----------------------------------------------
@@ -645,7 +651,7 @@ def check_grring_iso_K(p: int, r_max: int = DEFAULT_RMAX):
     """
     ring = vir_ring(p, r_max)
     ctx = field(p)
-    t = iso_T(p)
+    assign = iso_T_labels(p)
 
     for lab in ring.labels:
         got = ring.product(ring.unit, lab)
@@ -665,7 +671,7 @@ def check_grring_iso_K(p: int, r_max: int = DEFAULT_RMAX):
     for r in range(1, r_max + 1):
         for s in range(1, p + 1):
             module = tensor(simple_L(ctx, r - 1), simple_V(ctx, s))
-            pushed = t.push(uq_classes(module))
+            pushed = push(assign, uq_classes(module))
             if pushed != induction_F(p, (r, s)):
                 return False, ("restriction route", (r, s), dict(pushed))
 

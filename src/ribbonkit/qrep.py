@@ -6,8 +6,8 @@ divided-power generators Ep/Fp shift by +-2p and carry the Frobenius part of
 the theory.  Operators are sparse matrices over the exact cyclotomic field;
 everything here is exact, nothing is numeric.
 
-One Gauss-Jordan elimination, _row_reduce, backs the matrix inverse, the
-kernel and the span test of the simplicity certificate.
+One Gauss-Jordan elimination, _row_reduce, backs the kernel and the span
+test of the simplicity certificate.
 
 The module also hosts the diagram-to-matrix functor (cups and caps go to the
 coevaluation/evaluation of the self-dual standard module; each arc weight is
@@ -155,19 +155,6 @@ class Matrix:
             for (ib, jb), vb in b.data.items():
                 acc[(ia * b.rows + ib, ja * b.cols + jb)] = va * vb
         return Matrix(a.ctx, a.rows * b.rows, a.cols * b.cols, acc)
-
-    def inverse(self) -> "Matrix":
-        """Gauss-Jordan on [A | I]; raises ZeroDivisionError when singular."""
-        if self.rows != self.cols:
-            raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        zero, one = self.ctx.zero(), self.ctx.one()
-        aug = [row + [one if j == i else zero for j in range(n)]
-               for i, row in enumerate(_mat_rows(self))]
-        if _row_reduce(aug, n) != list(range(n)):
-            raise ZeroDivisionError("matrix is singular")
-        return Matrix(self.ctx, n, n, {(i, j): v for i, row in enumerate(aug)
-                                       for j, v in enumerate(row[n:])})
 
     def _compat(self, other, same_shape=False):
         if self.ctx is not other.ctx:
@@ -526,12 +513,6 @@ def twist_inverse(m: WeightModule) -> ModuleMap:
             acc[(i, k)] = term if cur is None else cur + term
     mat = Matrix(ctx, m.dimension, m.dimension, acc)
     return ModuleMap(m, m, mat, verify=True)
-
-
-def twist(m: WeightModule) -> ModuleMap:
-    """The ribbon twist itself: matrix inverse of twist_inverse."""
-    ti = twist_inverse(m)
-    return ModuleMap(m, m, ti.matrix.inverse())
 
 
 # -- self-duality of the standard module and the diagram functor -------------

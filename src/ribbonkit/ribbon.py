@@ -1,8 +1,9 @@
 """Ribbon data on top of the fusion rings.
 
 Twist tables are exact roots of unity in the ambient cyclotomic field,
-held as exponents mod 4p.  Monodromy (the square of the braiding) is
-evaluated on composition factors through the balancing identity
+keyed by labels alone and held as exponents mod 4p; building one builds
+no ring.  Monodromy (the square of the braiding) is evaluated on
+composition factors through the balancing identity
 theta_Z / (theta_X * theta_Y), which on exponents is e_Z - e_X - e_Y mod 4p:
 integer arithmetic, with no field multiply or inverse.  That is all the
 center and modularity arguments need; no matrices on non-semisimple
@@ -17,9 +18,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .cyclo import field, make_root, qint
-from .fusion import (
-    DEFAULT_RMAX, conformal_weight, label_json, singlet_ring, uq_ring, wp_ring,
-)
+from .fusion import DEFAULT_RMAX, conformal_weight, label_json, singlet_ring
 from .qrep import (
     Matrix,
     chi_module,
@@ -38,18 +37,16 @@ class NonRepresentablePhase(ValueError):
 
 
 class TwistTable:
-    """Assignment label -> twist, a 4p-th root of unity, for one ring.
+    """Assignment label -> twist, a 4p-th root of unity; the labels are the
+    keys of theta.
 
     exponent maps each label to k in 0..4p-1 with theta = zeta_4p^k, read
     once here; a scalar that is not such a root raises ValueError naming
     its label.  theta keeps the scalars as given, the view for printing
-    and for comparing tables.  Checks theta(unit) = 1 and, when the ring
-    carries a duality map, theta(x*) = theta(x).
+    and for comparing tables.  Checks theta(unit) = 1.
     """
 
-    def __init__(self, ring, theta):
-        if set(theta) != set(ring.labels):
-            raise ValueError("twist table must cover every label")
+    def __init__(self, theta, unit):
         ctx = next(iter(theta.values())).ctx
         exponent = {}
         for lab, value in theta.items():
@@ -59,14 +56,8 @@ class TwistTable:
                     f"theta at {lab!r} is not a {ctx.N}-th root of unity"
                 )
             exponent[lab] = k
-        if exponent[ring.unit] != 0:
+        if exponent.get(unit) != 0:
             raise ValueError("theta(unit) must be 1")
-        dual = getattr(ring, "dual", None)
-        if dual is not None:
-            for lab, k in exponent.items():
-                if exponent[dual[lab]] != k:
-                    raise ValueError(f"theta is not duality-stable at {lab!r}")
-        self.ring = ring
         self.ctx = ctx
         self.theta = dict(theta)
         self.exponent = exponent
@@ -107,7 +98,7 @@ def wp_twists(p: int) -> TwistTable:
         base = make_root(ctx, s * s - 1)
         theta[(s, 1)] = base if s % 2 else -base
         theta[(s, -1)] = -make_root(ctx, 3 * p * p) * base
-    return TwistTable(wp_ring(p), theta)
+    return TwistTable(theta, (1, 1))
 
 
 def module_twist_scalar(mat: Matrix):
@@ -136,7 +127,7 @@ def uq_twists(p: int) -> TwistTable:
             twist_inverse(simple_V(ctx, s)).matrix)
         twisted = tensor(chi_module(ctx), simple_V(ctx, s))
         theta[(s, 1)] = module_twist_scalar(twist_inverse(twisted).matrix)
-    return TwistTable(uq_ring(p), theta)
+    return TwistTable(theta, (1, 0))
 
 
 def singlet_twists(p: int, r_max: int = DEFAULT_RMAX) -> TwistTable:
@@ -150,7 +141,7 @@ def singlet_twists(p: int, r_max: int = DEFAULT_RMAX) -> TwistTable:
         if exponent.denominator != 1:
             raise NonRepresentablePhase(f"h = {h} leaves the field")
         theta[lab] = make_root(ctx, int(exponent))
-    return TwistTable(ring, theta)
+    return TwistTable(theta, ring.unit)
 
 
 # -- monodromy ----------------------------------------------------------------

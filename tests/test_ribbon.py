@@ -23,14 +23,13 @@ from collections import Counter
 from fractions import Fraction
 
 from ribbonkit import fusion
-from ribbonkit.checks import CHECKS
+from ribbonkit.checks import CHECKS, twist_routes
 from ribbonkit.cyclo import embed_complex, field, make_root, parse_cyc, qint
 from ribbonkit.fusion import (
-    TruncationOverflow, conformal_weight, singlet_ring, uq_ring, wp_ring,
+    TruncationOverflow, check_grring_iso_K, conformal_weight, singlet_ring,
+    uq_ring, wp_ring,
 )
-from ribbonkit.qrep import (
-    Matrix, chi_module, simple_V, tensor, twist, twist_inverse,
-)
+from ribbonkit.qrep import simple_V, tensor, twist_inverse
 from ribbonkit.ribbon import (
     MonodromySpectrum,
     NonRepresentablePhase,
@@ -103,14 +102,19 @@ def test_twist_tables_match_under_T(p):
         assert inv_table.theta[(s, 1)] == wp_table.theta[(s, -1)]
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_uq_twist_directions_cancel(p):
-    # the twist and its inverse compose to the identity on the 2p simples
-    ctx = field(p)
-    for s in range(1, p + 1):
-        for m in (simple_V(ctx, s), tensor(chi_module(ctx), simple_V(ctx, s))):
-            got = twist(m).matrix.mul(twist_inverse(m).matrix)
-            assert got == Matrix.identity(ctx, m.dimension), (s, m)
+@pytest.mark.parametrize("p", [2, 5])
+def test_label_routes_build_no_ring(p):
+    # the twist tables, their comparison under the label bijection and the
+    # restriction route read labels only: with both finite-ring memos
+    # emptied, none of them builds uq_ring or wp_ring
+    uq_ring.cache_clear()
+    wp_ring.cache_clear()
+    assert twist_routes(p)[1] == []
+    wp_twists(p)
+    uq_twists(p)
+    assert check_grring_iso_K(p, r_max=6) == (True, None)
+    assert uq_ring.cache_info().misses == 0
+    assert wp_ring.cache_info().misses == 0
 
 
 def test_module_twist_scalar_rejects_mixed_module():
@@ -121,24 +125,26 @@ def test_module_twist_scalar_rejects_mixed_module():
 
 
 def test_twist_table_unit_guard():
-    ring = wp_ring(2)
     ctx = field(2)
-    bad = {lab: ctx.one() for lab in ring.labels}
+    bad = dict.fromkeys(wp_twists(2).theta, ctx.one())
     bad[(1, 1)] = -ctx.one()
-    with pytest.raises(ValueError):
-        TwistTable(ring, bad)
+    with pytest.raises(ValueError, match=r"theta\(unit\) must be 1"):
+        TwistTable(bad, (1, 1))
+    # a table without its unit is refused the same way
+    del bad[(1, 1)]
+    with pytest.raises(ValueError, match=r"theta\(unit\) must be 1"):
+        TwistTable(bad, (1, 1))
 
 
 @pytest.mark.parametrize("value", ["2", "z + 1", "0"])
 def test_twist_table_refuses_non_root(value):
     # a scalar off the 4p-th roots has no exponent: refused by label
-    ring = wp_ring(2)
     ctx = field(2)
-    theta = {lab: ctx.one() for lab in ring.labels}
+    theta = dict.fromkeys(wp_twists(2).theta, ctx.one())
     theta[(2, -1)] = parse_cyc(ctx, value)
     with pytest.raises(ValueError, match=r"theta at \(2, -1\) is not a "
                                          r"8-th root of unity"):
-        TwistTable(ring, theta)
+        TwistTable(theta, (1, 1))
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -297,7 +303,7 @@ def test_muger_toy_all_central():
     }
     ring = FusionRing(["1", "g"], "1", consts, {"1": "1", "g": "g"})
     ctx = field(2)
-    table = TwistTable(ring, {lab: ctx.one() for lab in ring.labels})
+    table = TwistTable(dict.fromkeys(ring.labels, ctx.one()), ring.unit)
     assert muger_candidates(ring, table) == {"1", "g"}
 
 
