@@ -6,8 +6,9 @@ divided-power generators Ep/Fp shift by +-2p and carry the Frobenius part of
 the theory.  Operators are sparse matrices over the exact cyclotomic field;
 everything here is exact, nothing is numeric.
 
-One Gauss-Jordan elimination, _row_reduce, backs the kernel and the span
-test of the simplicity certificate.
+One sparse reduced echelon form, grown a row at a time by _echelon_add,
+backs the kernel and the span test of the simplicity certificate; a row
+there is a dict column -> nonzero value.
 
 The module also hosts the diagram-to-matrix functor (cups and caps go to the
 coevaluation/evaluation of the self-dual standard module; each arc weight is
@@ -29,41 +30,6 @@ class InconsistentCharacter(ValueError):
 
 
 # -- sparse exact matrices ---------------------------------------------------
-
-
-def _row_reduce(rows, ncols):
-    """Gauss-Jordan on a list of row lists, in place, pivoting in the first
-    ncols columns.  Returns the pivot columns; the row with the k-th pivot
-    ends up at rows[k], scaled to a leading one, and the rows after the
-    pivot rows are zero in the first ncols columns."""
-    pivots = []
-    for col in range(ncols):
-        top = len(pivots)
-        hit = next(
-            (r for r in range(top, len(rows)) if not rows[r][col].is_zero()),
-            None,
-        )
-        if hit is None:
-            continue
-        rows[top], rows[hit] = rows[hit], rows[top]
-        lead = rows[top][col]
-        if lead != lead.ctx.one():  # rows reduced before lead with one
-            scale = inv(lead)
-            rows[top] = [x * scale for x in rows[top]]
-        for r in range(len(rows)):
-            if r == top or rows[r][col].is_zero():
-                continue
-            factor = rows[r][col]
-            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[top])]
-        pivots.append(col)
-    return pivots
-
-
-def _mat_rows(mat):
-    rows = [[mat.ctx.zero()] * mat.cols for _ in range(mat.rows)]
-    for (i, j), v in mat.data.items():
-        rows[i][j] = v
-    return rows
 
 
 class Matrix:
@@ -738,55 +704,82 @@ def uq_classes(m: WeightModule) -> Counter:
 # -- simplicity certificates -------------------------------------------------
 
 
+def _echelon_add(pivots: dict, row: dict) -> bool:
+    """Add a sparse row to the reduced echelon form pivots, a dict pivot
+    column -> row with a one there and zeros at the other pivot columns.
+
+    The row is reduced by the pivot rows; a nonzero remainder is scaled to
+    a leading one at its first column, that column is cleared from the
+    other pivot rows, and the remainder joins them.  Returns whether the
+    row was independent.  The reduced form of a span is unique, so the
+    order the rows come in does not change it.
+    """
+    def subtract(target, c, source):  # target -= c * source, zeros dropped
+        for j, v in source.items():
+            x = target[j] - c * v if j in target else -(c * v)
+            if x.is_zero():
+                del target[j]
+            else:
+                target[j] = x
+
+    row = dict(row)
+    # a pivot row is zero at the other pivot columns, so these stay put
+    for col in [j for j in row if j in pivots]:
+        subtract(row, row[col], pivots[col])
+    if not row:
+        return False
+    lead = min(row)
+    scale = inv(row[lead])
+    row = {j: v * scale for j, v in row.items()}
+    for prow in pivots.values():
+        if lead in prow:
+            subtract(prow, prow[lead], row)
+    pivots[lead] = row
+    return True
+
+
+def _kernel(pivots: dict, dim: int, one) -> list:
+    """Kernel of the rows reduced into pivots: for each free column f, the
+    sparse vector with one at f and -row[f] at the pivot column of row."""
+    return [{f: one, **{c: -row[f] for c, row in pivots.items() if f in row}}
+            for f in range(dim) if f not in pivots]
+
+
 def _nullspace(rows, dim, ctx):
-    """Kernel basis of the linear map given by a list of row vectors."""
-    work = list(rows)
-    pivots = _row_reduce(work, dim)
-    kernel = []
-    pivot_set = set(pivots)
-    for free in range(dim):
-        if free in pivot_set:
-            continue
-        vec = [ctx.zero()] * dim
-        vec[free] = ctx.one()
-        for row, pc in zip(work, pivots):
-            vec[pc] = -row[free]
-        kernel.append(vec)
-    return kernel
-
-
-def _apply(mat, vec):
-    out = [mat.ctx.zero()] * mat.rows
-    for (i, j), v in mat.data.items():
-        if not vec[j].is_zero():
-            out[i] = out[i] + v * vec[j]
-    return out
+    """Kernel basis of the linear map given by a list of dense row vectors,
+    as dense vectors."""
+    pivots: dict = {}
+    for row in rows:
+        _echelon_add(pivots,
+                     {j: v for j, v in enumerate(row) if not v.is_zero()})
+    return [[vec.get(j, ctx.zero()) for j in range(dim)]
+            for vec in _kernel(pivots, dim, ctx.one())]
 
 
 def certify_simple(m: WeightModule) -> bool:
     """Certificate that m has no proper graded submodule: the stacked raising
     operators must have a one-dimensional kernel whose orbit under the
-    lowering operators spans the whole module."""
-    ctx = m.ctx
-    rows = _mat_rows(m.E) + _mat_rows(m.Ep)
-    kernel = _nullspace(rows, m.dimension, ctx)
+    lowering operators spans the whole module.  The kernel is read off the
+    reduced rows of E and Ep; an image under F or Fp joins the orbit when
+    it is independent of the orbit's reduced form."""
+    ctx, dim = m.ctx, m.dimension
+    rows: dict = {}
+    for k, op in enumerate((m.E, m.Ep)):
+        for (i, j), v in op.data.items():
+            rows.setdefault((k, i), {})[j] = v
+    pivots: dict = {}
+    for row in rows.values():
+        _echelon_add(pivots, row)
+    kernel = _kernel(pivots, dim, ctx.one())
     if len(kernel) != 1:
         return False
-    # basis stays row reduced; an image is new when it adds a pivot
-    basis = [kernel[0]]
-    frontier = [kernel[0]]
-    while frontier:
-        nxt = []
-        for vec in frontier:
-            for op in (m.F, m.Fp):
-                img = _apply(op, vec)
-                rank = len(basis)
-                basis.append(img)
-                del basis[len(_row_reduce(basis, m.dimension)):]
-                if len(basis) > rank:
-                    nxt.append(img)
-        frontier = nxt
-    return len(basis) == m.dimension
+    orbit: dict = {}
+    # breadth first: the images of each new vector join the queue being read
+    queue = [Matrix(ctx, dim, 1, {(j, 0): v for j, v in kernel[0].items()})]
+    for vec in queue:
+        if _echelon_add(orbit, {i: v for (i, _), v in vec.data.items()}):
+            queue += (m.F.mul(vec), m.Fp.mul(vec))
+    return len(orbit) == dim
 
 
 # -- serialization -----------------------------------------------------------

@@ -5,7 +5,8 @@ keyed by labels alone and held as exponents mod 4p; building one builds
 no ring.  Monodromy (the square of the braiding) is evaluated on
 composition factors through the balancing identity
 theta_Z / (theta_X * theta_Y), which on exponents is e_Z - e_X - e_Y mod 4p:
-integer arithmetic, with no field multiply or inverse.  That is all the
+integer arithmetic, with no field multiply or inverse, and the Muger scan
+reads that congruence without building a spectrum.  That is all the
 center and modularity arguments need; no matrices on non-semisimple
 products are involved.  Phase arithmetic for the vertex-algebra side picks
 the branch that writes e^(pi i Delta) as an integer power of the primitive
@@ -160,26 +161,20 @@ def monodromy(ring, twists: TwistTable, x, y) -> MonodromySpectrum:
 def muger_candidates(ring, twists: TwistTable) -> set:
     """Labels whose monodromy against every simple is trivial.
 
-    A necessary condition for transparency, checked eigenvalue by
-    eigenvalue.  On truncated rings, pairs whose product leaves the window
-    (ring.fits is false) are skipped: they can neither confirm nor refute
-    a candidate inside the truncation.
+    A necessary condition for transparency.  By the balancing identity
+    the monodromy on x (x) y is trivial exactly when every factor z of the
+    product has e_z = e_x + e_y mod 4p on the twist exponents, so the scan
+    compares integers and stops at the first refuting x.  On truncated
+    rings, pairs whose product leaves the window (ring.fits is false) are
+    skipped: they can neither confirm nor refute a candidate inside the
+    truncation.
     """
-    one = twists.ctx.one()
+    exponent, n = twists.exponent, twists.ctx.N
     labels = ring.labels
-    out = set()
-    for y in labels:
-        central = True
-        for x in labels:
-            if not ring.fits(x, y):
-                continue
-            spec = monodromy(ring, twists, x, y)
-            if any(eig != one for _, eig, _ in spec.entries):
-                central = False
-                break
-        if central:
-            out.add(y)
-    return out
+    return {y for y in labels
+            if all((exponent[z] - exponent[x] - exponent[y]) % n == 0
+                   for x in labels if ring.fits(x, y)
+                   for z in ring.product(x, y))}
 
 
 # -- quantum-order arithmetic -------------------------------------------------

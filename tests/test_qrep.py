@@ -33,6 +33,7 @@ from ribbonkit.qrep import (
     Matrix,
     ModuleMap,
     WeightModule,
+    _echelon_add,
     _nullspace,
     _op_powers,
     braiding,
@@ -211,6 +212,122 @@ def test_nullspace_dimension_and_kernel(p, data):
         assert all(_dot(ctx, row, vec).is_zero() for row in rows)
 
 
+# The dense Gauss-Jordan route the sparse echelon form replaced, kept here
+# as the reference it must agree with entry for entry.
+
+
+def _dense_row_reduce(rows, ncols):
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        hit = next(
+            (r for r in range(top, len(rows)) if not rows[r][col].is_zero()),
+            None,
+        )
+        if hit is None:
+            continue
+        rows[top], rows[hit] = rows[hit], rows[top]
+        lead = rows[top][col]
+        if lead != lead.ctx.one():  # rows reduced before lead with one
+            scale = inv(lead)
+            rows[top] = [x * scale for x in rows[top]]
+        for r in range(len(rows)):
+            if r == top or rows[r][col].is_zero():
+                continue
+            factor = rows[r][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[top])]
+        pivots.append(col)
+    return pivots
+
+
+def _dense_nullspace(rows, dim, ctx):
+    work = list(rows)
+    pivots = _dense_row_reduce(work, dim)
+    kernel = []
+    for free in range(dim):
+        if free in pivots:
+            continue
+        vec = [ctx.zero()] * dim
+        vec[free] = ctx.one()
+        for row, pc in zip(work, pivots):
+            vec[pc] = -row[free]
+        kernel.append(vec)
+    return kernel
+
+
+def _dense_certify_simple(m):
+    ctx = m.ctx
+
+    def dense_rows(mat):
+        rows = [[ctx.zero()] * mat.cols for _ in range(mat.rows)]
+        for (i, j), v in mat.data.items():
+            rows[i][j] = v
+        return rows
+
+    def apply(mat, vec):
+        out = [ctx.zero()] * mat.rows
+        for (i, j), v in mat.data.items():
+            if not vec[j].is_zero():
+                out[i] = out[i] + v * vec[j]
+        return out
+
+    kernel = _dense_nullspace(dense_rows(m.E) + dense_rows(m.Ep),
+                              m.dimension, ctx)
+    if len(kernel) != 1:
+        return False
+    basis = [kernel[0]]
+    frontier = [kernel[0]]
+    while frontier:
+        nxt = []
+        for vec in frontier:
+            for op in (m.F, m.Fp):
+                img = apply(op, vec)
+                rank = len(basis)
+                basis.append(img)
+                del basis[len(_dense_row_reduce(basis, m.dimension)):]
+                if len(basis) > rank:
+                    nxt.append(img)
+        frontier = nxt
+    return len(basis) == m.dimension
+
+
+@pytest.mark.parametrize("p", LINALG_P)
+@given(data=st.data())
+def test_echelon_matches_dense_gauss_jordan(p, data):
+    # a reduced echelon form is unique: the sparse one grown row by row has
+    # the dense route's pivot columns and pivot rows, and the same kernel,
+    # on systems with zero, repeated and dependent rows
+    ctx = field(p)
+    ncols = data.draw(st.integers(1, 7))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        kind = rng.choice(["zero", "repeat", "combination", "random"])
+        if kind == "zero" or (kind != "random" and not rows):
+            rows.append([ctx.zero()] * ncols)
+        elif kind == "repeat":
+            rows.append(list(rng.choice(rows)))
+        elif kind == "combination":
+            coeffs = [_random_element(rng, ctx, zero_share=0.5) for _ in rows]
+            rows.append([_dot(ctx, coeffs, col) for col in zip(*rows)])
+        else:
+            rows.append([_random_element(rng, ctx, zero_share=0.5)
+                         for _ in range(ncols)])
+    dense = [list(row) for row in rows]
+    dense_pivots = _dense_row_reduce(dense, ncols)
+    pivots: dict = {}
+    independent = [
+        _echelon_add(pivots, {j: v for j, v in enumerate(row)
+                              if not v.is_zero()})
+        for row in rows
+    ]
+    assert sorted(pivots) == dense_pivots
+    assert sum(independent) == len(dense_pivots)
+    for col, row in zip(dense_pivots, dense):
+        assert [pivots[col].get(j, ctx.zero()) for j in range(ncols)] == row
+    assert _nullspace(rows, ncols, ctx) == _dense_nullspace(rows, ncols, ctx)
+
+
 # -- tensor ------------------------------------------------------------------
 
 
@@ -325,7 +442,7 @@ def test_decompose_character_round_trip(data, p):
     assert decompose_character(p, char) == labels
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_certify_simple_tensor_products(p):
     # L(r) (x) V_s is simple: unique singular vector generating everything
     ctx = field(p)
@@ -335,6 +452,39 @@ def test_certify_simple_tensor_products(p):
             assert certify_simple(m)
     # negative control: V2 (x) V2 is never simple
     assert not certify_simple(tensor(simple_V(ctx, 2), simple_V(ctx, 2)))
+
+
+def _span_short_module():
+    # p = 2, weights (2, 0), E = e01 and every other operator zero: the
+    # only singular vector spans a line that F and Fp cannot leave
+    ctx = field(2)
+    z = Matrix.zeros(ctx, 2, 2)
+    e = Matrix(ctx, 2, 2, {(0, 1): ctx.one()})
+    return WeightModule(ctx, (2, 0), e, z, z, z)
+
+
+def test_certify_simple_refuses_orbit_short_of_module():
+    # a relation-clean module with a one-dimensional kernel whose orbit
+    # does not span: the certificate must fail at the span test
+    m = _span_short_module()
+    assert check_module(m) == []
+    assert len(_nullspace(_dense(m.E) + _dense(m.Ep), 2, m.ctx)) == 1
+    assert not certify_simple(m)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_certify_simple_matches_dense_certificate(p):
+    ctx = field(p)
+    mods = [tensor(simple_L(ctx, r), simple_V(ctx, s))
+            for r in range(3) for s in range(1, p + 1)]
+    mods += [tensor(chi_module(ctx), simple_V(ctx, s))
+             for s in range(1, p + 1)]
+    mods += [tensor(simple_V(ctx, a), simple_V(ctx, b))
+             for a in range(1, p + 1) for b in range(1, p + 1)]
+    if p == 2:
+        mods.append(_span_short_module())
+    for m in mods:
+        assert certify_simple(m) == _dense_certify_simple(m), m
 
 
 # -- braiding ----------------------------------------------------------------

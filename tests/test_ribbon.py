@@ -274,6 +274,40 @@ def test_muger_singlet(p):
     assert got == {(r, 1) for r in (-5, -3, -1, 1, 3, 5)}
 
 
+def _muger_by_eigenvalues(ring, twists):
+    # the scan as it was before the congruence: build each fitting pair's
+    # monodromy spectrum and compare every eigenvalue with one
+    one = twists.ctx.one()
+    labels = ring.labels
+    out = set()
+    for y in labels:
+        central = True
+        for x in labels:
+            if not ring.fits(x, y):
+                continue
+            spec = monodromy(ring, twists, x, y)
+            if any(eig != one for _, eig, _ in spec.entries):
+                central = False
+                break
+        if central:
+            out.add(y)
+    return out
+
+
+@pytest.mark.parametrize("p", range(2, 9))
+def test_muger_congruence_matches_eigenvalues_wp(p):
+    ring, table = wp_ring(p), wp_twists(p)
+    assert muger_candidates(ring, table) == _muger_by_eigenvalues(ring, table)
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+def test_muger_congruence_matches_eigenvalues_singlet(p):
+    for r_max in range(2, 9):
+        ring, table = singlet_ring(p, r_max), singlet_twists(p, r_max)
+        assert muger_candidates(ring, table) == \
+            _muger_by_eigenvalues(ring, table), r_max
+
+
 def _window_only(product):
     # a product that fails the test on any pair the window refuses, so a
     # scan that still asked for one (and caught the refusal) shows up
