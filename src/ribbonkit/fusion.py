@@ -7,10 +7,12 @@ disjoint code paths on purpose: the ring isomorphism between them is a
 checked statement, not a construction.
 
 Also here: Frobenius-Perron data, the truncated Virasoro / singlet character
-rings, the induction maps between them, and a plain-JSON surface for all of
-it.  Frobenius-Perron values come from one pure-Python power iteration,
-_perron: integer characters read off its Perron vector are certified by
-exact arithmetic, and rings without one report its floating eigenvalue.
+rings and the induction maps between them.  Every label of both finite rings
+is self-dual, and every Frobenius-Perron dimension is an integer, as for any
+finite-dimensional Hopf algebra: the integer character is read off the
+Perron vector of one pure-Python power iteration, _perron, and certified by
+exact arithmetic.  A ring without such a character is refused, never
+answered in floating point.
 """
 
 from __future__ import annotations
@@ -83,18 +85,17 @@ def push(assign, combo) -> Counter:
 
 
 class FusionRing:
-    """Finite based ring: labels, unit, sparse constants, duality involution.
+    """Finite based ring on self-dual labels: labels, unit, sparse constants.
 
     constants maps (a, b) to {k: N_{ab}^k}.  The constructor enforces the
     structural axioms that hold for every ring in this package (complete
-    product table, nonnegative integer constants, unit row and column,
-    duality an involution fixing the unit).  Associativity and the strict
-    duality pairing are separate checks: the latter genuinely fails on
-    Steinberg-boundary pairs of the module rings, so it reports violations
-    instead of raising.
+    product table, nonnegative integer constants, unit row and column).
+    Associativity and the strict duality pairing are separate checks: the
+    latter genuinely fails on Steinberg-boundary pairs of the module rings,
+    so it reports violations instead of raising.
     """
 
-    def __init__(self, labels, unit, constants, dual):
+    def __init__(self, labels, unit, constants):
         self.labels = tuple(labels)
         self._universe = universe = frozenset(self.labels)
         if len(universe) != len(self.labels):
@@ -102,14 +103,6 @@ class FusionRing:
         if unit not in universe:
             raise ValueError("unit is not a label")
         self.unit = unit
-        self.dual = dict(dual)
-        for a in self.labels:
-            b = self.dual.get(a)
-            if b not in universe or self.dual.get(b) != a:
-                raise ValueError(f"duality is not an involution at {a!r}")
-        if self.dual[unit] != unit:
-            raise ValueError("duality must fix the unit")
-
         self.constants = {}
         for a in self.labels:
             for b in self.labels:
@@ -145,32 +138,26 @@ class FusionRing:
     def all_pairs(self):
         return list(self.constants.keys())
 
-    def check_associativity(self, triples=None) -> list:
+    def check_associativity(self) -> list:
         """Triples (a, b, c) with (ab)c != a(bc); empty means associative."""
-        if triples is None:
-            triples = iproduct(self.labels, repeat=3)
         constants = self.constants
 
         def lookup(x, y):
             return constants[(x, y)]
 
-        return [(a, b, c) for a, b, c in triples
+        return [(a, b, c) for a, b, c in iproduct(self.labels, repeat=3)
                 if not associative(lookup, a, b, c)]
 
     def check_duality(self) -> list:
-        """Pairs (a, b) violating N_{ab}^{unit} = delta_{b, a*}.
+        """Pairs (a, b) violating N_{ab}^{unit} = delta_{a, b}, the delta
+        rule for self-dual labels.
 
         The delta rule is an axiom for semisimple fusion rings only; the
         composition-factor rings here break it exactly where projective
         covers are larger than their simples.
         """
-        bad = []
-        for a in self.labels:
-            for b in self.labels:
-                want = 1 if self.dual[a] == b else 0
-                if self.constants[(a, b)].get(self.unit, 0) != want:
-                    bad.append((a, b))
-        return bad
+        return [(a, b) for a in self.labels for b in self.labels
+                if self.constants[(a, b)].get(self.unit, 0) != int(a == b)]
 
 
 class RingMorphism:
@@ -239,7 +226,7 @@ def uq_ring(p: int) -> FusionRing:
                 dec = decompose_character(p, _convolve(wts[a], wts[b]))
                 done = restrict_classes(dec)
             constants[(a, b)] = dict(done)
-    return FusionRing(labels, (1, 0), constants, {lab: lab for lab in labels})
+    return FusionRing(labels, (1, 0), constants)
 
 
 # -- the generator-recursion ring ---------------------------------------------
@@ -303,7 +290,7 @@ def wp_ring(p: int) -> FusionRing:
             if min(col) < 0:
                 raise NegativityError(f"negative constant in {a!r} * {b!r}")
             constants[(a, b)] = {labels[k]: c for k, c in enumerate(col) if c}
-    return FusionRing(labels, (1, 1), constants, {lab: lab for lab in labels})
+    return FusionRing(labels, (1, 1), constants)
 
 
 def iso_T_labels(p: int) -> dict:
@@ -321,42 +308,25 @@ def iso_T(p: int) -> RingMorphism:
 # -- Frobenius-Perron dimensions ----------------------------------------------
 
 
-class FPDimResult:
-    __slots__ = ("value", "exact", "residual")
-
-    def __init__(self, value, exact, residual=None):
-        self.value = value
-        self.exact = exact
-        self.residual = residual
-
-    def __repr__(self):
-        tag = "exact" if self.exact else f"residual={self.residual:.2e}"
-        return f"FPDimResult({self.value}, {tag})"
-
-
-def _perron(ring, combo):
-    """(eigenvalue, unit vector, max-norm residual) of the Perron pair of
-    left multiplication by combo, by power iteration from the all-ones
-    vector: stops below residual 1e-10, raises ConvergenceError after
-    _PERRON_MAX_ITER steps, and gives (0.0, zero vector, 0.0) if M kills
-    it."""
+def _perron(ring):
+    """The unit Perron vector of the total left multiplication (by the sum
+    of all labels), by power iteration from the all-ones vector: stops below
+    max-norm residual 1e-10 and raises ConvergenceError after
+    _PERRON_MAX_ITER steps.  No image is zero: the unit acts trivially."""
     pos = {lab: i for i, lab in enumerate(ring.labels)}
     cols = [Counter() for _ in ring.labels]
-    for a, ma in combo.items():
+    for a in ring.labels:
         for b in ring.labels:
             for k, c in ring.constants[(a, b)].items():
-                cols[pos[b]][pos[k]] += ma * c
+                cols[pos[b]][pos[k]] += c
     image = _apply(cols, [1.0] * len(cols))
     for _ in range(_PERRON_MAX_ITER):
         norm = math.hypot(*image)
-        if norm == 0.0:
-            return 0.0, image, 0.0
         w = [x / norm for x in image]
         image = _apply(cols, w)
         lam = sum(x * y for x, y in zip(w, image))
-        residual = max(abs(y - lam * x) for x, y in zip(w, image))
-        if residual < 1e-10:
-            return lam, w, residual
+        if max(abs(y - lam * x) for x, y in zip(w, image)) < 1e-10:
+            return w
     raise ConvergenceError(
         f"power iteration did not reach 1e-10 within {_PERRON_MAX_ITER} steps"
     )
@@ -371,7 +341,7 @@ def _fp_character(ring):
     an exact integer re-check of every product relation, so a returned
     character is proven, not numerical."""
     try:
-        _, vec, _ = _perron(ring, dict.fromkeys(ring.labels, 1))
+        vec = _perron(ring)
     except ConvergenceError:
         return None
     anchor = max(range(len(vec)), key=vec.__getitem__)
@@ -392,24 +362,23 @@ def _fp_character(ring):
     return {lab: Fraction(v) for lab, v in candidate.items()}
 
 
-def fpdim_object(ring, x) -> FPDimResult:
-    """Frobenius-Perron dimension of a label or Z+-combination of labels.
+def fpdim_object(ring, x) -> Fraction:
+    """Frobenius-Perron dimension of a label or Z+-combination of labels,
+    read off the ring's certified integer character.
 
-    Exact (Fraction) whenever the ring carries a certified integer
-    character; otherwise the Perron eigenvalue of left multiplication via
-    power iteration (_perron), required to reach residual < 1e-10.
+    A ring without one is refused with ValueError: the rings of this
+    package come from a finite-dimensional Hopf algebra, whose
+    Frobenius-Perron dimensions are integers.
     """
     combo = Counter(x) if isinstance(x, (dict, Counter)) else Counter({x: 1})
     for lab in combo:
         if lab not in ring:
             raise ValueError(f"{lab!r} is not a label of this ring")
     char = _fp_character(ring)
-    if char is not None:
-        value = sum((char[lab] * mult for lab, mult in combo.items()),
-                    Fraction(0))
-        return FPDimResult(value, True)
-    lam, _, residual = _perron(ring, combo)
-    return FPDimResult(lam, False, residual)
+    if char is None:
+        raise ValueError(
+            "this ring has no integral Frobenius-Perron character")
+    return sum((char[lab] * mult for lab, mult in combo.items()), Fraction(0))
 
 
 def fpdim_category(ring, projective_classes) -> Fraction:
@@ -418,14 +387,8 @@ def fpdim_category(ring, projective_classes) -> Fraction:
     projective_classes maps each label to the class of its projective
     cover as a Z+-combination of labels.
     """
-    total = Fraction(0)
-    for lab in ring.labels:
-        cover = fpdim_object(ring, projective_classes[lab])
-        simple = fpdim_object(ring, lab)
-        if not (cover.exact and simple.exact):
-            raise ConvergenceError("category dimension needs exact characters")
-        total += cover.value * simple.value
-    return total
+    return sum((fpdim_object(ring, projective_classes[lab])
+                * fpdim_object(ring, lab) for lab in ring.labels), Fraction(0))
 
 
 def uq_projective_classes(p: int) -> dict:
@@ -687,17 +650,3 @@ def check_grring_iso_K(p: int, r_max: int = DEFAULT_RMAX):
 
 def label_json(lab):
     return list(lab) if isinstance(lab, tuple) else lab
-
-
-def ring_json(ring) -> dict:
-    idx = {lab: i for i, lab in enumerate(ring.labels)}
-    constants = []
-    for (a, b), row in ring.constants.items():
-        for k, n in sorted(row.items(), key=str):
-            constants.append([idx[a], idx[b], idx[k], n])
-    return {
-        "labels": [label_json(lab) for lab in ring.labels],
-        "unit": label_json(ring.unit),
-        "duality": [idx[ring.dual[lab]] for lab in ring.labels],
-        "constants": constants,
-    }

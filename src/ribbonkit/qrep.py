@@ -780,25 +780,3 @@ def certify_simple(m: WeightModule) -> bool:
         if _echelon_add(orbit, {i: v for (i, _), v in vec.data.items()}):
             queue += (m.F.mul(vec), m.Fp.mul(vec))
     return len(orbit) == dim
-
-
-# -- serialization -----------------------------------------------------------
-
-
-def module_json(m: WeightModule) -> dict:
-    """Plain-data description: dimension, weights, dense serialized operators."""
-    def dense(op):
-        return [
-            [str(op.entry(i, j)) for j in range(m.dimension)]
-            for i in range(m.dimension)
-        ]
-
-    return {
-        "field": m.ctx.header(),
-        "dimension": m.dimension,
-        "weights": list(m.weights),
-        "operators": {
-            "E": dense(m.E), "F": dense(m.F),
-            "Ep": dense(m.Ep), "Fp": dense(m.Fp),
-        },
-    }

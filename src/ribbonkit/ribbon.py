@@ -67,8 +67,7 @@ class TwistTable:
 class MonodromySpectrum:
     """Eigenvalues of the double braiding on X (x) Y, listed per factor."""
 
-    def __init__(self, pair, entries):
-        self.pair = pair
+    def __init__(self, entries):
         self.entries = list(entries)  # (factor label, eigenvalue, mult)
 
     def multiset(self) -> Counter:
@@ -79,9 +78,6 @@ class MonodromySpectrum:
 
     def by_factor(self) -> dict:
         return {lab: eig for lab, eig, _ in self.entries}
-
-    def size(self) -> int:
-        return sum(mult for _, _, mult in self.entries)
 
 
 # -- twist tables -------------------------------------------------------------
@@ -155,7 +151,7 @@ def monodromy(ring, twists: TwistTable, x, y) -> MonodromySpectrum:
     base = exponent[x] + exponent[y]
     entries = [(z, root(exponent[z] - base), mult)
                for z, mult in sorted(ring.product(x, y).items(), key=str)]
-    return MonodromySpectrum((x, y), entries)
+    return MonodromySpectrum(entries)
 
 
 def muger_candidates(ring, twists: TwistTable) -> set:
@@ -252,15 +248,5 @@ def twist_table_json(table: TwistTable) -> dict:
         "theta": [
             [label_json(lab), str(value)]
             for lab, value in sorted(table.theta.items(), key=str)
-        ],
-    }
-
-
-def spectrum_json(spec: MonodromySpectrum) -> dict:
-    return {
-        "pair": [label_json(lab) for lab in spec.pair],
-        "size": spec.size(),
-        "eigenvalues": [
-            [label_json(z), str(eig), mult] for z, eig, mult in spec.entries
         ],
     }

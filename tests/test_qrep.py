@@ -43,7 +43,6 @@ from ribbonkit.qrep import (
     decompose_character,
     decompose_factors,
     intrinsic_dim,
-    module_json,
     peel_strings,
     quantum_trace,
     selfdual_image,
@@ -861,7 +860,7 @@ def test_functoriality_random_words(data, p):
     assert tl_to_matrix(ctx, comp_tl) == comp_mat
 
 
-# -- maps and serialization --------------------------------------------------
+# -- maps ---------------------------------------------------------------------
 
 
 def test_module_map_verification():
@@ -870,12 +869,3 @@ def test_module_map_verification():
     with pytest.raises(ValueError):
         ModuleMap(v2, v2, Matrix(ctx, 2, 2, {(0, 1): ctx.one()}), verify=True)
     ModuleMap(v2, v2, Matrix.identity(ctx, 2), verify=True)
-
-
-def test_module_json():
-    ctx = field(2)
-    j = module_json(simple_V(ctx, 2))
-    assert j["dimension"] == 2
-    assert j["weights"] == [1, -1]
-    assert set(j["operators"]) == {"E", "F", "Ep", "Fp"}
-    assert j["operators"]["E"][0][1] == "1"

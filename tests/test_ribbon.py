@@ -31,7 +31,6 @@ from ribbonkit.fusion import (
 )
 from ribbonkit.qrep import simple_V, tensor, twist_inverse
 from ribbonkit.ribbon import (
-    MonodromySpectrum,
     NonRepresentablePhase,
     NonScalarTwist,
     TwistTable,
@@ -40,7 +39,6 @@ from ribbonkit.ribbon import (
     muger_candidates,
     quantum_order_check,
     singlet_twists,
-    spectrum_json,
     twist_table_json,
     uq_twists,
     voa_monodromy_phase,
@@ -195,7 +193,6 @@ def test_monodromy_x2_x2_p2_degenerate():
     ctx = field(2)
     spec = monodromy(wp_ring(2), wp_twists(2), (2, 1), (2, 1))
     assert spec.multiset() == Counter({make_root(ctx, -6): 4})
-    assert spec.size() == 4
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -335,7 +332,7 @@ def test_muger_toy_all_central():
         ("1", "1"): {"1": 1}, ("1", "g"): {"g": 1},
         ("g", "1"): {"g": 1}, ("g", "g"): {"1": 1},
     }
-    ring = FusionRing(["1", "g"], "1", consts, {"1": "1", "g": "g"})
+    ring = FusionRing(["1", "g"], "1", consts)
     ctx = field(2)
     table = TwistTable(dict.fromkeys(ring.labels, ctx.one()), ring.unit)
     assert muger_candidates(ring, table) == {"1", "g"}
@@ -411,12 +408,3 @@ def test_twist_table_json():
     assert j["field"] == "cyclotomic(N=8)"
     entries = {tuple(lab): val for lab, val in j["theta"]}
     assert entries[(1, 1)] == "1"
-
-
-def test_spectrum_json():
-    spec = monodromy(wp_ring(3), wp_twists(3), (2, 1), (2, 1))
-    assert isinstance(spec, MonodromySpectrum)
-    j = spectrum_json(spec)
-    assert j["pair"] == [[2, 1], [2, 1]]
-    assert j["size"] == 2
-    assert len(j["eigenvalues"]) == 2
