@@ -4,8 +4,8 @@ roots of unity, fusion rings, and ribbon/modularity verification.
 Subpackage map:
     cyclo   exact cyclotomic field Q(zeta_{4p})
     tldiag  Temperley-Lieb diagram category at d = -(q + q^{-1})
-    qrep    weight modules, R-matrix braiding, inverse ribbon twist
-    fusion  Z+-rings, morphisms, Frobenius-Perron dimensions
+    qrep    weight modules; braiding and inverse twist as certified matrices
+    fusion  Z+-rings, the ring-isomorphism witness, Frobenius-Perron dimensions
     ribbon  twist tables, monodromy spectra, Mueger-center tests
     checks  the verification checks behind verify, the check verbs and the
             acceptance gate, one function per verified statement

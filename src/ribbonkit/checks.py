@@ -36,8 +36,8 @@ from .qrep import (
 )
 from .fusion import (
     associative, check_grring_iso_K, conformal_weight, fpdim_category,
-    fpdim_object, induction_F, induction_I, induction_Iprime, iso_T,
-    iso_T_labels, linear, singlet_ring, uq_projective_classes, uq_ring,
+    fpdim_object, induction_F, induction_I, induction_Iprime, iso_T_labels,
+    linear, ring_map_witness, singlet_ring, uq_projective_classes, uq_ring,
     vir_ring, wp_projective_classes, wp_ring,
 )
 from .ribbon import (
@@ -162,10 +162,11 @@ def _fusion_associativity(p, env):
 
 
 @check("fusion.iso_T")
-def _fusion_iso_T(p, env):
-    ok, witness = iso_T(p).check()
-    return ok, ("label bijection is a ring isomorphism on all pairs"
-                if ok else f"witness {witness}")
+def _fusion_isomorphism(p, env):
+    witness = ring_map_witness(uq_ring(p), wp_ring(p), iso_T_labels(p))
+    return witness is None, (
+        "label bijection is a ring isomorphism on all pairs"
+        if witness is None else f"witness {witness}")
 
 
 @check("fusion.duality_pattern")
@@ -261,9 +262,9 @@ def _braiding_rmatrix(p, env):
     v = simple_V(ctx, 2)
     coev, ev = selfdual_V(ctx)
     zh, q = ctx.qhalf(), ctx.q()
-    want = (coev.matrix.mul(ev.matrix).scale(zh)
+    want = (coev.mul(ev).scale(zh)
             .add(Matrix.identity(ctx, 4).scale(inv(zh))))
-    got = braiding(v, v).matrix
+    got = braiding(v, v)
     if not (got.rows == got.cols == 4 and got == want):
         return False, "R-matrix braiding on V[2] differs from the candidate"
     dim = intrinsic_dim((coev, ev))
@@ -495,9 +496,9 @@ def _balancing(p, env):
     for m, n in pairs:
         if m.dimension * n.dimension > 12:
             continue
-        c2 = braiding(n, m).matrix.mul(braiding(m, n).matrix)
-        lhs = c2.mul(twist_inverse(tensor(m, n)).matrix)
-        rhs = Matrix.kron(twist_inverse(m).matrix, twist_inverse(n).matrix)
+        c2 = braiding(n, m).mul(braiding(m, n))
+        lhs = c2.mul(twist_inverse(tensor(m, n)))
+        rhs = Matrix.kron(twist_inverse(m), twist_inverse(n))
         if lhs != rhs:
             return False, "balancing identity breaks"
         checked += 1

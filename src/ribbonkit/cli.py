@@ -41,8 +41,7 @@ from .fusion import (
     vir_ring, wp_ring,
 )
 from .ribbon import (
-    muger_candidates, singlet_twists, twist_table_json, voa_monodromy_phase,
-    wp_twists,
+    muger_candidates, singlet_twists, voa_monodromy_phase, wp_twists,
 )
 from .checks import (
     SUITES, fpdim_routes, hexagon_winners, inverse_pair_failures, jw_audit,
@@ -378,6 +377,14 @@ def format_combination(combo, family: str) -> str:
 
 def _combo_json(combo) -> list:
     return [[list(lab), mult] for lab, mult in sorted(dict(combo).items())]
+
+
+def twist_table_json(table) -> dict:
+    return {
+        "field": table.ctx.header(),
+        "theta": [[list(lab), str(value)]
+                  for lab, value in sorted(table.theta.items(), key=str)],
+    }
 
 
 # -- command verbs ------------------------------------------------------------

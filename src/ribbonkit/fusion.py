@@ -135,9 +135,6 @@ class FusionRing:
         """Every product of a finite ring is defined (cf. TruncatedRing)."""
         return True
 
-    def all_pairs(self):
-        return list(self.constants.keys())
-
     def check_associativity(self) -> list:
         """Triples (a, b, c) with (ab)c != a(bc); empty means associative."""
         constants = self.constants
@@ -160,37 +157,27 @@ class FusionRing:
                 if self.constants[(a, b)].get(self.unit, 0) != int(a == b)]
 
 
-class RingMorphism:
-    """Label assignment between based rings, checkable for ring-map laws."""
+def ring_map_witness(source, target, assign):
+    """Why the label assignment source -> target is not a ring isomorphism,
+    or None when it is one: a basis bijection, unit to unit, and
+    multiplicative on every pair of source labels.
 
-    def __init__(self, source, target, assign):
-        if set(assign) != set(source.labels):
-            raise ValueError("assignment must cover every source label")
-        for v in assign.values():
-            if v not in target:
-                raise ValueError(f"{v!r} is not a target label")
-        self.source = source
-        self.target = target
-        self.assign = dict(assign)
-
-    def check(self):
-        """(ok, witness): basis bijection, unit, and multiplicativity on
-        every pair of source labels.
-
-        witness is None on success, otherwise ((a, b), pushed, direct) for
-        the first pair where the two routes disagree (unit and bijection
-        failures use a descriptive first slot).
-        """
-        if set(self.assign.values()) != set(self.target.labels):
-            return False, ("not a bijection onto the target basis", None, None)
-        if self.assign[self.source.unit] != self.target.unit:
-            return False, ("unit is not preserved", None, None)
-        for a, b in self.source.all_pairs():
-            pushed = push(self.assign, self.source.constants[(a, b)])
-            direct = self.target.constants[(self.assign[a], self.assign[b])]
-            if pushed != direct:
-                return False, ((a, b), pushed, Counter(direct))
-        return True, None
+    The witness is ((a, b), pushed, direct) for the first pair where the
+    two routes disagree; bijection and unit failures put a description in
+    the first slot.  An assignment that misses a source label or reaches a
+    non-target label is not a bijection.
+    """
+    if set(assign) != set(source.labels) or \
+            set(assign.values()) != set(target.labels):
+        return ("not a bijection onto the target basis", None, None)
+    if assign[source.unit] != target.unit:
+        return ("unit is not preserved", None, None)
+    for (a, b), row in source.constants.items():
+        pushed = push(assign, row)
+        direct = target.constants[(assign[a], assign[b])]
+        if pushed != direct:
+            return ((a, b), pushed, Counter(direct))
+    return None
 
 
 # -- the module-oracle ring ---------------------------------------------------
@@ -297,12 +284,6 @@ def iso_T_labels(p: int) -> dict:
     """The label bijection (s, 0) -> (s, +), (s, 1) -> (s, -); no ring."""
     return {(s, eps): (s, 1 if eps == 0 else -1)
             for s in range(1, p + 1) for eps in (0, 1)}
-
-
-def iso_T(p: int) -> RingMorphism:
-    """iso_T_labels(p) as a morphism uq_ring(p) -> wp_ring(p), for the
-    checks that read the constants of both rings."""
-    return RingMorphism(uq_ring(p), wp_ring(p), iso_T_labels(p))
 
 
 # -- Frobenius-Perron dimensions ----------------------------------------------
@@ -643,10 +624,3 @@ def check_grring_iso_K(p: int, r_max: int = DEFAULT_RMAX):
     if image != Counter({(1, 1): 2, (p - 1, -1): 2}):
         return False, ("vacuum-cover image", dict(vac_cover), dict(image))
     return True, None
-
-
-# -- JSON surfaces ------------------------------------------------------------
-
-
-def label_json(lab):
-    return list(lab) if isinstance(lab, tuple) else lab

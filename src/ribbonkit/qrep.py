@@ -6,6 +6,9 @@ divided-power generators Ep/Fp shift by +-2p and carry the Frobenius part of
 the theory.  Operators are sparse matrices over the exact cyclotomic field;
 everything here is exact, nothing is numeric.
 
+A map between modules is a plain Matrix: module_map certifies it (field,
+shape, K-equivariance, and intertwining E, F, Ep, Fp) and hands it back.
+
 One sparse reduced echelon form, grown a row at a time by _echelon_add,
 backs the kernel and the span test of the simplicity certificate; a row
 there is a dict column -> nonzero value.
@@ -19,7 +22,7 @@ p-shifted string, and the peel is one descending pass over the weights.
 """
 
 from collections import Counter
-from functools import cache, reduce
+from functools import cache
 
 from .cyclo import ContextMismatch, CycNumber, FieldContext, inv, qfact, qint
 from . import tldiag
@@ -150,8 +153,10 @@ class WeightModule:
     """Finite-dimensional weight module with sparse operator actions.
 
     Operators may be passed as matrices or as zero-argument thunks; thunks
-    are materialized (and shift-validated) on first access, which keeps
-    character-level work on large tensor products cheap.
+    are materialized (and shift-validated) on first access.  Certifying a
+    map reads all four operators, but character-level work reads the
+    weights alone: the restriction route of grring.iso_K takes uq_classes
+    of each L(r-1) (x) V_s and builds none of their operators.
     """
 
     __slots__ = ("ctx", "weights", "dimension", "_ops")
@@ -194,39 +199,23 @@ class WeightModule:
         return f"WeightModule(dim={self.dimension}, p={self.ctx.p})"
 
 
-class ModuleMap:
-    """Linear map between weight modules, optionally certified equivariant."""
-
-    __slots__ = ("domain", "codomain", "matrix", "verified")
-
-    def __init__(self, domain, codomain, matrix, verify=False):
-        if domain.ctx is not codomain.ctx or matrix.ctx is not domain.ctx:
-            raise ContextMismatch("map pieces from different field contexts")
-        if (matrix.rows, matrix.cols) != (codomain.dimension, domain.dimension):
-            raise ValueError("matrix shape does not match domain/codomain")
-        self.domain = domain
-        self.codomain = codomain
-        self.matrix = matrix
-        self.verified = False
-        if verify:
-            self._verify()
-            self.verified = True
-
-    def _verify(self):
-        dom, cod, mat = self.domain, self.codomain, self.matrix
-        period = 2 * dom.ctx.p  # q has order 2p, so K only sees weights mod 2p
-        for (i, j) in mat.data:
-            if (cod.weights[i] - dom.weights[j]) % period:
-                raise ValueError(f"entry ({i},{j}) breaks K-equivariance")
-        for name in ("E", "F", "Ep", "Fp"):
-            left = getattr(cod, name).mul(mat)
-            right = mat.mul(getattr(dom, name))
-            if left != right:
-                raise ValueError(f"map fails to intertwine {name}")
-
-    def __repr__(self):
-        return (f"ModuleMap({self.domain!r} -> {self.codomain!r}, "
-                f"verified={self.verified})")
+def module_map(domain, codomain, matrix) -> Matrix:
+    """matrix, certified as a module map domain -> codomain: it must share
+    their field, have their shape, respect K and intertwine E, F, Ep, Fp."""
+    if domain.ctx is not codomain.ctx or matrix.ctx is not domain.ctx:
+        raise ContextMismatch("map pieces from different field contexts")
+    if (matrix.rows, matrix.cols) != (codomain.dimension, domain.dimension):
+        raise ValueError("matrix shape does not match domain/codomain")
+    period = 2 * domain.ctx.p  # q has order 2p, so K only sees weights mod 2p
+    for (i, j) in matrix.data:
+        if (codomain.weights[i] - domain.weights[j]) % period:
+            raise ValueError(f"entry ({i},{j}) breaks K-equivariance")
+    for name in ("E", "F", "Ep", "Fp"):
+        left = getattr(codomain, name).mul(matrix)
+        right = matrix.mul(getattr(domain, name))
+        if left != right:
+            raise ValueError(f"map fails to intertwine {name}")
+    return matrix
 
 
 def check_module(m: WeightModule) -> list:
@@ -332,8 +321,8 @@ def tensor(m: WeightModule, n: WeightModule) -> WeightModule:
     """Product module under the coproduct
     E -> E@1 + K@E,  F -> F@K^{-1} + 1@F, with the matching divided-power
     expansion for Ep and Fp.  Only the weights are computed here; each
-    operator is built on first access, so a product that serves only as a
-    map's domain or codomain costs its weights alone."""
+    operator is built on first access, so a product whose character alone
+    is read (uq_classes) costs its weights alone."""
     if m.ctx is not n.ctx:
         raise ContextMismatch("tensor factors from different field contexts")
     ctx = m.ctx
@@ -370,12 +359,6 @@ def tensor(m: WeightModule, n: WeightModule) -> WeightModule:
     return WeightModule(ctx, weights, e_t, f_t, ep_t, fp_t)
 
 
-def _tensor_power(ctx, base: WeightModule, n: int) -> WeightModule:
-    if n == 0:
-        return simple_V(ctx, 1)
-    return reduce(tensor, [base] * n)
-
-
 # -- braiding and twist ------------------------------------------------------
 
 
@@ -410,11 +393,11 @@ def _twist_term(ctx: FieldContext, j: int, e: int) -> CycNumber:
     return ctx.root(e) * _twist_coefs(ctx)[j]
 
 
-def braiding(m: WeightModule, n: WeightModule) -> ModuleMap:
+def braiding(m: WeightModule, n: WeightModule) -> Matrix:
     """The braiding tensor(m,n) -> tensor(n,m):
     v@w -> zeta^{-lam.mu} sum_j c_j F^j w @ E^j v, with
-    c_j = q^{-j(j-1)/2} (q^{-1}-q)^j / [j]!.  Construction verifies the
-    module-map property, which pins the coproduct/R-matrix conventions."""
+    c_j = q^{-j(j-1)/2} (q^{-1}-q)^j / [j]!.  The matrix is certified by
+    module_map, which pins the coproduct/R-matrix conventions."""
     if m.ctx is not n.ctx:
         raise ContextMismatch("braiding inputs from different field contexts")
     ctx = m.ctx
@@ -454,10 +437,10 @@ def braiding(m: WeightModule, n: WeightModule) -> ModuleMap:
                         cur = acc.get(key)
                         acc[key] = term if cur is None else cur + term
     mat = Matrix(ctx, dm * dn, dm * dn, acc)
-    return ModuleMap(tensor(m, n), tensor(n, m), mat, verify=True)
+    return module_map(tensor(m, n), tensor(n, m), mat)
 
 
-def twist_inverse(m: WeightModule) -> ModuleMap:
+def twist_inverse(m: WeightModule) -> Matrix:
     """Inverse ribbon twist acting on m:
     w -> (-1)^lam zeta4p^{lam^2} sum_j zeta4p^{j(j+1)} q^{(j+1)lam}
          ((q^2-1)^j/[j]!) F^j E^j w   (lam the weight of w)."""
@@ -478,7 +461,7 @@ def twist_inverse(m: WeightModule) -> ModuleMap:
             cur = acc.get((i, k))
             acc[(i, k)] = term if cur is None else cur + term
     mat = Matrix(ctx, m.dimension, m.dimension, acc)
-    return ModuleMap(m, m, mat, verify=True)
+    return module_map(m, m, mat)
 
 
 # -- self-duality of the standard module and the diagram functor -------------
@@ -494,16 +477,13 @@ def selfdual_V(ctx: FieldContext):
     zh = ctx.qhalf()
     coev = Matrix(ctx, 4, 1, {(1, 0): inv(zh), (2, 0): -zh})
     ev = Matrix(ctx, 1, 4, {(0, 1): -inv(zh), (0, 2): zh})
-    return (
-        ModuleMap(unit, vv, coev, verify=True),
-        ModuleMap(vv, unit, ev, verify=True),
-    )
+    return module_map(unit, vv, coev), module_map(vv, unit, ev)
 
 
 def intrinsic_dim(pair) -> CycNumber:
-    """Scalar of ev.coev for a (coev, ev) self-duality pair."""
+    """Scalar of ev.coev for a (coev, ev) self-duality pair of matrices."""
     coev, ev = pair
-    prod = ev.matrix.mul(coev.matrix)
+    prod = ev.mul(coev)
     if (prod.rows, prod.cols) != (1, 1):
         raise ValueError("pair does not compose to a scalar")
     return prod.entry(0, 0)
@@ -568,7 +548,9 @@ def _reversed_complement(u: int, n: int) -> int:
 
 def selfdual_image(ctx: FieldContext, e: Matrix, n: int):
     """Duality pair for the image of an idempotent e on n strands, obtained by
-    corestricting the nested n-fold coevaluation/evaluation through e@e."""
+    corestricting the nested n-fold coevaluation/evaluation through e@e.
+    Returns the matrices (coev, ev), of shapes (4^n, 1) and (1, 4^n); they
+    are not certified as module maps."""
     size = 1 << n
     if (e.rows, e.cols) != (size, size):
         raise ValueError("idempotent shape does not match the strand count")
@@ -609,15 +591,8 @@ def selfdual_image(ctx: FieldContext, e: Matrix, n: int):
                 term = w * v1 * v2
                 cur = ev_acc.get(key)
                 ev_acc[key] = term if cur is None else cur + term
-
-    # the maps are not verified, so their codomain V^{(x)2n} is read for its
-    # dimension only and tensor builds none of its operators
-    big = _tensor_power(ctx, simple_V(ctx, 2), n)
-    square = tensor(big, big)
-    unit = simple_V(ctx, 1)
-    coev = ModuleMap(unit, square, Matrix(ctx, size * size, 1, coev_acc))
-    ev = ModuleMap(square, unit, Matrix(ctx, 1, size * size, ev_acc))
-    return coev, ev
+    return (Matrix(ctx, size * size, 1, coev_acc),
+            Matrix(ctx, 1, size * size, ev_acc))
 
 
 # -- composition factors by character arithmetic -----------------------------

@@ -19,7 +19,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .cyclo import field, make_root, qint
-from .fusion import DEFAULT_RMAX, conformal_weight, label_json, singlet_ring
+from .fusion import DEFAULT_RMAX, conformal_weight, singlet_ring
 from .qrep import (
     Matrix,
     chi_module,
@@ -120,10 +120,9 @@ def uq_twists(p: int) -> TwistTable:
     ctx = field(p)
     theta = {}
     for s in range(1, p + 1):
-        theta[(s, 0)] = module_twist_scalar(
-            twist_inverse(simple_V(ctx, s)).matrix)
+        theta[(s, 0)] = module_twist_scalar(twist_inverse(simple_V(ctx, s)))
         twisted = tensor(chi_module(ctx), simple_V(ctx, s))
-        theta[(s, 1)] = module_twist_scalar(twist_inverse(twisted).matrix)
+        theta[(s, 1)] = module_twist_scalar(twist_inverse(twisted))
     return TwistTable(theta, (1, 0))
 
 
@@ -237,16 +236,3 @@ def voa_monodromy_phase(p: int, h1: Fraction, h2: Fraction, h3: Fraction,
             f"exponent {exponent} of the primitive root is not integral"
         )
     return make_root(field(p), int(exponent))
-
-
-# -- JSON reports -------------------------------------------------------------
-
-
-def twist_table_json(table: TwistTable) -> dict:
-    return {
-        "field": table.ctx.header(),
-        "theta": [
-            [label_json(lab), str(value)]
-            for lab, value in sorted(table.theta.items(), key=str)
-        ],
-    }

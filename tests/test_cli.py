@@ -41,7 +41,9 @@ from ribbonkit.cli import (
     parse,
     print_expression,
     random_expression,
+    twist_table_json,
 )
+from ribbonkit.ribbon import wp_twists
 
 
 # -- parser -------------------------------------------------------------------
@@ -276,6 +278,13 @@ def test_format_combination_negative():
     # every formatted combination re-parses and re-evaluates to itself
     back = evaluate(parse(got), p=3)
     assert back == Counter({(2, 0): -2})
+
+
+def test_twist_table_json():
+    j = twist_table_json(wp_twists(2))
+    assert j["field"] == "cyclotomic(N=8)"
+    entries = {tuple(lab): val for lab, val in j["theta"]}
+    assert entries[(1, 1)] == "1"
 
 
 # -- command verbs ------------------------------------------------------------

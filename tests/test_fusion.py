@@ -50,7 +50,6 @@ from ribbonkit.fusion import (
     ConvergenceError,
     FusionRing,
     NegativityError,
-    RingMorphism,
     TruncationOverflow,
     check_grring_iso_K,
     conformal_weight,
@@ -59,9 +58,9 @@ from ribbonkit.fusion import (
     induction_F,
     induction_I,
     induction_Iprime,
-    iso_T,
     iso_T_labels,
     push,
+    ring_map_witness,
     singlet_ring,
     uq_projective_classes,
     uq_ring,
@@ -295,7 +294,7 @@ def test_linear_visits_every_entry():
 def test_associativity_matches_the_loop_on_a_planted_ring(p):
     # one bumped constant, built as in test_check_iso_negative_control
     wp = wp_ring(p)
-    consts = {pair: dict(wp.product(*pair)) for pair in wp.all_pairs()}
+    consts = {pair: dict(wp.product(*pair)) for pair in wp.constants}
     consts[((2, 1), (2, 1))][(1, 1)] += 1
     mutated = FusionRing(wp.labels, wp.unit, consts)
     bad = mutated.check_associativity()
@@ -334,35 +333,47 @@ def test_truncated_associativity_names_the_loop_triple(p, monkeypatch):
 def test_check_iso_T(p):
     # criterion 2 runs the clean check; here each law gets one planted
     # fault at this p and must come back as the witness
-    t = iso_T(p)
-    uq, wp = t.source, t.target
+    assign = iso_T_labels(p)
+    uq, wp = uq_ring(p), wp_ring(p)
 
-    doubled = dict(t.assign)
+    doubled = dict(assign)
     doubled[(p, 1)] = doubled[(p, 0)]
-    assert RingMorphism(uq, wp, doubled).check() == (
-        False, ("not a bijection onto the target basis", None, None))
+    assert ring_map_witness(uq, wp, doubled) == (
+        "not a bijection onto the target basis", None, None)
 
-    swapped = dict(t.assign)
+    swapped = dict(assign)
     swapped[(1, 0)], swapped[(1, 1)] = swapped[(1, 1)], swapped[(1, 0)]
-    assert RingMorphism(uq, wp, swapped).check() == (
-        False, ("unit is not preserved", None, None))
+    assert ring_map_witness(uq, wp, swapped) == (
+        "unit is not preserved", None, None)
 
-    last = uq.all_pairs()[-1]
-    image = (t.assign[last[0]], t.assign[last[1]])
-    consts = {pair: dict(wp.product(*pair)) for pair in wp.all_pairs()}
+    last = list(uq.constants)[-1]
+    image = (assign[last[0]], assign[last[1]])
+    consts = {pair: dict(wp.product(*pair)) for pair in wp.constants}
     consts[image][wp.unit] = consts[image].get(wp.unit, 0) + 1
     bumped = FusionRing(wp.labels, wp.unit, consts)
-    assert RingMorphism(uq, bumped, dict(t.assign)).check() == (
-        False, (last, push(t.assign, uq.product(*last)),
-                Counter(consts[image])))
+    assert ring_map_witness(uq, bumped, assign) == (
+        last, push(assign, uq.product(*last)), Counter(consts[image]))
+
+
+@pytest.mark.parametrize("fault", ["missing label", "foreign label"])
+def test_ring_map_witness_malformed_assignment(fault):
+    # an assignment that does not cover the source labels, or that leaves
+    # the target labels, is no bijection: a witness, never an exception
+    assign = iso_T_labels(2)
+    if fault == "missing label":
+        del assign[(2, 1)]
+    else:
+        assign[(2, 1)] = (3, -1)
+    assert ring_map_witness(uq_ring(2), wp_ring(2), assign) == (
+        "not a bijection onto the target basis", None, None)
 
 
 @pytest.mark.parametrize("p", [8, 13, 20])
 def test_recursion_ring_matches_module_ring(p):
     # past the acceptance range: the integer recursion ring against the
     # module-side ring, and both certified characters against s
-    ok, witness = iso_T(p).check()
-    assert ok, witness
+    witness = ring_map_witness(uq_ring(p), wp_ring(p), iso_T_labels(p))
+    assert witness is None, witness
     for ring in (uq_ring(p), wp_ring(p)):
         assert fusion._fp_character(ring) == {
             lab: Fraction(lab[0]) for lab in ring.labels}
@@ -398,7 +409,7 @@ def test_iso_T_is_label_map():
     assert assign[(2, 1)] == (2, -1)
     assert assign[(1, 0)] == (1, 1)
     assert len(assign) == len(set(assign.values())) == 6
-    assert iso_T(3).assign == assign
+    assert ring_map_witness(uq_ring(3), wp_ring(3), assign) is None
 
 
 def test_check_iso_negative_control():
@@ -406,13 +417,12 @@ def test_check_iso_negative_control():
     uq = uq_ring(2)
     wp = wp_ring(2)
     consts = {
-        pair: dict(wp.product(*pair)) for pair in wp.all_pairs()
+        pair: dict(wp.product(*pair)) for pair in wp.constants
     }
     consts[((2, 1), (2, 1))][(1, 1)] += 1
     mutated = FusionRing(wp.labels, wp.unit, consts)
-    morphism = RingMorphism(uq, mutated, dict(iso_T(2).assign))
-    ok, witness = morphism.check()
-    assert not ok
+    witness = ring_map_witness(uq, mutated, iso_T_labels(2))
+    assert witness is not None
     assert witness[0] == ((2, 0), (2, 0))
 
 
@@ -884,7 +894,7 @@ def test_finite_rings_fit_everywhere():
     rings = [toy_z2_ring()] + [f(p) for p in (2, 3, 5) for f in (uq_ring,
                                                                   wp_ring)]
     for ring in rings:
-        assert all(ring.fits(a, b) is True for a, b in ring.all_pairs())
+        assert all(ring.fits(a, b) is True for a, b in ring.constants)
 
 
 # -- induction maps ----------------------------------------------------------

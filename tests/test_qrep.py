@@ -26,12 +26,11 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from ribbonkit.cyclo import field, inv, qfact, qint
+from ribbonkit.cyclo import ContextMismatch, field, inv, qfact, qint
 from ribbonkit import tldiag
 from ribbonkit.qrep import (
     InconsistentCharacter,
     Matrix,
-    ModuleMap,
     WeightModule,
     _echelon_add,
     _nullspace,
@@ -43,6 +42,7 @@ from ribbonkit.qrep import (
     decompose_character,
     decompose_factors,
     intrinsic_dim,
+    module_map,
     peel_strings,
     quantum_trace,
     selfdual_image,
@@ -504,7 +504,7 @@ def test_braiding_on_standard_module(p):
         (2, 1): zh,           # v+- -> zeta^{1/2} v-+
         (2, 2): -(zh * (z - inv(z))),
     }
-    assert c.matrix == Matrix(ctx, 4, 4, expected)
+    assert c == Matrix(ctx, 4, 4, expected)
 
 
 @pytest.mark.parametrize("p", ALL_P)
@@ -513,10 +513,10 @@ def test_braiding_equals_tl_form(p):
     ctx = field(p)
     v = simple_V(ctx, 2)
     coev, ev = selfdual_V(ctx)
-    f_v = coev.matrix.mul(ev.matrix)
+    f_v = coev.mul(ev)
     zh = ctx.qhalf()
     expected = f_v.scale(zh).add(Matrix.identity(ctx, 4).scale(inv(zh)))
-    assert braiding(v, v).matrix == expected
+    assert braiding(v, v) == expected
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -530,8 +530,8 @@ def test_braiding_is_module_map(p):
         (chi_module(ctx), simple_V(ctx, 2)),
     ]
     for m, n in pool:
-        bm = braiding(m, n)  # construction verifies the intertwining
-        assert bm.domain.dimension == m.dimension * n.dimension
+        bm = braiding(m, n)  # module_map verifies the intertwining
+        assert bm.cols == m.dimension * n.dimension
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -540,13 +540,13 @@ def test_frobenius_image_has_symmetric_braiding(p):
     ctx = field(p)
     for other in (simple_V(ctx, 2), simple_V(ctx, p), simple_L(ctx, 2)):
         m = simple_L(ctx, 2)
-        c1 = braiding(m, other).matrix
-        c2 = braiding(other, m).matrix
+        c1 = braiding(m, other)
+        c2 = braiding(other, m)
         assert c2.mul(c1) == Matrix.identity(ctx, m.dimension * other.dimension)
     # chi-parity control: L(1) against V2 squares to -1
     m = simple_L(ctx, 1)
     v = simple_V(ctx, 2)
-    sq = braiding(v, m).matrix.mul(braiding(m, v).matrix)
+    sq = braiding(v, m).mul(braiding(m, v))
     assert sq == Matrix.identity(ctx, 4).scale(-ctx.one())
 
 
@@ -558,9 +558,9 @@ def test_braiding_hexagon(p):
     if p >= 3:
         triples.append((v2, simple_V(ctx, 3), v2))
     for m, n, w in triples:
-        lhs = braiding(tensor(m, n), w).matrix
-        rhs = Matrix.kron(braiding(m, w).matrix, Matrix.identity(ctx, n.dimension)).mul(
-            Matrix.kron(Matrix.identity(ctx, m.dimension), braiding(n, w).matrix)
+        lhs = braiding(tensor(m, n), w)
+        rhs = Matrix.kron(braiding(m, w), Matrix.identity(ctx, n.dimension)).mul(
+            Matrix.kron(Matrix.identity(ctx, m.dimension), braiding(n, w))
         )
         assert lhs == rhs
 
@@ -572,9 +572,9 @@ def test_braiding_hexagon(p):
 def test_twist_inverse_scalars(p):
     ctx = field(p)
     q = ctx.q()
-    tv = twist_inverse(simple_V(ctx, 2)).matrix
+    tv = twist_inverse(simple_V(ctx, 2))
     assert tv == Matrix.identity(ctx, 2).scale(-(ctx.qhalf() ** 3))
-    assert twist_inverse(simple_V(ctx, 1)).matrix == Matrix.identity(ctx, 1)
+    assert twist_inverse(simple_V(ctx, 1)) == Matrix.identity(ctx, 1)
     assert (-(ctx.qhalf() ** 3)) == -(q * ctx.qhalf())
 
 
@@ -677,9 +677,7 @@ def test_twist_inverse_matches_reference(p):
     mods += [tensor(chi_module(ctx), simple_V(ctx, s)) for s in range(1, p + 1)]
     mods += [tensor(v2, v2), tensor(v2, vp), tensor(simple_L(ctx, 1), v2)]
     for m in mods:
-        got = twist_inverse(m)
-        assert got.verified
-        assert got.matrix == _reference_twist_inverse(m)
+        assert twist_inverse(m) == _reference_twist_inverse(m)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -696,9 +694,9 @@ def test_balancing_identity(p):
     for m, n in pairs:
         if m.dimension * n.dimension > 12:
             continue
-        c2 = braiding(n, m).matrix.mul(braiding(m, n).matrix)
-        lhs = c2.mul(twist_inverse(tensor(m, n)).matrix)
-        rhs = Matrix.kron(twist_inverse(m).matrix, twist_inverse(n).matrix)
+        c2 = braiding(n, m).mul(braiding(m, n))
+        lhs = c2.mul(twist_inverse(tensor(m, n)))
+        rhs = Matrix.kron(twist_inverse(m), twist_inverse(n))
         assert lhs == rhs
 
 
@@ -714,28 +712,26 @@ def test_selfduality(p):
     assert dim == -(z + inv(z))
     # snake identities
     id2 = Matrix.identity(ctx, 2)
-    left = Matrix.kron(ev.matrix, id2).mul(Matrix.kron(id2, coev.matrix))
-    right = Matrix.kron(id2, ev.matrix).mul(Matrix.kron(coev.matrix, id2))
+    left = Matrix.kron(ev, id2).mul(Matrix.kron(id2, coev))
+    right = Matrix.kron(id2, ev).mul(Matrix.kron(coev, id2))
     assert left == id2 and right == id2
 
 
 def test_intrinsic_dim_unit():
     ctx = field(4)
     one = Matrix.identity(ctx, 1)
-    m = simple_V(ctx, 1)
-    unit_pair = (ModuleMap(m, m, one), ModuleMap(m, m, one))
-    assert intrinsic_dim(unit_pair) == ctx.one()
+    assert intrinsic_dim((one, one)) == ctx.one()
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
 def test_functor_base_cases(p):
     ctx = field(p)
     coev, ev = selfdual_V(ctx)
-    assert tl_to_matrix(ctx, tldiag.cup(ctx)) == coev.matrix
-    assert tl_to_matrix(ctx, tldiag.cap(ctx)) == ev.matrix
+    assert tl_to_matrix(ctx, tldiag.cup(ctx)) == coev
+    assert tl_to_matrix(ctx, tldiag.cap(ctx)) == ev
     assert tl_to_matrix(ctx, tldiag.identity(ctx, 3)) == Matrix.identity(ctx, 8)
     f_tl = tldiag.compose(tldiag.cap(ctx), tldiag.cup(ctx))
-    assert tl_to_matrix(ctx, f_tl) == coev.matrix.mul(ev.matrix)
+    assert tl_to_matrix(ctx, f_tl) == coev.mul(ev)
 
 
 @pytest.mark.parametrize("p", ALL_P)
@@ -753,16 +749,15 @@ def test_quantum_trace_matches_markov(p):
 
 
 def test_selfdual_image_builds_no_operator():
-    # the pair's codomain V^{(x)2n} serves only as a shape: its operators,
-    # Kronecker products of size 4^n, are built only when read
+    # the pair is two matrices through V^{(x)2n}; no operator of that
+    # module, a Kronecker product of size 4^n, is built
     ctx = field(4)
     e_top = tl_to_matrix(ctx, tldiag.jones_wenzl(ctx, 3))
     with mock.patch.object(Matrix, "kron", side_effect=AssertionError):
         coev, ev = selfdual_image(ctx, e_top, 3)
-    square = coev.codomain
-    assert square is ev.domain and square.dimension == 64
+    assert (coev.rows, coev.cols) == (64, 1)
+    assert (ev.rows, ev.cols) == (1, 64)
     assert intrinsic_dim((coev, ev)).is_zero()
-    assert check_module(square) == []
 
 
 @pytest.mark.parametrize("p", ALL_P)
@@ -867,5 +862,24 @@ def test_module_map_verification():
     ctx = field(3)
     v2 = simple_V(ctx, 2)
     with pytest.raises(ValueError):
-        ModuleMap(v2, v2, Matrix(ctx, 2, 2, {(0, 1): ctx.one()}), verify=True)
-    ModuleMap(v2, v2, Matrix.identity(ctx, 2), verify=True)
+        module_map(v2, v2, Matrix(ctx, 2, 2, {(0, 1): ctx.one()}))
+    ident = Matrix.identity(ctx, 2)
+    assert module_map(v2, v2, ident) is ident
+
+
+@pytest.mark.parametrize("matrix, exc, message", [
+    (lambda ctx: Matrix.identity(field(2), 2), ContextMismatch,
+     "map pieces from different field contexts"),
+    (lambda ctx: Matrix.zeros(ctx, 2, 1), ValueError,
+     "matrix shape does not match domain/codomain"),
+    (lambda ctx: Matrix(ctx, 2, 2, {(0, 1): ctx.one()}), ValueError,
+     "entry (0,1) breaks K-equivariance"),
+    (lambda ctx: Matrix.diagonal(ctx, [ctx.one(), ctx.rational(2)]),
+     ValueError, "map fails to intertwine E"),
+], ids=["mixed contexts", "wrong shape", "K break", "E not intertwined"])
+def test_module_map_refusals(matrix, exc, message):
+    ctx = field(3)
+    v2 = simple_V(ctx, 2)
+    with pytest.raises(exc) as info:
+        module_map(v2, v2, matrix(ctx))
+    assert type(info.value) is exc and str(info.value) == message

@@ -39,7 +39,6 @@ from ribbonkit.ribbon import (
     muger_candidates,
     quantum_order_check,
     singlet_twists,
-    twist_table_json,
     uq_twists,
     voa_monodromy_phase,
     wp_twists,
@@ -119,7 +118,7 @@ def test_module_twist_scalar_rejects_mixed_module():
     ctx = field(3)
     v2 = simple_V(ctx, 2)
     with pytest.raises(NonScalarTwist):
-        module_twist_scalar(twist_inverse(tensor(v2, v2)).matrix)
+        module_twist_scalar(twist_inverse(tensor(v2, v2)))
 
 
 def test_twist_table_unit_guard():
@@ -398,13 +397,3 @@ def test_voa_phase_singlet_channel(p):
 def test_voa_phase_non_representable():
     with pytest.raises(NonRepresentablePhase):
         voa_monodromy_phase(3, Fraction(0), Fraction(0), Fraction(1, 24))
-
-
-# -- JSON reports -------------------------------------------------------------
-
-
-def test_twist_table_json():
-    j = twist_table_json(wp_twists(2))
-    assert j["field"] == "cyclotomic(N=8)"
-    entries = {tuple(lab): val for lab, val in j["theta"]}
-    assert entries[(1, 1)] == "1"
