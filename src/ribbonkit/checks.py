@@ -4,10 +4,10 @@ Each check takes (p, env) and returns (ok, detail); CHECKS maps the dotted
 name of its report row ("jw.projectors", "twists.match_under_iso", ...) to
 it, and SUITES groups the names by their prefix, in registration order.
 `verify`, the check verbs and the acceptance gate all run these functions.
-env holds the run options (rmax, seed, triples, roundtrips), the expression
-language's parse, print_expression and random_expression (it belongs to the
-front end, which imports this module), and one seeded rng per p, shared by
-the randomized properties checks in a fixed draw order.
+Each check forms its verdict and its detail itself, from values the lower
+layers return; no layer below hands it a report to decode.  env holds the
+run options (rmax, seed, triples, roundtrips) and one seeded rng per p,
+shared by the randomized properties checks in a fixed draw order.
 
 The check verbs print intermediate data rather than a verdict; the helpers
 they share with the checks (jw_audit, hexagon_winners, inverse_pair_failures,
@@ -32,17 +32,17 @@ from .tldiag import (
 )
 from .qrep import (
     Matrix, braiding, check_module, chi_module, intrinsic_dim, selfdual_V,
-    simple_L, simple_V, tensor, tl_to_matrix, twist_inverse,
+    simple_L, simple_V, tensor, tl_to_matrix, twist_inverse, uq_classes,
 )
 from .fusion import (
-    associative, check_grring_iso_K, conformal_weight, fpdim_category,
-    fpdim_object, induction_F, induction_I, induction_Iprime, iso_T_labels,
-    linear, ring_map_witness, singlet_ring, uq_projective_classes, uq_ring,
-    vir_ring, wp_projective_classes, wp_ring,
+    associative, conformal_weight, fpdim_category, fpdim_object,
+    induction_F, induction_I, induction_Iprime, iso_T_labels, linear, push,
+    ring_map_witness, singlet_ring, uq_projective_classes, uq_ring, vir_ring,
+    wp_projective_classes, wp_ring,
 )
 from .ribbon import (
-    monodromy, muger_candidates, quantum_order_check, singlet_twists,
-    uq_twists, voa_monodromy_phase, wp_twists,
+    monodromy, muger_candidates, singlet_twists, uq_twists,
+    voa_monodromy_phase, wp_twists,
 )
 
 CHECKS: dict = {}
@@ -352,16 +352,38 @@ def _modularity_singlet_center(p, env):
 
 @check("modularity.quantum_order")
 def _modularity_quantum_order(p, env):
-    report = quantum_order_check(p)
-    if not report["ok"]:
-        false = [f for f in ("closed_form", "steinberg_vanishes",
-                             "geometric_sum_zero") if not report[f]]
-        if report["order_q2"] != p:
-            false.append(f"order_q2 == p (order_q2={report['order_q2']})")
-        return False, f"false report fields: {', '.join(false)}"
+    # intrinsic dimensions by d_r = d_2 d_{r-1} - d_{r-2} from d_0 = 0,
+    # d_1 = 1, against the closed form (-1)^(r-1) [r]
+    ctx = field(p)
+    one = ctx.one()
+    d2 = -qint(ctx, 2)
+    prev, dim = ctx.zero(), one
+    for r in range(1, p + 1):
+        if r > 1:
+            prev, dim = dim, d2 * dim - prev
+        if dim != (qint(ctx, r) if r % 2 else -qint(ctx, r)):
+            return False, ("dimension recursion leaves the closed form "
+                           f"at r={r}")
+    if not dim.is_zero():
+        return False, f"top dimension d_{p} is {dim}, not 0"
+    q2 = ctx.root(4)
+    order, power = None, one
+    for m in range(1, 4 * p + 1):
+        power = power * q2
+        if power == one:
+            order = m
+            break
+    if order != p:
+        return False, f"ord(q^2)={order}, expected {p}"
+    gsum, power = ctx.zero(), one
+    for _ in range(p):
+        gsum = gsum + power
+        power = power * q2
+    if not gsum.is_zero():
+        return False, f"geometric sum of q^(2k), k < {p}, is {gsum}"
     return True, (
         "dimension recursion closed form, vanishing top dimension, "
-        f"ord(q^2)={report['order_q2']}, vanishing geometric sum"
+        f"ord(q^2)={order}, vanishing geometric sum"
     )
 
 
@@ -403,21 +425,65 @@ def _phase_linking(p, env):
                   "every composition factor")
 
 
+def iso_K_witness(p: int, r_max: int):
+    """The truncated Virasoro ring of window r_max against the module side,
+    or None when they agree.
+
+    Four steps, in order: the vacuum label is neutral; first-column
+    products follow the classical composition rule; restriction of each
+    explicit module L(r-1) (x) V_s through the label bijection is r copies
+    of the sign-alternating image F(r, s); and the vacuum projective cover
+    class 2[L_{1,1}] + [L_{2,p-1}] has the four-term image.  The witness
+    is (step, label or pair, what that step computed) for the first
+    failing step.
+    """
+    ring = vir_ring(p, r_max)
+    ctx = field(p)
+    assign = iso_T_labels(p)
+
+    for lab in ring.labels:
+        got = ring.product(ring.unit, lab)
+        if got != Counter({lab: 1}):
+            return ("unit row", lab, dict(got))
+
+    for r in range(1, r_max + 1):
+        for rp in range(1, r_max + 2 - r):
+            want = Counter(
+                {(rr, 1): 1 for rr in range(abs(r - rp) + 1, r + rp, 2)}
+            )
+            got = ring.product((r, 1), (rp, 1))
+            if got != want:
+                return ("first-column product", ((r, 1), (rp, 1)), dict(got))
+
+    for r in range(1, r_max + 1):
+        for s in range(1, p + 1):
+            module = tensor(simple_L(ctx, r - 1), simple_V(ctx, s))
+            pushed = push(assign, uq_classes(module))
+            if pushed != induction_F((r, s)):
+                return ("restriction route", (r, s), dict(pushed))
+
+    vac_cover = Counter({(1, 1): 2, (2, p - 1): 1})
+    image = linear(induction_F, vac_cover)
+    if image != Counter({(1, 1): 2, (p - 1, -1): 2}):
+        return ("vacuum-cover image", dict(vac_cover), dict(image))
+    return None
+
+
 @check("grring.iso_K")
 def _grring_iso_K(p, env):
-    ok, witness = check_grring_iso_K(p, r_max=6)
-    return ok, ("window products, restriction route, and the four-term "
-                "vacuum-cover image all agree" if ok else
-                "{} fails at {}: got {}".format(*witness))
+    witness = iso_K_witness(p, 6)
+    return witness is None, (
+        "window products, restriction route, and the four-term "
+        "vacuum-cover image all agree" if witness is None else
+        "{} fails at {}: got {}".format(*witness))
 
 
 @check("grring.composition")
 def _grring_composition(p, env):
     for r in range(1, 7):
         for s in range(1, p + 1):
-            got = linear(partial(induction_Iprime, p),
-                         induction_I(p, (r, s), r_max=8))
-            if got != induction_F(p, (r, s)):
+            got = linear(induction_Iprime, induction_I((r, s), r_max=8))
+            if got != induction_F((r, s)):
                 return False, f"composite differs at ({r},{s})"
     return True, "second induction after first equals the direct map"
 
@@ -507,11 +573,15 @@ def _balancing(p, env):
 
 @check("properties.dsl_roundtrip")
 def _dsl_roundtrip(p, env):
+    # the expression language belongs to the front end, which imports this
+    # module; importing it here, when the check runs, keeps loading one-way
+    from .cli import parse, print_expression, random_expression
+
     rng = env["rng"]
     total = env["roundtrips"]
     for _ in range(total):
-        ast = env["random_expression"](rng)
-        if env["parse"](env["print_expression"](ast)) != ast:
+        ast = random_expression(rng)
+        if parse(print_expression(ast)) != ast:
             return False, f"round trip breaks on {ast!r}"
     return True, f"{total} random print/parse round trips"
 

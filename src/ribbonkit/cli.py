@@ -515,8 +515,6 @@ def _cmd_verify(args, ps) -> int:
         "seed": args.seed,
         "triples": -(-args.triples // share),
         "roundtrips": -(-args.roundtrips // share),
-        "parse": parse, "print_expression": print_expression,
-        "random_expression": random_expression,
     }
     failures = 0
     for p in ps:

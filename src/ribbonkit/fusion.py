@@ -1,10 +1,10 @@
 """Fusion rings on both sides of the correspondence.
 
 The module-oracle ring (labels (s, parity), constants from composition
-factors of explicit tensor products) and the generator-recursion ring
-(labels (s, sign), constants from the Chebyshev rules alone) are built by
-disjoint code paths on purpose: the ring isomorphism between them is a
-checked statement, not a construction.
+factors of tensor products, read off characters) and the
+generator-recursion ring (labels (s, sign), constants from the Chebyshev
+rules alone) are built by disjoint code paths on purpose: the ring
+isomorphism between them is a checked statement, not a construction.
 
 Also here: Frobenius-Perron data, the truncated Virasoro / singlet character
 rings and the induction maps between them.  Every label of both finite rings
@@ -12,7 +12,9 @@ is self-dual, and every Frobenius-Perron dimension is an integer, as for any
 finite-dimensional Hopf algebra: the integer character is read off the
 Perron vector of one pure-Python power iteration, _perron, and certified by
 exact arithmetic.  A ring without such a character is refused, never
-answered in floating point.
+answered in floating point.  This layer reads the weight characters of
+qrep, never its module operators; the cross-check of the truncated
+Virasoro ring against explicit modules is the registered check grring.iso_K.
 """
 
 from __future__ import annotations
@@ -23,16 +25,11 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import product as iproduct
 
-from .cyclo import field
 from .qrep import (
     decompose_character,
     peel_strings,
     restrict_classes,
-    simple_L,
-    simple_V,
     string_weights,
-    tensor,
-    uq_classes,
 )
 
 
@@ -315,7 +312,7 @@ def _perron(ring):
 
 @cache
 def _fp_character(ring):
-    """Positive character label -> Fraction, or None when not integral.
+    """Positive character label -> int, or None when not integral.
 
     Candidate values are read off the ring constants against the Perron
     vector of the total left multiplication (_perron); the certificate is
@@ -340,10 +337,10 @@ def _fp_character(ring):
         if sum(n * candidate[k] for k, n in row.items()) != \
                 candidate[a] * candidate[b]:
             return None
-    return {lab: Fraction(v) for lab, v in candidate.items()}
+    return candidate
 
 
-def fpdim_object(ring, x) -> Fraction:
+def fpdim_object(ring, x) -> int:
     """Frobenius-Perron dimension of a label or Z+-combination of labels,
     read off the ring's certified integer character.
 
@@ -359,17 +356,17 @@ def fpdim_object(ring, x) -> Fraction:
     if char is None:
         raise ValueError(
             "this ring has no integral Frobenius-Perron character")
-    return sum((char[lab] * mult for lab, mult in combo.items()), Fraction(0))
+    return sum(char[lab] * mult for lab, mult in combo.items())
 
 
-def fpdim_category(ring, projective_classes) -> Fraction:
+def fpdim_category(ring, projective_classes) -> int:
     """Sum of FPdim(P_i) * FPdim(x_i) over all simple labels i.
 
     projective_classes maps each label to the class of its projective
     cover as a Z+-combination of labels.
     """
-    return sum((fpdim_object(ring, projective_classes[lab])
-                * fpdim_object(ring, lab) for lab in ring.labels), Fraction(0))
+    return sum(fpdim_object(ring, projective_classes[lab])
+               * fpdim_object(ring, lab) for lab in ring.labels)
 
 
 def uq_projective_classes(p: int) -> dict:
@@ -555,14 +552,14 @@ def _eps(r: int) -> int:
     return 1 if r % 2 else -1
 
 
-def induction_F(p: int, lab) -> Counter:
+def induction_F(lab) -> Counter:
     """Image of a Virasoro label in the (s, sign) ring: r copies of
     X_s with the alternating sign of r."""
     r, s = lab
     return Counter({(s, _eps(r)): r})
 
 
-def induction_I(p: int, lab, r_max: int = DEFAULT_RMAX) -> Counter:
+def induction_I(lab, r_max: int = DEFAULT_RMAX) -> Counter:
     """Image of a Virasoro label in the singlet window: one term for each
     j in r, r-2, ..., -r+2."""
     r, s = lab
@@ -576,51 +573,7 @@ def induction_I(p: int, lab, r_max: int = DEFAULT_RMAX) -> Counter:
     return out
 
 
-def induction_Iprime(p: int, lab) -> Counter:
+def induction_Iprime(lab) -> Counter:
     """Image of a singlet label in the (s, sign) ring."""
     r, s = lab
     return Counter({(s, _eps(r)): 1})
-
-
-def check_grring_iso_K(p: int, r_max: int = DEFAULT_RMAX):
-    """Cross-check the truncated Virasoro ring against the module side.
-
-    Verifies, inside the window: the vacuum label is neutral; first-column
-    products follow the classical composition rule; restriction of each
-    explicit module through the label bijection matches r copies of the
-    sign-alternating image; and the vacuum projective cover class
-    2[L_{1,1}] + [L_{2,p-1}] has the expected four-term image.  Returns
-    (ok, witness); witness is None on success, otherwise (step, label or
-    pair, what that step computed) for the first failing step.
-    """
-    ring = vir_ring(p, r_max)
-    ctx = field(p)
-    assign = iso_T_labels(p)
-
-    for lab in ring.labels:
-        got = ring.product(ring.unit, lab)
-        if got != Counter({lab: 1}):
-            return False, ("unit row", lab, dict(got))
-
-    for r in range(1, r_max + 1):
-        for rp in range(1, r_max + 2 - r):
-            want = Counter(
-                {(rr, 1): 1 for rr in range(abs(r - rp) + 1, r + rp, 2)}
-            )
-            got = ring.product((r, 1), (rp, 1))
-            if got != want:
-                return False, ("first-column product", ((r, 1), (rp, 1)),
-                               dict(got))
-
-    for r in range(1, r_max + 1):
-        for s in range(1, p + 1):
-            module = tensor(simple_L(ctx, r - 1), simple_V(ctx, s))
-            pushed = push(assign, uq_classes(module))
-            if pushed != induction_F(p, (r, s)):
-                return False, ("restriction route", (r, s), dict(pushed))
-
-    vac_cover = Counter({(1, 1): 2, (2, p - 1): 1})
-    image = linear(partial(induction_F, p), vac_cover)
-    if image != Counter({(1, 1): 2, (p - 1, -1): 2}):
-        return False, ("vacuum-cover image", dict(vac_cover), dict(image))
-    return True, None

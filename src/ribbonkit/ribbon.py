@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from .cyclo import field, make_root, qint
+from .cyclo import field, make_root
 from .fusion import DEFAULT_RMAX, conformal_weight, singlet_ring
 from .qrep import (
     Matrix,
@@ -170,51 +170,6 @@ def muger_candidates(ring, twists: TwistTable) -> set:
             if all((exponent[z] - exponent[x] - exponent[y]) % n == 0
                    for x in labels if ring.fits(x, y)
                    for z in ring.product(x, y))}
-
-
-# -- quantum-order arithmetic -------------------------------------------------
-
-
-def quantum_order_check(p: int) -> dict:
-    """Intrinsic dimensions by recursion, Steinberg vanishing, and the
-    order of q^2 with its vanishing geometric sum."""
-    ctx = field(p)
-    one = ctx.one()
-    d2 = -qint(ctx, 2)
-    dims = {1: one, 2: d2}
-    for r in range(3, p + 1):
-        # d2 * d_{r-1} = d_{r-2} + d_r
-        dims[r] = d2 * dims[r - 1] - dims[r - 2]
-    closed_form = all(
-        dims[r] == (qint(ctx, r) if r % 2 else -qint(ctx, r))
-        for r in range(1, p + 1)
-    )
-    steinberg = dims[p].is_zero()
-
-    q2 = ctx.root(4)
-    order = None
-    power = one
-    for m in range(1, 4 * p + 1):
-        power = power * q2
-        if power == one:
-            order = m
-            break
-    gsum = ctx.zero()
-    power = one
-    for _ in range(p):
-        gsum = gsum + power
-        power = power * q2
-    report = {
-        "p": p,
-        "dims": dims,
-        "closed_form": closed_form,
-        "steinberg_vanishes": steinberg,
-        "order_q2": order,
-        "geometric_sum_zero": gsum.is_zero(),
-    }
-    report["ok"] = closed_form and steinberg and order == p and \
-        report["geometric_sum_zero"]
-    return report
 
 
 # -- phase arithmetic ---------------------------------------------------------

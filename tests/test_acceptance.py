@@ -11,7 +11,6 @@ budget.
 """
 
 from ribbonkit.checks import run_checks
-from ribbonkit.cli import parse, print_expression, random_expression
 from ribbonkit.fusion import DEFAULT_RMAX
 
 ALL_P = [2, 3, 4, 5, 6, 7]
@@ -19,9 +18,7 @@ ALL_P = [2, 3, 4, 5, 6, 7]
 
 def _all_pass(names, rmax=DEFAULT_RMAX, seed=0, triples=0, roundtrips=0):
     opts = {"rmax": rmax, "seed": seed, "triples": triples,
-            "roundtrips": roundtrips, "parse": parse,
-            "print_expression": print_expression,
-            "random_expression": random_expression}
+            "roundtrips": roundtrips}
     for p in ALL_P:
         rows = list(run_checks(p, names, opts))
         assert [row["check"] for row in rows] == names

@@ -4,12 +4,25 @@ Each mutation test runs one registered check as is, then again with one of
 its inputs broken by monkeypatch, and asserts that the broken run fails
 with a detail that names what went wrong instead of repeating the pass
 text.
+
+Frozen expectations of the rows that compute their verdict in the registry:
+  * d(X_r^+) = (-1)^(r-1)[r] from the recursion, vanishing at r = p;
+    ord(q^2) = p and the geometric sum over q^2 vanishes
+  * grring.iso_K at window 6: unit row, first-column products M_{r,1}
+    M_{r',1} = sum of M_{t,1}, restriction of L(r-1) (x) V_s equal to
+    F(L_{r,s}), and the vacuum cover 2[L_{1,1}] + [L_{2,p-1}] going to
+    2 X1+ + 2 X_{p-1}^-
 """
 
-from ribbonkit import checks, fusion, ribbon
-from ribbonkit.checks import CHECKS, run_checks
+from collections import Counter
+
+import pytest
+
+from ribbonkit import checks, fusion
+from ribbonkit.checks import CHECKS, iso_K_witness, run_checks
 from ribbonkit.cyclo import field, make_root
 
+ALL_P = [2, 3, 4, 5, 6, 7]
 P = 3
 ENV = {"rmax": 4}
 
@@ -71,25 +84,118 @@ def test_singlet_center_names_missing_and_extra(monkeypatch):
 
 
 def test_quantum_order_names_false_fields(monkeypatch):
-    real = ribbon.qint
+    real = checks.qint
 
     def off_by_one(ctx, n):
         return real(ctx, n) + ctx.one() if n == 3 else real(ctx, n)
 
-    detail = _fail_detail(monkeypatch, "modularity.quantum_order", ribbon,
+    detail = _fail_detail(monkeypatch, "modularity.quantum_order", checks,
                           "qint", off_by_one)
-    assert detail == "false report fields: closed_form"
+    assert detail == "dimension recursion leaves the closed form at r=3"
 
 
 def test_grring_iso_K_names_the_step(monkeypatch):
-    real = fusion.induction_F
+    real = checks.induction_F
 
-    def doubled(p, lab):
-        return real(p, lab) + real(p, lab) if lab == (3, 1) else real(p, lab)
+    def doubled(lab):
+        return real(lab) + real(lab) if lab == (3, 1) else real(lab)
 
-    detail = _fail_detail(monkeypatch, "grring.iso_K", fusion,
+    detail = _fail_detail(monkeypatch, "grring.iso_K", checks,
                           "induction_F", doubled)
     assert detail == "restriction route fails at (3, 1): got {(1, 1): 3}"
+
+
+@pytest.mark.parametrize("p", ALL_P)
+def test_quantum_order_row(p, monkeypatch):
+    # the recursion meets the closed form up to the top r = p, so a
+    # nonzero [p] is caught there; at p = 2 the top is d_2 = -[2] itself,
+    # the closed form holds by construction and the Steinberg clause
+    # refuses instead
+    row = CHECKS["modularity.quantum_order"]
+    ok, detail = row(p, {})
+    assert ok and f"ord(q^2)={p}," in detail
+    real = checks.qint
+
+    def off_by_one(ctx, n):
+        return real(ctx, n) + ctx.one() if n == p else real(ctx, n)
+
+    monkeypatch.setattr(checks, "qint", off_by_one)
+    want = ("top dimension d_2 is -1, not 0" if p == 2 else
+            f"dimension recursion leaves the closed form at r={p}")
+    assert row(p, {}) == (False, want)
+
+
+def test_quantum_order_p4_example(monkeypatch):
+    # the recursion's d_3 at p = 4 is q^2 + 1 + q^-2: with [3] written
+    # out so, the row still passes
+    ctx = field(4)
+    q = ctx.q()
+    d3 = q * q + ctx.one() + (q * q).inv()
+    real = checks.qint
+    monkeypatch.setattr(checks, "qint",
+                        lambda c, n: d3 if n == 3 else real(c, n))
+    assert CHECKS["modularity.quantum_order"](4, {})[0]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_grring_iso_K_witnesses(p, monkeypatch):
+    # criterion 9 runs the row as is; here each step gets one broken
+    # input and must come back as the witness with its label or pair,
+    # which the row's detail spells out at its window 6
+    product, induce = fusion.TruncatedRing.product, checks.induction_F
+
+    def extra_product(pair):
+        def mutated(self, a, b):
+            out = product(self, a, b)
+            if (a, b) == pair:
+                out[(1, 1)] += 1
+            return out
+        return mutated
+
+    def extra_image(lab0):
+        return lambda lab: induce(lab) + Counter({(1, 1): int(lab == lab0)})
+
+    cases = [
+        ((fusion.TruncatedRing, "product", extra_product(((1, 1), (1, p)))),
+         6, ("unit row", (1, p), {(1, p): 1, (1, 1): 1})),
+        ((fusion.TruncatedRing, "product", extra_product(((2, 1), (2, 1)))),
+         6, ("first-column product", ((2, 1), (2, 1)),
+             {(1, 1): 2, (3, 1): 1})),
+        ((checks, "induction_F", extra_image((3, 1))),
+         6, ("restriction route", (3, 1), {(1, 1): 3})),
+        # at window 1 only r = 1 is restricted, so the cover's (2, p-1)
+        # image reaches the last step unchecked
+        ((checks, "induction_F", extra_image((2, p - 1))),
+         1, ("vacuum-cover image", {(1, 1): 2, (2, p - 1): 1},
+             {(1, 1): 3, (p - 1, -1): 2})),
+    ]
+    for patch, r_max, want in cases:
+        with monkeypatch.context() as m:
+            m.setattr(*patch)
+            got = iso_K_witness(p, r_max)
+            assert got == want
+            if r_max == 6:
+                assert CHECKS["grring.iso_K"](p, {}) == (
+                    False, "{} fails at {}: got {}".format(*got))
+
+
+@pytest.mark.parametrize("p", ALL_P)
+def test_pass_details(p):
+    # the run options carry no functions: properties.dsl_roundtrip
+    # reaches the expression language itself
+    names = ["modularity.quantum_order", "grring.iso_K",
+             "grring.composition", "properties.dsl_roundtrip"]
+    opts = {"rmax": 6, "seed": 0, "triples": 0, "roundtrips": 25}
+    got = [(row["status"], row["detail"])
+           for row in run_checks(p, names, opts)]
+    assert got == [
+        ("pass", "dimension recursion closed form, vanishing top "
+                 f"dimension, ord(q^2)={p}, vanishing geometric sum"),
+        ("pass", "window products, restriction route, and the four-term "
+                 "vacuum-cover image all agree"),
+        ("pass", "second induction after first equals the direct map"),
+        ("pass", "25 random print/parse round trips"),
+    ]
 
 
 def test_crashed_row_names_type_and_location(monkeypatch):

@@ -51,7 +51,6 @@ from ribbonkit.fusion import (
     FusionRing,
     NegativityError,
     TruncationOverflow,
-    check_grring_iso_K,
     conformal_weight,
     fpdim_category,
     fpdim_object,
@@ -376,7 +375,7 @@ def test_recursion_ring_matches_module_ring(p):
     assert witness is None, witness
     for ring in (uq_ring(p), wp_ring(p)):
         assert fusion._fp_character(ring) == {
-            lab: Fraction(lab[0]) for lab in ring.labels}
+            lab: lab[0] for lab in ring.labels}
 
 
 def test_memos_are_shared():
@@ -435,7 +434,7 @@ def test_fpdim_simple_labels(p):
     for s in range(1, p + 1):
         for eps in (0, 1):
             dim = fpdim_object(uq, (s, eps))
-            assert isinstance(dim, Fraction) and dim == s
+            assert type(dim) is int and dim == s
     assert fpdim_object(uq, uq.unit) == 1
     wp = wp_ring(p)
     assert fpdim_object(wp, (2, 1)) == 2
@@ -902,24 +901,24 @@ def test_finite_rings_fit_everywhere():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_induction_F(p):
-    assert induction_F(p, (1, 1)) == Counter({(1, 1): 1})
-    assert induction_F(p, (2, p - 1)) == Counter({(p - 1, -1): 2})
-    assert induction_F(p, (3, 1)) == Counter({(1, 1): 3})
+    assert induction_F((1, 1)) == Counter({(1, 1): 1})
+    assert induction_F((2, p - 1)) == Counter({(p - 1, -1): 2})
+    assert induction_F((3, 1)) == Counter({(1, 1): 3})
 
 
 def test_induction_I_examples():
-    assert induction_I(2, (3, 1), r_max=8) == Counter(
+    assert induction_I((3, 1), r_max=8) == Counter(
         {(3, 1): 1, (1, 1): 1, (-1, 1): 1}
     )
-    assert induction_I(2, (1, 2), r_max=8) == Counter({(1, 2): 1})
+    assert induction_I((1, 2), r_max=8) == Counter({(1, 2): 1})
     with pytest.raises(TruncationOverflow):
-        induction_I(2, (3, 1), r_max=2)
+        induction_I((3, 1), r_max=2)
 
 
 def test_induction_Iprime_examples():
-    assert induction_Iprime(2, (1, 2)) == Counter({(2, 1): 1})
-    assert induction_Iprime(2, (-1, 1)) == Counter({(1, 1): 1})
-    assert induction_Iprime(2, (2, 1)) == Counter({(1, -1): 1})
+    assert induction_Iprime((1, 2)) == Counter({(2, 1): 1})
+    assert induction_Iprime((-1, 1)) == Counter({(1, 1): 1})
+    assert induction_Iprime((2, 1)) == Counter({(1, -1): 1})
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -928,8 +927,8 @@ def test_parity_consistency(p):
     wp = wp_ring(p)
     for r in range(1, 5):
         for rp in range(1, 5):
-            fa = induction_F(p, (r, 1))
-            fb = induction_F(p, (rp, 1))
+            fa = induction_F((r, 1))
+            fb = induction_F((rp, 1))
             prod = Counter()
             for a, ma in fa.items():
                 for b, mb in fb.items():
@@ -937,47 +936,6 @@ def test_parity_consistency(p):
                         prod[c] += ma * mb * mc
             eps = 1 if (r + rp - 1) % 2 else -1
             assert all(lab[1] == eps for lab in prod)
-
-
-# -- Grothendieck correspondence ---------------------------------------------
-
-
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_check_grring_iso_K(p, monkeypatch):
-    # criterion 9 runs the check as is; here each step gets one broken
-    # input and must come back as the witness with its label or pair
-    product, induce = fusion.TruncatedRing.product, fusion.induction_F
-
-    def extra_product(pair):
-        def mutated(self, a, b):
-            out = product(self, a, b)
-            if (a, b) == pair:
-                out[(1, 1)] += 1
-            return out
-        return mutated
-
-    def extra_image(lab0):
-        return lambda q, lab: induce(q, lab) + Counter(
-            {(1, 1): int(lab == lab0)})
-
-    cases = [
-        ((fusion.TruncatedRing, "product", extra_product(((1, 1), (1, p)))),
-         6, ("unit row", (1, p), {(1, p): 1, (1, 1): 1})),
-        ((fusion.TruncatedRing, "product", extra_product(((2, 1), (2, 1)))),
-         6, ("first-column product", ((2, 1), (2, 1)),
-             {(1, 1): 2, (3, 1): 1})),
-        ((fusion, "induction_F", extra_image((3, 1))),
-         6, ("restriction route", (3, 1), {(1, 1): 3})),
-        # at window 1 only r = 1 is restricted, so the cover's (2, p-1)
-        # image reaches the last step unchecked
-        ((fusion, "induction_F", extra_image((2, p - 1))),
-         1, ("vacuum-cover image", {(1, 1): 2, (2, p - 1): 1},
-             {(1, 1): 3, (p - 1, -1): 2})),
-    ]
-    for patch, r_max, want in cases:
-        with monkeypatch.context() as m:
-            m.setattr(*patch)
-            assert check_grring_iso_K(p, r_max=r_max) == (False, want)
 
 
 # -- randomized properties ---------------------------------

@@ -9,8 +9,6 @@ Frozen expectations, derived before implementation:
     {q^-3 on the unit channel, q on the X3+ channel}
   * Muger candidates: {X1+} for the wp ring, {M_{r,1} : r odd} truncated,
     everything for a symmetric toy table
-  * d(X_r^+) = (-1)^(r-1)[r] from the recursion, vanishing at r = p;
-    ord(q^2) = p and the geometric sum over q^2 vanishes
   * e^(pi i (1 - 3/2p)) = -q^(-3/2), e^(pi i / 2p) = q^(1/2),
     squared unit-channel phase q^(-3); the singlet channel
     M_{3,1} x M_{1,2} -> M_{3,2} has Delta = -1, full monodromy 1
@@ -23,11 +21,10 @@ from collections import Counter
 from fractions import Fraction
 
 from ribbonkit import fusion
-from ribbonkit.checks import CHECKS, twist_routes
-from ribbonkit.cyclo import embed_complex, field, make_root, parse_cyc, qint
+from ribbonkit.checks import CHECKS, iso_K_witness, twist_routes
+from ribbonkit.cyclo import embed_complex, field, make_root, parse_cyc
 from ribbonkit.fusion import (
-    TruncationOverflow, check_grring_iso_K, conformal_weight, singlet_ring,
-    uq_ring, wp_ring,
+    TruncationOverflow, conformal_weight, singlet_ring, uq_ring, wp_ring,
 )
 from ribbonkit.qrep import simple_V, tensor, twist_inverse
 from ribbonkit.ribbon import (
@@ -37,7 +34,6 @@ from ribbonkit.ribbon import (
     module_twist_scalar,
     monodromy,
     muger_candidates,
-    quantum_order_check,
     singlet_twists,
     uq_twists,
     voa_monodromy_phase,
@@ -109,7 +105,7 @@ def test_label_routes_build_no_ring(p):
     assert twist_routes(p)[1] == []
     wp_twists(p)
     uq_twists(p)
-    assert check_grring_iso_K(p, r_max=6) == (True, None)
+    assert iso_K_witness(p, 6) is None
     assert uq_ring.cache_info().misses == 0
     assert wp_ring.cache_info().misses == 0
 
@@ -335,30 +331,6 @@ def test_muger_toy_all_central():
     ctx = field(2)
     table = TwistTable(dict.fromkeys(ring.labels, ctx.one()), ring.unit)
     assert muger_candidates(ring, table) == {"1", "g"}
-
-
-# -- quantum-order report -----------------------------------------------------
-
-
-@pytest.mark.parametrize("p", ALL_P)
-def test_quantum_order_check(p):
-    ctx = field(p)
-    report = quantum_order_check(p)
-    assert report["ok"]
-    assert report["order_q2"] == p
-    assert report["steinberg_vanishes"]
-    assert report["geometric_sum_zero"]
-    dims = report["dims"]
-    assert dims[1] == ctx.one()
-    for r in range(1, p + 1):
-        expected = qint(ctx, r) if r % 2 else -qint(ctx, r)
-        assert dims[r] == expected
-
-
-def test_quantum_order_p4_example():
-    ctx = field(4)
-    q = ctx.q()
-    assert quantum_order_check(4)["dims"][3] == q * q + ctx.one() + (q * q).inv()
 
 
 # -- phase arithmetic ---------------------------------------------------------
