@@ -9,9 +9,16 @@ everything here is exact, nothing is numeric.
 A map between modules is a plain Matrix: module_map certifies it (field,
 shape, K-equivariance, and intertwining E, F, Ep, Fp) and hands it back.
 
+The module of a label is built here and nowhere else: uq_module gives the
+simple V_s or chi (x) V_s of the small quantum group label (s, eps), and
+vir_module the module L(r-1) (x) V_s of the Virasoro label (r, s).  They
+are two functions because (1, 1) names chi in one family and the vacuum in
+the other.
+
 One sparse reduced echelon form, grown a row at a time by _echelon_add,
-backs the kernel and the span test of the simplicity certificate; a row
-there is a dict column -> nonzero value.
+backs the kernel and the span test of the simplicity certificate, which
+the row fpdim.simple_certificates runs on every uq_module; a row there is
+a dict column -> nonzero value.
 
 The module also hosts the diagram-to-matrix functor (cups and caps go to the
 coevaluation/evaluation of the self-dual standard module; each arc weight is
@@ -359,6 +366,23 @@ def tensor(m: WeightModule, n: WeightModule) -> WeightModule:
     return WeightModule(ctx, weights, e_t, f_t, ep_t, fp_t)
 
 
+# -- the module of a label --------------------------------------------------
+
+
+def uq_module(ctx: FieldContext, lab) -> WeightModule:
+    """The simple of the small quantum group at label (s, eps): V_s for
+    eps = 0, chi (x) V_s for eps = 1."""
+    s, eps = lab
+    v = simple_V(ctx, s)
+    return tensor(chi_module(ctx), v) if eps else v
+
+
+def vir_module(ctx: FieldContext, lab) -> WeightModule:
+    """The module L(r-1) (x) V_s of the Virasoro label (r, s)."""
+    r, s = lab
+    return tensor(simple_L(ctx, r - 1), simple_V(ctx, s))
+
+
 # -- braiding and twist ------------------------------------------------------
 
 
@@ -523,78 +547,6 @@ def tl_to_matrix(ctx: FieldContext, mor: "tldiag.TLMorphism") -> Matrix:
     return Matrix(ctx, 1 << m, 1 << n, acc)
 
 
-def quantum_trace(ctx: FieldContext, mat: Matrix, n: int) -> CycNumber:
-    """Trace against the duality weights; equals the diagrammatic closure."""
-    size = 1 << n
-    if (mat.rows, mat.cols) != (size, size):
-        raise ValueError(f"matrix is not an endomorphism of {n} strands")
-    total = ctx.zero()
-    for (i, j), v in mat.data.items():
-        if i != j:
-            continue
-        b = bin(i).count("1")
-        # (-1)^n q^{2b-n}, with -1 = zeta^{2p}
-        total = total + ctx.root(2 * (2 * b - n) + 2 * ctx.p * n) * v
-    return total
-
-
-def _reversed_complement(u: int, n: int) -> int:
-    out = 0
-    for k in range(n):
-        if not (u >> (n - 1 - k)) & 1:
-            out |= 1 << k
-    return out
-
-
-def selfdual_image(ctx: FieldContext, e: Matrix, n: int):
-    """Duality pair for the image of an idempotent e on n strands, obtained by
-    corestricting the nested n-fold coevaluation/evaluation through e@e.
-    Returns the matrices (coev, ev), of shapes (4^n, 1) and (1, 4^n); they
-    are not certified as module maps."""
-    size = 1 << n
-    if (e.rows, e.cols) != (size, size):
-        raise ValueError("idempotent shape does not match the strand count")
-    cols: dict = {}
-    rows: dict = {}
-    for (i, j), v in e.data.items():
-        cols.setdefault(j, []).append((i, v))
-        rows.setdefault(i, []).append((j, v))
-
-    def state_weight(u, flip):
-        # (-1)^b zeta^{2b-n} (b -> n-b in the sign when flipped)
-        b = bin(u).count("1")
-        return ctx.root(2 * b - n + 2 * ctx.p * (n - b if flip else b))
-
-    coev_acc: dict = {}
-    for u in range(size):
-        left = cols.get(u)
-        right = cols.get(_reversed_complement(u, n))
-        if not left or not right:
-            continue
-        w = state_weight(u, flip=False)
-        for c, v1 in left:
-            for d, v2 in right:
-                key = (c * size + d, 0)
-                term = w * v1 * v2
-                cur = coev_acc.get(key)
-                coev_acc[key] = term if cur is None else cur + term
-    ev_acc: dict = {}
-    for c in range(size):
-        left = rows.get(c)
-        right = rows.get(_reversed_complement(c, n))
-        if not left or not right:
-            continue
-        w = state_weight(c, flip=True)
-        for a, v1 in left:
-            for b_, v2 in right:
-                key = (0, a * size + b_)
-                term = w * v1 * v2
-                cur = ev_acc.get(key)
-                ev_acc[key] = term if cur is None else cur + term
-    return (Matrix(ctx, size * size, 1, coev_acc),
-            Matrix(ctx, 1, size * size, ev_acc))
-
-
 # -- composition factors by character arithmetic -----------------------------
 
 
@@ -718,17 +670,6 @@ def _kernel(pivots: dict, dim: int, one) -> list:
     sparse vector with one at f and -row[f] at the pivot column of row."""
     return [{f: one, **{c: -row[f] for c, row in pivots.items() if f in row}}
             for f in range(dim) if f not in pivots]
-
-
-def _nullspace(rows, dim, ctx):
-    """Kernel basis of the linear map given by a list of dense row vectors,
-    as dense vectors."""
-    pivots: dict = {}
-    for row in rows:
-        _echelon_add(pivots,
-                     {j: v for j, v in enumerate(row) if not v.is_zero()})
-    return [[vec.get(j, ctx.zero()) for j in range(dim)]
-            for vec in _kernel(pivots, dim, ctx.one())]
 
 
 def certify_simple(m: WeightModule) -> bool:

@@ -20,13 +20,7 @@ from fractions import Fraction
 
 from .cyclo import field, make_root
 from .fusion import DEFAULT_RMAX, conformal_weight, singlet_ring
-from .qrep import (
-    Matrix,
-    chi_module,
-    simple_V,
-    tensor,
-    twist_inverse,
-)
+from .qrep import Matrix, twist_inverse, uq_module
 
 
 class NonScalarTwist(RuntimeError):
@@ -101,7 +95,8 @@ def wp_twists(p: int) -> TwistTable:
 def module_twist_scalar(mat: Matrix):
     """Extract c from c * identity, or refuse."""
     n = mat.rows
-    if mat.cols != n or len(mat.data) != n:
+    if (mat.cols != n or len(mat.data) != n
+            or any(i != j for i, j in mat.data)):
         raise NonScalarTwist("twist matrix is not diagonal")
     value = mat.entry(0, 0)
     for i in range(n):
@@ -118,11 +113,8 @@ def uq_twists(p: int) -> TwistTable:
     not simple and raises.
     """
     ctx = field(p)
-    theta = {}
-    for s in range(1, p + 1):
-        theta[(s, 0)] = module_twist_scalar(twist_inverse(simple_V(ctx, s)))
-        twisted = tensor(chi_module(ctx), simple_V(ctx, s))
-        theta[(s, 1)] = module_twist_scalar(twist_inverse(twisted))
+    theta = {(s, e): module_twist_scalar(twist_inverse(uq_module(ctx, (s, e))))
+             for s in range(1, p + 1) for e in (0, 1)}
     return TwistTable(theta, (1, 0))
 
 

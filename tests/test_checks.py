@@ -7,7 +7,9 @@ text.
 
 Frozen expectations of the rows that compute their verdict in the registry:
   * d(X_r^+) = (-1)^(r-1)[r] from the recursion, vanishing at r = p;
-    ord(q^2) = p and the geometric sum over q^2 vanishes
+    ord(q^2) = p
+  * fpdim.simple_certificates: the module of each of the 2p labels is
+    certified simple and is its own single class; V_p (x) V_2 is refused
   * grring.iso_K at window 6: unit row, first-column products M_{r,1}
     M_{r',1} = sum of M_{t,1}, restriction of L(r-1) (x) V_s equal to
     F(L_{r,s}), and the vacuum cover 2[L_{1,1}] + [L_{2,p-1}] going to
@@ -21,6 +23,7 @@ import pytest
 from ribbonkit import checks, fusion
 from ribbonkit.checks import CHECKS, iso_K_witness, run_checks
 from ribbonkit.cyclo import field, make_root
+from ribbonkit.qrep import simple_V, tensor
 
 ALL_P = [2, 3, 4, 5, 6, 7]
 P = 3
@@ -105,6 +108,26 @@ def test_grring_iso_K_names_the_step(monkeypatch):
     assert detail == "restriction route fails at (3, 1): got {(1, 1): 3}"
 
 
+def test_simple_certificates_name_the_label(monkeypatch):
+    # one label's module replaced by the projective V_p (x) V_2
+    real = checks.uq_module
+
+    def swapped(ctx, lab):
+        if lab == (2, 1):
+            return tensor(simple_V(ctx, ctx.p), simple_V(ctx, 2))
+        return real(ctx, lab)
+
+    detail = _fail_detail(monkeypatch, "fpdim.simple_certificates", checks,
+                          "uq_module", swapped)
+    assert detail == "label (2, 1): the simplicity certificate refuses"
+
+
+def test_simple_certificates_name_the_negative_control(monkeypatch):
+    detail = _fail_detail(monkeypatch, "fpdim.simple_certificates", checks,
+                          "certify_simple", lambda module: True)
+    assert detail == "negative control: V_p (x) V_2 is certified simple"
+
+
 @pytest.mark.parametrize("p", ALL_P)
 def test_quantum_order_row(p, monkeypatch):
     # the recursion meets the closed form up to the top r = p, so a
@@ -113,7 +136,7 @@ def test_quantum_order_row(p, monkeypatch):
     # refuses instead
     row = CHECKS["modularity.quantum_order"]
     ok, detail = row(p, {})
-    assert ok and f"ord(q^2)={p}," in detail
+    assert ok and detail.endswith(f"ord(q^2)={p}")
     real = checks.qint
 
     def off_by_one(ctx, n):
@@ -190,7 +213,7 @@ def test_pass_details(p):
            for row in run_checks(p, names, opts)]
     assert got == [
         ("pass", "dimension recursion closed form, vanishing top "
-                 f"dimension, ord(q^2)={p}, vanishing geometric sum"),
+                 f"dimension, ord(q^2)={p}"),
         ("pass", "window products, restriction route, and the four-term "
                  "vacuum-cover image all agree"),
         ("pass", "second induction after first equals the direct map"),

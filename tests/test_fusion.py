@@ -36,7 +36,6 @@ from ribbonkit import checks, fusion
 from ribbonkit.checks import CHECKS
 from ribbonkit.cyclo import field, qfact, qint
 from ribbonkit.qrep import (
-    chi_module,
     decompose_character,
     peel_strings,
     restrict_classes,
@@ -44,6 +43,7 @@ from ribbonkit.qrep import (
     string_weights,
     tensor,
     uq_classes,
+    uq_module,
 )
 from ribbonkit.tldiag import jones_wenzl
 from ribbonkit.fusion import (
@@ -495,10 +495,7 @@ def test_uq_ring_matches_module_route(p):
     # ring constants from character arithmetic equal the explicit tensor route
     ctx = field(p)
     ring = uq_ring(p)
-    reps = {}
-    for s in range(1, p + 1):
-        reps[(s, 0)] = simple_V(ctx, s)
-        reps[(s, 1)] = tensor(chi_module(ctx), simple_V(ctx, s))
+    reps = {lab: uq_module(ctx, lab) for lab in ring.labels}
     for a in ring.labels:
         for b in ring.labels:
             assert ring.product(a, b) == uq_classes(tensor(reps[a], reps[b]))

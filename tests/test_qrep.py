@@ -13,15 +13,16 @@ Frozen expectations, derived ahead of the implementation:
   * ev.coev = -(zeta + zeta^{-1})
   * decompositions: V2 (x) Vs = Vs-1 + Vs+1 (1 < s < p); at p = 2,
     V2 (x) V2 has u_q classes {1, 1, chi, chi}; L1 (x) L1 = L0 + L2
-  * quantum trace of the functor image of jw(n) equals the Markov closure
-    (-1)^n [n+1], vanishing at n = p-1
+  * the functor images of the closing arcs and of jw(n) (x) id compose to
+    the Markov closure (-1)^n [n+1], vanishing at n = p-1
+  * the module of a label: uq_module (1, 1) is chi, vir_module (1, 1) the
+    vacuum
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -33,7 +34,7 @@ from ribbonkit.qrep import (
     Matrix,
     WeightModule,
     _echelon_add,
-    _nullspace,
+    _kernel,
     _op_powers,
     braiding,
     certify_simple,
@@ -44,8 +45,6 @@ from ribbonkit.qrep import (
     intrinsic_dim,
     module_map,
     peel_strings,
-    quantum_trace,
-    selfdual_image,
     selfdual_V,
     simple_L,
     simple_V,
@@ -54,6 +53,8 @@ from ribbonkit.qrep import (
     tl_to_matrix,
     twist_inverse,
     uq_classes,
+    uq_module,
+    vir_module,
 )
 
 ALL_P = [2, 3, 4, 5, 6, 7]
@@ -125,6 +126,20 @@ def test_op_powers_stop_at_zero(p):
     assert all(x.is_zero() for x in powers[2:])
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_label_catalogue(p):
+    # (1, 1) is chi in the small quantum group family and the vacuum in
+    # the Virasoro family
+    ctx = field(p)
+    assert uq_module(ctx, (1, 1)).weights == (p,)
+    assert vir_module(ctx, (1, 1)).weights == (0,)
+    for s in range(1, p + 1):
+        assert uq_module(ctx, (s, 0)).weights == simple_V(ctx, s).weights
+        assert uq_module(ctx, (s, 1)).dimension == s
+        for r in range(1, 4):
+            assert vir_module(ctx, (r, s)).dimension == r * s
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_relations_on_tensor_modules(p):
     ctx = field(p)
@@ -188,6 +203,17 @@ def _dot(ctx, row, vec):
     return sum((a * b for a, b in zip(row, vec)), ctx.zero())
 
 
+def _sparse(row):
+    return {j: v for j, v in enumerate(row) if not v.is_zero()}
+
+
+def _reduce(rows):
+    pivots: dict = {}
+    for row in rows:
+        _echelon_add(pivots, _sparse(row))
+    return pivots
+
+
 @pytest.mark.parametrize("p", LINALG_P)
 @given(data=st.data())
 def test_nullspace_dimension_and_kernel(p, data):
@@ -205,10 +231,11 @@ def test_nullspace_dimension_and_kernel(p, data):
         extra.append([_dot(ctx, coeffs, col) for col in zip(*span)]
                      if span else [ctx.zero()] * dim)
     rows = data.draw(st.permutations(span + extra))
-    kernel = _nullspace(rows, dim, ctx)
+    kernel = _kernel(_reduce(rows), dim, ctx.one())
     assert len(kernel) == dim - k
     for vec in kernel:
-        assert all(_dot(ctx, row, vec).is_zero() for row in rows)
+        assert all(sum((row[j] * v for j, v in vec.items()),
+                       ctx.zero()).is_zero() for row in rows)
 
 
 # The dense Gauss-Jordan route the sparse echelon form replaced, kept here
@@ -315,16 +342,13 @@ def test_echelon_matches_dense_gauss_jordan(p, data):
     dense = [list(row) for row in rows]
     dense_pivots = _dense_row_reduce(dense, ncols)
     pivots: dict = {}
-    independent = [
-        _echelon_add(pivots, {j: v for j, v in enumerate(row)
-                              if not v.is_zero()})
-        for row in rows
-    ]
+    independent = [_echelon_add(pivots, _sparse(row)) for row in rows]
     assert sorted(pivots) == dense_pivots
     assert sum(independent) == len(dense_pivots)
     for col, row in zip(dense_pivots, dense):
         assert [pivots[col].get(j, ctx.zero()) for j in range(ncols)] == row
-    assert _nullspace(rows, ncols, ctx) == _dense_nullspace(rows, ncols, ctx)
+    assert _kernel(pivots, ncols, ctx.one()) == [
+        _sparse(vec) for vec in _dense_nullspace(rows, ncols, ctx)]
 
 
 # -- tensor ------------------------------------------------------------------
@@ -383,7 +407,7 @@ def test_decompose_chi_squared():
 
 def test_decompose_chi_twist():
     ctx = field(3)
-    t = tensor(chi_module(ctx), simple_V(ctx, 2))
+    t = uq_module(ctx, (2, 1))
     assert decompose_factors(t) == Counter({(0, 2, 1): 1})
     assert uq_classes(t) == Counter({(2, 1): 1})
 
@@ -402,7 +426,7 @@ def test_decompose_mixed_product_single_factor():
         ctx = field(p)
         for r in range(0, 3):
             for s in range(1, p + 1):
-                t = tensor(simple_L(ctx, r), simple_V(ctx, s))
+                t = vir_module(ctx, (r + 1, s))
                 assert decompose_factors(t) == Counter({(r, s, 0): 1})
 
 
@@ -443,12 +467,11 @@ def test_decompose_character_round_trip(data, p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_certify_simple_tensor_products(p):
-    # L(r) (x) V_s is simple: unique singular vector generating everything
+    # L(r-1) (x) V_s is simple: unique singular vector generating everything
     ctx = field(p)
-    for r in range(0, 3):
+    for r in range(1, 4):
         for s in range(1, p + 1):
-            m = tensor(simple_L(ctx, r), simple_V(ctx, s))
-            assert certify_simple(m)
+            assert certify_simple(vir_module(ctx, (r, s)))
     # negative control: V2 (x) V2 is never simple
     assert not certify_simple(tensor(simple_V(ctx, 2), simple_V(ctx, 2)))
 
@@ -467,17 +490,17 @@ def test_certify_simple_refuses_orbit_short_of_module():
     # does not span: the certificate must fail at the span test
     m = _span_short_module()
     assert check_module(m) == []
-    assert len(_nullspace(_dense(m.E) + _dense(m.Ep), 2, m.ctx)) == 1
+    assert len(_kernel(_reduce(_dense(m.E) + _dense(m.Ep)), 2,
+                       m.ctx.one())) == 1
     assert not certify_simple(m)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_certify_simple_matches_dense_certificate(p):
     ctx = field(p)
-    mods = [tensor(simple_L(ctx, r), simple_V(ctx, s))
-            for r in range(3) for s in range(1, p + 1)]
-    mods += [tensor(chi_module(ctx), simple_V(ctx, s))
-             for s in range(1, p + 1)]
+    mods = [vir_module(ctx, (r, s))
+            for r in range(1, 4) for s in range(1, p + 1)]
+    mods += [uq_module(ctx, (s, 1)) for s in range(1, p + 1)]
     mods += [tensor(simple_V(ctx, a), simple_V(ctx, b))
              for a in range(1, p + 1) for b in range(1, p + 1)]
     if p == 2:
@@ -673,9 +696,8 @@ def test_tensor_divided_powers_match_reference(p):
 def test_twist_inverse_matches_reference(p):
     ctx = field(p)
     v2, vp = simple_V(ctx, 2), simple_V(ctx, p)
-    mods = [simple_V(ctx, s) for s in range(1, p + 1)]
-    mods += [tensor(chi_module(ctx), simple_V(ctx, s)) for s in range(1, p + 1)]
-    mods += [tensor(v2, v2), tensor(v2, vp), tensor(simple_L(ctx, 1), v2)]
+    mods = [uq_module(ctx, (s, e)) for s in range(1, p + 1) for e in (0, 1)]
+    mods += [tensor(v2, v2), tensor(v2, vp), vir_module(ctx, (2, 2))]
     for m in mods:
         assert twist_inverse(m) == _reference_twist_inverse(m)
 
@@ -736,28 +758,22 @@ def test_functor_base_cases(p):
 
 @pytest.mark.parametrize("p", ALL_P)
 def test_quantum_trace_matches_markov(p):
+    # the closure of jw(n) by nested arcs, mapped piece by piece: the
+    # functor images of the arcs around e (x) id give the 1x1 quantum
+    # trace of the idempotent e, which must be the diagram-side closure
     ctx = field(p)
     for n in range(1, p):
         jw = tldiag.jones_wenzl(ctx, n)
         e = tl_to_matrix(ctx, jw)
         assert e.mul(e) == e
-        assert quantum_trace(ctx, e, n) == tldiag.markov_close(jw)
-    # vanishing intrinsic dimension at the top projector
-    e_top = tl_to_matrix(ctx, tldiag.jones_wenzl(ctx, p - 1))
-    pair = selfdual_image(ctx, e_top, p - 1)
-    assert intrinsic_dim(pair).is_zero()
-
-
-def test_selfdual_image_builds_no_operator():
-    # the pair is two matrices through V^{(x)2n}; no operator of that
-    # module, a Kronecker product of size 4^n, is built
-    ctx = field(4)
-    e_top = tl_to_matrix(ctx, tldiag.jones_wenzl(ctx, 3))
-    with mock.patch.object(Matrix, "kron", side_effect=AssertionError):
-        coev, ev = selfdual_image(ctx, e_top, 3)
-    assert (coev.rows, coev.cols) == (64, 1)
-    assert (ev.rows, ev.cols) == (1, 64)
-    assert intrinsic_dim((coev, ev)).is_zero()
+        cups = tl_to_matrix(ctx, tldiag._rainbow(ctx, n, as_top=True))
+        caps = tl_to_matrix(ctx, tldiag._rainbow(ctx, n, as_top=False))
+        closed = caps.mul(
+            Matrix.kron(e, Matrix.identity(ctx, 1 << n)).mul(cups))
+        assert (closed.rows, closed.cols) == (1, 1)
+        assert closed.entry(0, 0) == tldiag.markov_close(jw)
+    # vanishing quantum dimension at the top projector
+    assert closed.is_zero()
 
 
 @pytest.mark.parametrize("p", ALL_P)

@@ -26,7 +26,7 @@ from ribbonkit.cyclo import embed_complex, field, make_root, parse_cyc
 from ribbonkit.fusion import (
     TruncationOverflow, conformal_weight, singlet_ring, uq_ring, wp_ring,
 )
-from ribbonkit.qrep import simple_V, tensor, twist_inverse
+from ribbonkit.qrep import Matrix, simple_V, tensor, twist_inverse
 from ribbonkit.ribbon import (
     NonRepresentablePhase,
     NonScalarTwist,
@@ -115,6 +115,18 @@ def test_module_twist_scalar_rejects_mixed_module():
     v2 = simple_V(ctx, 2)
     with pytest.raises(NonScalarTwist):
         module_twist_scalar(twist_inverse(tensor(v2, v2)))
+
+
+@pytest.mark.parametrize("entries", [
+    {(0, 1): 1, (1, 0): 1},
+    {(0, 0): 1, (0, 1): 1},
+], ids=["antidiagonal", "diagonal and off-diagonal"])
+def test_module_twist_scalar_refuses_off_diagonal(entries):
+    # as many nonzero entries as rows, but not all on the diagonal
+    ctx = field(3)
+    mat = Matrix(ctx, 2, 2, {k: ctx.rational(v) for k, v in entries.items()})
+    with pytest.raises(NonScalarTwist, match="twist matrix is not diagonal"):
+        module_twist_scalar(mat)
 
 
 def test_twist_table_unit_guard():
