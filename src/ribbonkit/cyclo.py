@@ -521,10 +521,6 @@ def parse_cyc(ctx: FieldContext, text: str) -> CycNumber:
 # free-function aliases for the method API
 
 
-def make_root(ctx: FieldContext, k: int) -> CycNumber:
-    return ctx.root(k)
-
-
 def inv(a: CycNumber) -> CycNumber:
     return a.inv()
 

@@ -20,12 +20,14 @@ backs the kernel and the span test of the simplicity certificate, which
 the row fpdim.simple_certificates runs on every uq_module; a row there is
 a dict column -> nonzero value.
 
-The module also hosts the diagram-to-matrix functor (cups and caps go to the
-coevaluation/evaluation of the self-dual standard module; each arc weight is
-+-zeta^{+-1}, so a basis state carries one integer exponent of zeta) and a
-character based splitting oracle used by the fusion rings.  A character there
-is a Counter weight -> multiplicity, string_weights is the one definition of a
-p-shifted string, and the peel is one descending pass over the weights.
+The module also hosts the diagram-to-matrix functor, whose arc weights are
++-zeta^{+-1}, so a basis state carries one integer exponent of zeta.  The
+duality of the standard module V_2 is read through it: selfdual_V takes the
+images of cup and cap as coevaluation and evaluation, and module_map
+certifies them.  The module hosts, too, a character based splitting oracle
+used by the fusion rings.  A character there is a Counter weight ->
+multiplicity, string_weights is the one definition of a p-shifted string,
+and the peel is one descending pass over the weights.
 """
 
 from collections import Counter
@@ -63,10 +65,6 @@ class Matrix:
                 if not val.is_zero():
                     clean[(i, j)] = val
         self.data = clean
-
-    @classmethod
-    def zeros(cls, ctx, rows, cols):
-        return cls(ctx, rows, cols)
 
     @classmethod
     def identity(cls, ctx, n):
@@ -255,7 +253,7 @@ def simple_V(ctx: FieldContext, s: int) -> WeightModule:
     weights = tuple(string_weights(ctx.p, 0, s))
     e = {(j - 1, j): qint(ctx, s - j) for j in range(1, s)}
     f = {(j + 1, j): qint(ctx, j + 1) for j in range(s - 1)}
-    z = Matrix.zeros(ctx, s, s)
+    z = Matrix(ctx, s, s)
     return WeightModule(ctx, weights, Matrix(ctx, s, s, e),
                         Matrix(ctx, s, s, f), z, z)
 
@@ -268,14 +266,14 @@ def simple_L(ctx: FieldContext, r: int) -> WeightModule:
     weights = tuple((r - 2 * j) * ctx.p for j in range(n))
     ep = {(j - 1, j): ctx.rational(r - j + 1) for j in range(1, n)}
     fp = {(j + 1, j): ctx.rational(j + 1) for j in range(n - 1)}
-    z = Matrix.zeros(ctx, n, n)
+    z = Matrix(ctx, n, n)
     return WeightModule(ctx, weights, z, z, Matrix(ctx, n, n, ep),
                         Matrix(ctx, n, n, fp))
 
 
 def chi_module(ctx: FieldContext) -> WeightModule:
     """One-dimensional module concentrated in weight p; all operators vanish."""
-    z = Matrix.zeros(ctx, 1, 1)
+    z = Matrix(ctx, 1, 1)
     return WeightModule(ctx, (ctx.p,), z, z, z, z)
 
 
@@ -346,7 +344,7 @@ def tensor(m: WeightModule, n: WeightModule) -> WeightModule:
         return Matrix.kron(m.F, _kdiag(n, -1)).add(Matrix.kron(id_m, n.F))
 
     def ep_t():
-        out = Matrix.zeros(ctx, dim, dim)
+        out = Matrix(ctx, dim, dim)
         for k, left, right in _divided_pairs(m, n, "E"):
             left = left.mul(_kdiag(m, p - k))
             out = out.add(
@@ -355,7 +353,7 @@ def tensor(m: WeightModule, n: WeightModule) -> WeightModule:
         return out
 
     def fp_t():
-        out = Matrix.zeros(ctx, dim, dim)
+        out = Matrix(ctx, dim, dim)
         for k, left, right in _divided_pairs(m, n, "F"):
             right = _kdiag(n, -k).mul(right)
             out = out.add(
@@ -418,50 +416,25 @@ def _twist_term(ctx: FieldContext, j: int, e: int) -> CycNumber:
 
 
 def braiding(m: WeightModule, n: WeightModule) -> Matrix:
-    """The braiding tensor(m,n) -> tensor(n,m):
-    v@w -> zeta^{-lam.mu} sum_j c_j F^j w @ E^j v, with
-    c_j = q^{-j(j-1)/2} (q^{-1}-q)^j / [j]!.  The matrix is certified by
-    module_map, which pins the coproduct/R-matrix conventions."""
+    """The braiding tensor(m,n) -> tensor(n,m), the R-matrix sum
+    sum_j c_j F^j (x) E^j after the phased flip v@w -> zeta^{-lam.mu} w@v,
+    with c_j = q^{-j(j-1)/2} (q^{-1}-q)^j / [j]!.  The matrix is certified
+    by module_map, which pins the coproduct/R-matrix conventions."""
     if m.ctx is not n.ctx:
         raise ContextMismatch("braiding inputs from different field contexts")
     ctx = m.ctx
-    p = ctx.p
     dm, dn = m.dimension, n.dimension
-
-    def by_column(mats):
-        out = []
-        for mat in mats:
-            cols: dict = {}
-            for (i, j), v in mat.data.items():
-                cols.setdefault(j, []).append((i, v))
-            out.append(cols)
-        return out
-
-    e_cols = by_column(_op_powers(m.E, p - 1))
-    f_cols = by_column(_op_powers(n.F, p - 1))
-
-    coef = _braiding_coefs(ctx)
-    acc: dict = {}
-    for i in range(dm):
-        lam = m.weights[i]
-        for k in range(dn):
-            mu = n.weights[k]
-            pref = ctx.root(-lam * mu)
-            for j in range(p):
-                ehits = e_cols[j].get(i)
-                fhits = f_cols[j].get(k)
-                if not ehits or not fhits:
-                    continue
-                cj = pref * coef[j]
-                col = i * dn + k
-                for a, fv in fhits:
-                    for b, ev_ in ehits:
-                        key = (a * dm + b, col)
-                        term = cj * fv * ev_
-                        cur = acc.get(key)
-                        acc[key] = term if cur is None else cur + term
-    mat = Matrix(ctx, dm * dn, dm * dn, acc)
-    return module_map(tensor(m, n), tensor(n, m), mat)
+    flip = Matrix(ctx, dm * dn, dm * dn, {
+        (k * dm + i, i * dn + k): ctx.root(-lam * mu)
+        for i, lam in enumerate(m.weights)
+        for k, mu in enumerate(n.weights)})
+    total = Matrix(ctx, dm * dn, dm * dn)
+    for c, e, f in zip(_braiding_coefs(ctx), _op_powers(m.E, ctx.p - 1),
+                       _op_powers(n.F, ctx.p - 1)):
+        if e.is_zero() or f.is_zero():  # so is every later term
+            break
+        total = total.add(Matrix.kron(f, e).scale(c))
+    return module_map(tensor(m, n), tensor(n, m), total.mul(flip))
 
 
 def twist_inverse(m: WeightModule) -> Matrix:
@@ -488,29 +461,7 @@ def twist_inverse(m: WeightModule) -> Matrix:
     return module_map(m, m, mat)
 
 
-# -- self-duality of the standard module and the diagram functor -------------
-
-
-def selfdual_V(ctx: FieldContext):
-    """Structure maps of the self-dual standard module:
-    coev(1) = zeta^{-1/2} v+ @ v-  -  zeta^{1/2} v- @ v+ and the matching
-    evaluation; both are certified module maps."""
-    v = simple_V(ctx, 2)
-    vv = tensor(v, v)
-    unit = simple_V(ctx, 1)
-    zh = ctx.qhalf()
-    coev = Matrix(ctx, 4, 1, {(1, 0): inv(zh), (2, 0): -zh})
-    ev = Matrix(ctx, 1, 4, {(0, 1): -inv(zh), (0, 2): zh})
-    return module_map(unit, vv, coev), module_map(vv, unit, ev)
-
-
-def intrinsic_dim(pair) -> CycNumber:
-    """Scalar of ev.coev for a (coev, ev) self-duality pair of matrices."""
-    coev, ev = pair
-    prod = ev.mul(coev)
-    if (prod.rows, prod.cols) != (1, 1):
-        raise ValueError("pair does not compose to a scalar")
-    return prod.entry(0, 0)
+# -- the diagram functor and the self-duality of the standard module ---------
 
 
 def tl_to_matrix(ctx: FieldContext, mor: "tldiag.TLMorphism") -> Matrix:
@@ -545,6 +496,15 @@ def tl_to_matrix(ctx: FieldContext, mor: "tldiag.TLMorphism") -> Matrix:
             cur = acc.get((top, bot))
             acc[(top, bot)] = val if cur is None else cur + val
     return Matrix(ctx, 1 << m, 1 << n, acc)
+
+
+def selfdual_V(ctx: FieldContext):
+    """Coevaluation and evaluation of the self-dual standard module V_2:
+    the functor's images of cup and cap, each certified as a module map."""
+    vv = tensor(simple_V(ctx, 2), simple_V(ctx, 2))
+    unit = simple_V(ctx, 1)
+    return (module_map(unit, vv, tl_to_matrix(ctx, tldiag.cup(ctx))),
+            module_map(vv, unit, tl_to_matrix(ctx, tldiag.cap(ctx))))
 
 
 # -- composition factors by character arithmetic -----------------------------

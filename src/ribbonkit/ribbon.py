@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from .cyclo import field, make_root
+from .cyclo import field
 from .fusion import DEFAULT_RMAX, conformal_weight, singlet_ring
 from .qrep import Matrix, twist_inverse, uq_module
 
@@ -86,9 +86,9 @@ def wp_twists(p: int) -> TwistTable:
     ctx = field(p)
     theta = {}
     for s in range(1, p + 1):
-        base = make_root(ctx, s * s - 1)
+        base = ctx.root(s * s - 1)
         theta[(s, 1)] = base if s % 2 else -base
-        theta[(s, -1)] = -make_root(ctx, 3 * p * p) * base
+        theta[(s, -1)] = -ctx.root(3 * p * p) * base
     return TwistTable(theta, (1, 1))
 
 
@@ -128,7 +128,7 @@ def singlet_twists(p: int, r_max: int = DEFAULT_RMAX) -> TwistTable:
         exponent = h * 4 * p
         if exponent.denominator != 1:
             raise NonRepresentablePhase(f"h = {h} leaves the field")
-        theta[lab] = make_root(ctx, int(exponent))
+        theta[lab] = ctx.root(int(exponent))
     return TwistTable(theta, ring.unit)
 
 
@@ -182,4 +182,4 @@ def voa_monodromy_phase(p: int, h1: Fraction, h2: Fraction, h3: Fraction,
         raise NonRepresentablePhase(
             f"exponent {exponent} of the primitive root is not integral"
         )
-    return make_root(field(p), int(exponent))
+    return field(p).root(int(exponent))

@@ -8,6 +8,10 @@ text.
 Frozen expectations of the rows that compute their verdict in the registry:
   * d(X_r^+) = (-1)^(r-1)[r] from the recursion, vanishing at r = p;
     ord(q^2) = p
+  * braiding.rmatrix: braiding(V_2, V_2) is the functor image of the
+    +zeta^{1/2} candidate, and ev.coev = -(q+q^{-1}), which is -1 at p = 3
+  * properties.balancing: c_{N,M} c_{M,N} theta^-1(M (x) N) =
+    theta^-1(M) (x) theta^-1(N), which a doubled braiding breaks
   * fpdim.simple_certificates: the module of each of the 2p labels is
     certified simple and is its own single class; V_p (x) V_2 is refused
   * grring.iso_K at window 6: unit row, first-column products M_{r,1}
@@ -22,7 +26,7 @@ import pytest
 
 from ribbonkit import checks, fusion
 from ribbonkit.checks import CHECKS, iso_K_witness, run_checks
-from ribbonkit.cyclo import field, make_root
+from ribbonkit.cyclo import field
 from ribbonkit.qrep import simple_V, tensor
 
 ALL_P = [2, 3, 4, 5, 6, 7]
@@ -61,6 +65,34 @@ def test_inverse_pairs_names_the_pair(monkeypatch):
         "candidate 1 composed with candidate 0 is not the identity")
 
 
+def test_rmatrix_names_the_braiding(monkeypatch):
+    real = checks.braiding
+    detail = _fail_detail(monkeypatch, "braiding.rmatrix", checks, "braiding",
+                          lambda m, n: real(m, n).scale(-m.ctx.one()))
+    assert detail == "R-matrix braiding on V[2] differs from the candidate"
+
+
+def test_rmatrix_names_the_intrinsic_dimension(monkeypatch):
+    # a doubled coevaluation leaves the braiding clause passing
+    real = checks.selfdual_V
+
+    def doubled(ctx):
+        coev, ev = real(ctx)
+        return coev.scale(ctx.rational(2)), ev
+
+    detail = _fail_detail(monkeypatch, "braiding.rmatrix", checks,
+                          "selfdual_V", doubled)
+    assert detail == "intrinsic dimension of V[2] is -2"
+
+
+def test_balancing_names_the_identity(monkeypatch):
+    real = checks.braiding
+    detail = _fail_detail(monkeypatch, "properties.balancing", checks,
+                          "braiding",
+                          lambda m, n: real(m, n).scale(m.ctx.rational(2)))
+    assert detail == "balancing identity breaks"
+
+
 def test_phase_channels_names_the_channel(monkeypatch):
     real = checks.voa_monodromy_phase
 
@@ -70,7 +102,7 @@ def test_phase_channels_names_the_channel(monkeypatch):
 
     detail = _fail_detail(monkeypatch, "phase.channels", checks,
                           "voa_monodromy_phase", flipped)
-    root = make_root(field(P), 1)
+    root = field(P).root(1)
     assert detail == (f"adjacent h_{{1,3}} channel gives {-root}, "
                       f"expected {root}")
 

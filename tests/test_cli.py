@@ -28,7 +28,7 @@ from hypothesis import example, given, strategies as st
 
 import ribbonkit
 from ribbonkit import cli, fusion
-from ribbonkit.cyclo import field, make_root
+from ribbonkit.cyclo import field
 from ribbonkit.cli import (
     MAX_DEPTH,
     MAX_PARENS,
@@ -427,10 +427,10 @@ def test_cmd_muger(capsys):
 
 def test_cmd_phase(capsys):
     assert main(["phase", "-p", "2", "0", "0", "1/2"]) == 0
-    want = str(make_root(field(2), 2))
+    want = str(field(2).root(2))
     assert capsys.readouterr().out.strip() == want
     assert main(["phase", "-p", "2", "--squared", "0", "0", "1/2"]) == 0
-    assert capsys.readouterr().out.strip() == str(make_root(field(2), 4))
+    assert capsys.readouterr().out.strip() == str(field(2).root(4))
     assert main(["phase", "-p", "2", "0", "0", "1/3"]) == 2
 
 

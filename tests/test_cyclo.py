@@ -19,7 +19,6 @@ from ribbonkit.cyclo import (
     embed_complex,
     field,
     inv,
-    make_root,
     pack,
     parse_cyc,
     qfact,
@@ -72,9 +71,9 @@ def test_minimal_polynomial_divides_x_N_minus_1(p):
 
 
 def test_make_root_specials():
-    assert make_root(field(3), 0) == field(3).one()
-    assert make_root(field(3), 12) == field(3).one()  # zeta_12^12 = 1
-    assert make_root(field(2), 4) == -field(2).one()  # zeta_8^4 = -1
+    assert field(3).root(0) == field(3).one()
+    assert field(3).root(12) == field(3).one()  # zeta_12^12 = 1
+    assert field(2).root(4) == -field(2).one()  # zeta_8^4 = -1
 
 
 @pytest.mark.parametrize("p", ALL_P)

@@ -42,7 +42,6 @@ from ribbonkit.qrep import (
     chi_module,
     decompose_character,
     decompose_factors,
-    intrinsic_dim,
     module_map,
     peel_strings,
     selfdual_V,
@@ -105,7 +104,7 @@ def test_planted_long_string_fails_nilpotency():
     ctx = field(3)
     p = ctx.p
     e = Matrix(ctx, p + 1, p + 1, {(j - 1, j): ctx.one() for j in range(1, p + 1)})
-    z = Matrix.zeros(ctx, p + 1, p + 1)
+    z = Matrix(ctx, p + 1, p + 1)
     m = WeightModule(ctx, range(2 * p, -1, -2), e, z, z, z)
     powers = _op_powers(m.E, p)
     assert len(powers) == p + 1
@@ -414,7 +413,7 @@ def test_decompose_chi_twist():
 
 def test_decompose_inconsistent_raises():
     ctx = field(3)
-    z = Matrix.zeros(ctx, 1, 1)
+    z = Matrix(ctx, 1, 1)
     bad = WeightModule(ctx, (1,), z, z, z, z)
     with pytest.raises(InconsistentCharacter):
         decompose_factors(bad)
@@ -480,7 +479,7 @@ def _span_short_module():
     # p = 2, weights (2, 0), E = e01 and every other operator zero: the
     # only singular vector spans a line that F and Fp cannot leave
     ctx = field(2)
-    z = Matrix.zeros(ctx, 2, 2)
+    z = Matrix(ctx, 2, 2)
     e = Matrix(ctx, 2, 2, {(0, 1): ctx.one()})
     return WeightModule(ctx, (2, 0), e, z, z, z)
 
@@ -633,8 +632,8 @@ def _reference_ep_fp(m, n):
     dim = m.dimension * n.dimension
     me, ne = _all_powers(m.E, p - 1), _all_powers(n.E, p - 1)
     mf, nf = _all_powers(m.F, p - 1), _all_powers(n.F, p - 1)
-    ep = Matrix.zeros(ctx, dim, dim)
-    fp = Matrix.zeros(ctx, dim, dim)
+    ep = Matrix(ctx, dim, dim)
+    fp = Matrix(ctx, dim, dim)
     for k in range(p + 1):
         left = _reference_divided(m, me, m.Ep, k).mul(_kpow(m, p - k))
         right = _reference_divided(n, ne, n.Ep, p - k)
@@ -670,6 +669,64 @@ def _reference_twist_inverse(m):
             acc[(i, k)] = term if cur is None else cur + term
         gpow = gpow * (q * q - ctx.one())
     return Matrix(ctx, m.dimension, m.dimension, acc)
+
+
+def _reference_braiding(m, n):
+    """The braiding matrix entry by entry, no module_map: for each basis
+    pair v_i (x) w_k and each j, the columns of E^j and F^j that it hits
+    are multiplied out and summed into the entries of w (x) v."""
+    ctx = m.ctx
+    p = ctx.p
+    dm, dn = m.dimension, n.dimension
+
+    def by_column(mats):
+        out = []
+        for mat in mats:
+            cols = {}
+            for (i, j), v in mat.data.items():
+                cols.setdefault(j, []).append((i, v))
+            out.append(cols)
+        return out
+
+    e_cols = by_column(_all_powers(m.E, p - 1))
+    f_cols = by_column(_all_powers(n.F, p - 1))
+    q = ctx.q()
+    # c_j = q^{-j(j-1)/2} (q^{-1}-q)^j / [j]!
+    coef = [ctx.root(-j * (j - 1)) * (inv(q) - q) ** j * inv(qfact(ctx, j))
+            for j in range(p)]
+    acc = {}
+    for i in range(dm):
+        lam = m.weights[i]
+        for k in range(dn):
+            pref = ctx.root(-lam * n.weights[k])
+            for j in range(p):
+                ehits = e_cols[j].get(i)
+                fhits = f_cols[j].get(k)
+                if not ehits or not fhits:
+                    continue
+                cj = pref * coef[j]
+                for a, fv in fhits:
+                    for b, ev_ in ehits:
+                        key = (a * dm + b, i * dn + k)
+                        term = cj * fv * ev_
+                        cur = acc.get(key)
+                        acc[key] = term if cur is None else cur + term
+    return Matrix(ctx, dm * dn, dm * dn, acc)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 8])
+def test_braiding_matches_reference_kernel(p):
+    # module_map cannot tell a module map from a scalar multiple of it, so
+    # the entries themselves are compared
+    ctx = field(p)
+    v2 = simple_V(ctx, 2)
+    pool = [simple_V(ctx, s) for s in range(1, p + 1)]
+    pool += [chi_module(ctx), simple_L(ctx, 1), simple_L(ctx, 2),
+             tensor(chi_module(ctx), v2), tensor(v2, v2)]
+    for m in pool:
+        for n in pool:
+            if m.dimension * n.dimension <= 4 * p:
+                assert braiding(m, n) == _reference_braiding(m, n), (m, n)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
@@ -730,8 +787,9 @@ def test_selfduality(p):
     ctx = field(p)
     coev, ev = selfdual_V(ctx)
     z = ctx.q()
-    dim = intrinsic_dim((coev, ev))
-    assert dim == -(z + inv(z))
+    loop = ev.mul(coev)
+    assert (loop.rows, loop.cols) == (1, 1)
+    assert loop.entry(0, 0) == -(z + inv(z))
     # snake identities
     id2 = Matrix.identity(ctx, 2)
     left = Matrix.kron(ev, id2).mul(Matrix.kron(id2, coev))
@@ -739,16 +797,14 @@ def test_selfduality(p):
     assert left == id2 and right == id2
 
 
-def test_intrinsic_dim_unit():
-    ctx = field(4)
-    one = Matrix.identity(ctx, 1)
-    assert intrinsic_dim((one, one)) == ctx.one()
-
-
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
 def test_functor_base_cases(p):
+    # coev(1) = zeta^{-1/2} v+ (x) v- - zeta^{1/2} v- (x) v+ and the
+    # matching evaluation, typed out
     ctx = field(p)
-    coev, ev = selfdual_V(ctx)
+    zh = ctx.qhalf()
+    coev = Matrix(ctx, 4, 1, {(1, 0): inv(zh), (2, 0): -zh})
+    ev = Matrix(ctx, 1, 4, {(0, 1): -inv(zh), (0, 2): zh})
     assert tl_to_matrix(ctx, tldiag.cup(ctx)) == coev
     assert tl_to_matrix(ctx, tldiag.cap(ctx)) == ev
     assert tl_to_matrix(ctx, tldiag.identity(ctx, 3)) == Matrix.identity(ctx, 8)
@@ -886,7 +942,7 @@ def test_module_map_verification():
 @pytest.mark.parametrize("matrix, exc, message", [
     (lambda ctx: Matrix.identity(field(2), 2), ContextMismatch,
      "map pieces from different field contexts"),
-    (lambda ctx: Matrix.zeros(ctx, 2, 1), ValueError,
+    (lambda ctx: Matrix(ctx, 2, 1), ValueError,
      "matrix shape does not match domain/codomain"),
     (lambda ctx: Matrix(ctx, 2, 2, {(0, 1): ctx.one()}), ValueError,
      "entry (0,1) breaks K-equivariance"),

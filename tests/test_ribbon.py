@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from ribbonkit import fusion
 from ribbonkit.checks import CHECKS, iso_K_witness, twist_routes
-from ribbonkit.cyclo import embed_complex, field, make_root, parse_cyc
+from ribbonkit.cyclo import embed_complex, field, parse_cyc
 from ribbonkit.fusion import (
     TruncationOverflow, conformal_weight, singlet_ring, uq_ring, wp_ring,
 )
@@ -51,12 +51,12 @@ def test_wp_twist_values(p):
     ctx = field(p)
     table = wp_twists(p)
     assert table.theta[(1, 1)] == ctx.one()
-    assert table.theta[(2, 1)] == -make_root(ctx, 3)
+    assert table.theta[(2, 1)] == -ctx.root(3)
     for s in range(1, p + 1):
-        base = make_root(ctx, s * s - 1)
+        base = ctx.root(s * s - 1)
         plus = base if s % 2 else -base
         assert table.theta[(s, 1)] == plus
-        assert table.theta[(s, -1)] == -make_root(ctx, 3 * p * p) * base
+        assert table.theta[(s, -1)] == -ctx.root(3 * p * p) * base
 
 
 def test_wp_twist_p2_negative_sector():
@@ -81,7 +81,7 @@ def test_uq_inverse_twist_values(p):
     ctx = field(p)
     table = uq_twists(p)
     assert table.theta[(1, 0)] == ctx.one()
-    assert table.theta[(2, 0)] == -make_root(ctx, 3)
+    assert table.theta[(2, 0)] == -ctx.root(3)
 
 
 @pytest.mark.parametrize("p", ALL_P)
@@ -189,17 +189,17 @@ def test_monodromy_x2_x2(p):
     ring = wp_ring(p)
     spec = monodromy(ring, wp_twists(p), (2, 1), (2, 1))
     assert spec.multiset() == Counter(
-        {make_root(ctx, -6): 1, make_root(ctx, 2): 1}
+        {ctx.root(-6): 1, ctx.root(2): 1}
     )
     # unit-channel corestriction
-    assert spec.by_factor()[(1, 1)] == make_root(ctx, -6)
+    assert spec.by_factor()[(1, 1)] == ctx.root(-6)
 
 
 def test_monodromy_x2_x2_p2_degenerate():
     # at p=2 both channels collapse onto q^-3 = q = i
     ctx = field(2)
     spec = monodromy(wp_ring(2), wp_twists(2), (2, 1), (2, 1))
-    assert spec.multiset() == Counter({make_root(ctx, -6): 4})
+    assert spec.multiset() == Counter({ctx.root(-6): 4})
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -353,9 +353,9 @@ def test_voa_phase_unit_channel(p):
     ctx = field(p)
     h2 = conformal_weight(p, 1, 2)
     got = voa_monodromy_phase(p, h2, h2, Fraction(0))
-    assert got == -make_root(ctx, -3)
+    assert got == -ctx.root(-3)
     squared = voa_monodromy_phase(p, h2, h2, Fraction(0), squared=True)
-    assert squared == make_root(ctx, -6)
+    assert squared == ctx.root(-6)
     assert squared == got * got
 
 
@@ -364,7 +364,7 @@ def test_voa_phase_x3_channel(p):
     ctx = field(p)
     h2 = conformal_weight(p, 1, 2)
     h3 = conformal_weight(p, 1, 3)
-    assert voa_monodromy_phase(p, h2, h2, h3) == make_root(ctx, 1)
+    assert voa_monodromy_phase(p, h2, h2, h3) == ctx.root(1)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
