@@ -5,19 +5,27 @@ bottom points 0..n-1 left to right, then top points n..n+m-1 right to left.
 With that convention planarity is the balanced-bracket condition on the
 linear word, and diagram equality is structural equality of sorted pairs.
 
-Each diagram also keeps its partner array: partner[i] is the mate of
-endpoint i.  Composition is pure combinatorics, independent of p: one walk
-over the two partner arrays, with plain ints and a list of visited interface
-points, gives the result's partner array and its closed loop count.
-Composing or tensoring planar matchings always gives a planar matching, so
-those results are built by a module-private constructor that skips the
-checks of the public one but stores the same canonical pairs and hash.
+Each diagram also keeps its partner array (partner[i] is the mate of
+endpoint i) and its two link states, the cellular factorisation of TL
+diagrams (Graham-Lehrer): per side a tuple over its positions, left to
+right, holding the mate's position on that side, or -1 for a through
+strand; the k-th -1 of one side joins the k-th -1 of the other.
+Composition is pure combinatorics, independent of p.  d1.d2 depends only on
+bottom(d1), top(d2) and the middle of top(d1) against bottom(d2): one walk
+over the interface points that counts the closed loops and tells which
+through strands it joins in pairs.  Walking the middle, joining through
+strands within a state and turning two states into a partner array are
+functools.cache memos keyed by link-state tuples, so each runs once per
+distinct argument, not once per term pair.  Composing or tensoring planar
+matchings always gives a planar matching, so those results are built from
+their link states by a module-private constructor that skips the checks of
+the public one but stores the same canonical pairs and hash.
 
 Morphisms are finite CycNumber-linear combinations of diagrams; composition
 stacks diagrams and converts every closed loop into a factor d.  The
-coefficient products are summed per (result diagram, loop count) group, and
-each group's sum is reduced and multiplied by d**loops once.  From
-_PACKED_MIN_PAIRS term pairs on, a group's sum is a sum of packed integer
+coefficient products are summed per (result diagram, loop count) key, and
+each key's sum is reduced and multiplied by d**loops once.  From
+_PACKED_MIN_PAIRS term pairs on, a key's sum is a sum of packed integer
 products (cyclo.pack, cyclo.unpack_sum), so a term pair costs one integer
 product instead of a field multiply; a product with a one-term operand
 multiplies pair by pair.
@@ -32,11 +40,16 @@ from typing import Iterable, Sequence
 from .cyclo import CycNumber, FieldContext, inv, pack, qint, unpack_sum
 
 # compose sums packed products (cyclo.pack) from this many term pairs on.
-# Below it, packing both operands and unpacking each group costs more than
-# multiplying pair by pair: measured on Jones-Wenzl terms at p = 5, 7 and 10,
-# a 4x3-term product is faster pair by pair and a 4x4-term one packed.  A
+# Below it, packing both operands and unpacking each key's sum costs more
+# than multiplying pair by pair.  Measured on Jones-Wenzl terms (the first
+# a against the last b of jw(4) at p=5, of jw(5) at p=7 and 10; packed
+# faster in k of 15 interleaved rounds on a 2-core Xeon): at p=5, 4x3 pairs
+# 0/15 and 4x4 14/15; at p=7 and 10 the crossover lies between 16 and 25
+# pairs, 4x4 3/15 and 2/15, 4x5 8/15 and 11/15, 5x5 9/15 and 10/15, 6x6
+# 13/15 and 15/15.  The term-pair walk this route replaced gave the same
+# rows within noise, and no single constant above 16 wins at all three p.  A
 # one-term operand stays pair by pair at any size: its pairs almost never
-# share a group, so there is no sum to pack (a 42x1-term hook product at
+# share a key, so there is no sum to pack (a 42x1-term hook product at
 # p=7 on a 2-core Xeon: 555 us pair by pair, 738 us packed).
 _PACKED_MIN_PAIRS = 16
 
@@ -54,10 +67,11 @@ class TLDiagram:
 
     pairs is canonicalized to a lexicographically sorted tuple of sorted
     pairs, so equality and hashing are structural; partner[i] is the mate
-    of endpoint i.
+    of endpoint i, and links is the (bottom, top) pair of link states.
     """
 
-    __slots__ = ("bottom_count", "top_count", "pairs", "partner", "_hash")
+    __slots__ = ("bottom_count", "top_count", "pairs", "partner", "links",
+                 "_hash")
 
     def __init__(self, bottom_count: int, top_count: int, pairs: Iterable):
         n, m = bottom_count, top_count
@@ -84,7 +98,7 @@ class TLDiagram:
                 if not stack or stack[-1] != u:
                     raise ValueError(f"pairing {norm} is not planar")
                 stack.pop()
-        _fill(self, n, m, norm, tuple(partner))
+        _fill(self, n, m, norm, tuple(partner), _link_states(n, m, partner))
 
     def __setattr__(self, *a):
         raise AttributeError("TLDiagram is immutable")
@@ -107,95 +121,113 @@ class TLDiagram:
     __repr__ = __str__
 
 
-def _fill(d: TLDiagram, n: int, m: int, pairs: tuple, partner: tuple) -> None:
+def _fill(d: TLDiagram, n: int, m: int, pairs: tuple, partner: tuple,
+          links: tuple) -> None:
     object.__setattr__(d, "bottom_count", n)
     object.__setattr__(d, "top_count", m)
     object.__setattr__(d, "pairs", pairs)
     object.__setattr__(d, "partner", partner)
+    object.__setattr__(d, "links", links)
     object.__setattr__(d, "_hash", hash((n, m, pairs)))
 
 
-def _trusted_diagram(n: int, m: int, partner: tuple) -> TLDiagram:
-    """The diagram with this partner array, which must be a planar matching.
-
-    Only for results of composition and tensor; pairs come out sorted
-    because each is listed at its smaller endpoint, in endpoint order.
-    """
+def _trusted_diagram(links: tuple) -> TLDiagram:
+    """The diagram with these (bottom, top) link states; only for results
+    of composition and tensor, which are planar by construction."""
     d = object.__new__(TLDiagram)
-    pairs = tuple([(a, b) for a, b in enumerate(partner) if a < b])
-    _fill(d, n, m, pairs, partner)
+    _fill(d, len(links[0]), len(links[1]), *_join(*links), links)
     return d
 
 
-def _compose_partners(d1: TLDiagram, d2: TLDiagram) -> tuple[tuple, int]:
-    """Stack d1 (n->m) then d2 (m->k); the result's partner array and loops.
-
-    Interface point j (0 <= j < m) is d2 bottom index j, glued to d1 top
-    index n+m-1-j.  Result indices are d1 bottoms 0..n-1, then d2 tops
-    m..m+k-1 shifted down to n..n+k-1.
-    """
-    n, m = d1.bottom_count, d1.top_count
-    p1, p2 = d1.partner, d2.partner
-    shift = n - m
+def _link_states(n: int, m: int, partner: Sequence[int]) -> tuple:
+    """(bottom, top) link states of the diagram with this partner array."""
     last = n + m - 1
-    out = [-1] * (n + d2.top_count)
+    bottom = tuple([j if j < n else -1 for j in partner[:n]])
+    top = tuple([last - j if j >= n else -1 for j in reversed(partner[n:])])
+    return bottom, top
+
+
+@cache
+def _join(bottom: tuple, top: tuple) -> tuple:
+    """(pairs, partner) of the diagram with these link states; pairs come
+    out sorted because each is listed at its smaller endpoint."""
+    last = len(bottom) + len(top) - 1
+    partner = list(bottom) + [last - x if x >= 0 else -1 for x in reversed(top)]
+    # through strands nest on the linear word: the k-th end joins the k-th
+    # from the last
+    ends = [i for i, x in enumerate(partner) if x < 0]
+    for i, j in zip(ends, reversed(ends)):
+        partner[i] = j
+    return tuple([(a, b) for a, b in enumerate(partner) if a < b]), tuple(partner)
+
+
+@cache
+def _middle(top: tuple, bottom: tuple) -> tuple:
+    """Glue top state of d1 to bottom state of d2 at the m interface points.
+
+    Returns (loops, down, up): down[a] is the d1 through strand that d1
+    through strand a is joined to, or -1 when a runs on into a through
+    strand of d2; up likewise for the through strands of d2.  The strands
+    that run through keep their order, so they need no record.
+    """
+    m = len(top)
+    ends1 = [j for j in range(m) if top[j] < 0]
+    ends2 = [j for j in range(m) if bottom[j] < 0]
+    down, up = [-1] * len(ends1), [-1] * len(ends2)
     seen = [False] * m
-    # strands with a d1 bottom end; j is a d1 index until it leaves d1
-    for start in range(n):
-        if out[start] >= 0:
-            continue
-        j = p1[start]
-        while j >= n:
-            j = last - j
-            seen[j] = True
-            j = p2[j]
-            if j >= m:
-                j += shift
-                break
-            seen[j] = True
-            j = p1[last - j]
-        out[start] = j
-        out[j] = start
-    # the strands left join two d2 tops; j is a d2 index
-    for start in range(n, len(out)):
-        if out[start] >= 0:
-            continue
-        j = p2[start - shift]
-        while j < m:
-            seen[j] = True
-            j = last - p1[last - j]
-            seen[j] = True
-            j = p2[j]
-        j += shift
-        out[start] = j
-        out[j] = start
-    # every interface point not on a strand lies on a closed loop
+    # arcs alternate: from a d1 end the next arc is d2's, from a d2 end d1's
+    for ends, first, second, joins in ((ends1, bottom, top, down),
+                                       (ends2, top, bottom, up)):
+        for a, j in enumerate(ends):
+            if seen[j]:
+                continue
+            while True:
+                seen[j] = True
+                j = first[j]
+                if j < 0:
+                    break
+                seen[j] = True
+                if second[j] < 0:
+                    b = ends.index(j)
+                    joins[a], joins[b] = b, a
+                    break
+                j = second[j]
     loops = 0
     for j in range(m):
-        if seen[j]:
-            continue
-        loops += 1
-        while not seen[j]:
-            seen[j] = True
-            j = p2[j]
-            seen[j] = True
-            j = last - p1[last - j]
-    return tuple(out), loops
+        if not seen[j]:
+            loops += 1
+            while not seen[j]:
+                seen[j] = True
+                j = top[j]
+                seen[j] = True
+                j = bottom[j]
+    return loops, tuple(down), tuple(up)
+
+
+@cache
+def _cap(state: tuple, joins: tuple) -> tuple:
+    """state with through strand a joined to strand joins[a] where >= 0."""
+    ends = [i for i, x in enumerate(state) if x < 0]
+    out = list(state)
+    for a, b in enumerate(joins):
+        if b >= 0:
+            out[ends[a]] = ends[b]
+    return tuple(out)
+
+
+def _column(top: tuple, bottom: tuple, g_top: tuple) -> tuple:
+    """What d1.d2 keeps of d2 given d1's top state: (down joins, loops,
+    result top state)."""
+    loops, down, up = _middle(top, bottom)
+    return down, loops, _cap(g_top, up)
 
 
 def _tensor_diagrams(d1: TLDiagram, d2: TLDiagram) -> TLDiagram:
-    """d1 on the left of d2.
-
-    Bottoms keep d1 then d2 order; top indices count from the right, so d2
-    tops come first.  Every d2 index i becomes n1 + i, and d1 tops shift
-    past all n2 + m2 indices of d2.
-    """
-    n1, m1 = d1.bottom_count, d1.top_count
-    n2, m2 = d2.bottom_count, d2.top_count
-    width = n2 + m2
-    left = [j if j < n1 else j + width for j in d1.partner]
-    partner = left[:n1] + [n1 + j for j in d2.partner] + left[n1:]
-    return _trusted_diagram(n1 + n2, m1 + m2, tuple(partner))
+    """d1 on the left of d2: on each side d2's link state follows d1's,
+    its mates shifted past d1's positions."""
+    return _trusted_diagram(tuple(
+        [s1 + tuple([x + len(s1) if x >= 0 else -1 for x in s2])
+         for s1, s2 in zip(d1.links, d2.links)]))
 
 
 class TLMorphism:
@@ -318,7 +350,9 @@ def cap(ctx: FieldContext) -> TLMorphism:
     return from_diagram(ctx, TLDiagram(2, 0, [(0, 1)]))
 
 
+@cache
 def loop_value(ctx: FieldContext) -> CycNumber:
+    """d = -(q + q^{-1}), once per context: compose multiplies by its powers."""
     q = ctx.q()
     return -(q + inv(q))
 
@@ -362,11 +396,16 @@ def all_diagrams(n: int, m: int) -> list[TLDiagram]:
 def compose(f: TLMorphism, g: TLMorphism) -> TLMorphism:
     """Diagrammatic order: f acts first, g second; f: n->m, g: m->k.
 
-    Below _PACKED_MIN_PAIRS term pairs, or when either operand has one
-    term, each c1*c2 is a field multiply; otherwise both coefficient lists
-    are packed once, a pair adds one integer product to its group, and a
-    group is unpacked once.  Result terms keep the order in which their
-    diagrams first appear over the pairs (f's terms outer, g's inner); zero
+    For each distinct top state of f, every g term gets a column id, one
+    per distinct (joins among f's through strands, loops, result top
+    state); each distinct (f bottom state, column) then resolves once to a
+    (result diagram, loop count) key, so a term pair costs list indexing
+    and one coefficient product.  Below _PACKED_MIN_PAIRS term pairs, or
+    when either operand has one term, each c1*c2 is a field multiply;
+    otherwise both coefficient lists are packed once, a pair adds one
+    integer product to its key, and a key's sum is unpacked once.  Key ids
+    are handed out in pair order (f's terms outer, g's inner), so result
+    terms keep the order in which their diagrams first appear; zero
     coefficients are dropped.
     """
     if f.ctx is not g.ctx:
@@ -377,39 +416,55 @@ def compose(f: TLMorphism, g: TLMorphism) -> TLMorphism:
             f"with ({g.bottom_count}->{g.top_count})"
         )
     ctx = f.ctx
-    # sum c1*c2 per (result partner array, loop count); d**loops once each
-    groups: dict[tuple, CycNumber] = {}
-    nf, ng = len(f.terms), len(g.terms)
-    if min(nf, ng) <= 1 or nf * ng < _PACKED_MIN_PAIRS:
-        for d1, c1 in f.terms.items():
-            for d2, c2 in g.terms.items():
-                key = _compose_partners(d1, d2)
-                coeff = c1 * c2
-                groups[key] = groups[key] + coeff if key in groups else coeff
-    else:
-        fs, gs, layout = pack(ctx, list(f.terms.values()), list(g.terms.values()))
-        packed: dict[tuple, int] = {}
-        for d1, a in zip(f.terms, fs):
-            for d2, b in zip(g.terms, gs):
-                key = _compose_partners(d1, d2)
-                packed[key] = packed.get(key, 0) + a * b
-        for key, ab in packed.items():
-            groups[key] = unpack_sum(ctx, ab, layout)
-    d_pow: list[CycNumber] = []  # d**1, d**2, ... as far as loops reach
+    fs, gs = list(f.terms.values()), list(g.terms.values())
+    packed = min(len(fs), len(gs)) > 1 and len(fs) * len(gs) >= _PACKED_MIN_PAIRS
+    if packed:
+        fs, gs, layout = pack(ctx, fs, gs)
+    g_links = [d.links for d in g.terms]
+    cols: dict[tuple, int] = {}  # _column value -> column id
+    rows: dict[tuple, list] = {}  # f top state -> column id of each g term
+    f_rows = []
+    for d1 in f.terms:
+        bottom, top = d1.links
+        row = rows.get(top)
+        if row is None:
+            row = rows[top] = [cols.setdefault(_column(top, gb, gt), len(cols))
+                               for gb, gt in g_links]
+        f_rows.append((bottom, row))
+    columns = list(cols)
+    # sum c1*c2 per (result links, loops), the sums indexed by key id
+    keys: dict[tuple, int] = {}
+    known: dict[tuple, dict] = {}  # f bottom state -> {column id: key id}
+    acc: list = []
+    for (bottom, row), a in zip(f_rows, fs):
+        seen = known.setdefault(bottom, {})
+        for c in row:
+            if c not in seen:
+                down, loops, res_top = columns[c]
+                key = (_cap(bottom, down), res_top), loops
+                k = seen[c] = keys.setdefault(key, len(keys))
+                if k == len(acc):
+                    acc.append(0 if packed else None)
+        ks = [seen[c] for c in row]
+        if packed:
+            for k, b in zip(ks, gs):
+                acc[k] += a * b
+        else:
+            for k, b in zip(ks, gs):
+                s = acc[k]
+                acc[k] = a * b if s is None else s + a * b
+    d_pow = [loop_value(ctx)]  # d**1, d**2, ... as far as loops reach
     summed: dict[tuple, CycNumber] = {}
-    for (partner, loops), coeff in groups.items():
+    for (res, loops), coeff in zip(keys, acc):
+        if packed:
+            coeff = unpack_sum(ctx, coeff, layout)
         if loops:
-            if not d_pow:
-                d_pow.append(loop_value(ctx))
             while len(d_pow) < loops:
                 d_pow.append(d_pow[-1] * d_pow[0])
             coeff = coeff * d_pow[loops - 1]
-        if partner in summed:
-            coeff = summed[partner] + coeff
-        summed[partner] = coeff
-    n, k = f.bottom_count, g.top_count
-    terms = {_trusted_diagram(n, k, pr): c for pr, c in summed.items()}
-    return TLMorphism(ctx, n, k, terms)
+        summed[res] = summed[res] + coeff if res in summed else coeff
+    terms = {_trusted_diagram(res): c for res, c in summed.items()}
+    return TLMorphism(ctx, f.bottom_count, g.top_count, terms)
 
 
 def tensor(f: TLMorphism, g: TLMorphism) -> TLMorphism:

@@ -8,11 +8,12 @@ The hexagon identity used throughout is
 whose span reduction is a*b = 1 and a^2 + b^2 + d*a*b = 0; the four exact
 solutions are a = +-zeta^{+-1/2}, b = a^{-1}.
 
-Composition and tensor of diagrams are checked against test-only copies of
-the node-tuple walker and index remap they replaced: exhaustively on small
-boundaries, and on random morphisms against a term-by-term sum, through
-both summation paths of compose (packed integer sums, and field products
-pair by pair) and with coefficients up to 2^64 over rational denominators.
+Composition through link states and tensor of diagrams are checked against
+test-only copies of an older node-tuple walker and index remap: exhaustively
+on small boundaries, and on random morphisms and the Jones-Wenzl products
+against a term-by-term sum, through both summation paths of compose (packed
+integer sums, and field products pair by pair) and with coefficients up to
+2^64 over rational denominators.
 """
 
 import itertools
@@ -357,9 +358,9 @@ def test_compose_bilinear(data, p):
 def _reference_compose(d1, d2):
     """Stack d1 then d2 by walking ("a"|"b", index) nodes; (pairs, loops).
 
-    The node-tuple walker the partner-array walk replaced, kept as the
-    independent reference.  Interface positions: d1 top index n+t sits at
-    physical position m-1-t, which is glued to d2 bottom index m-1-t.
+    An older node-tuple walker, kept as the independent reference.
+    Interface positions: d1 top index n+t sits at physical position m-1-t,
+    which is glued to d2 bottom index m-1-t.
     """
     n, m, k = d1.bottom_count, d1.top_count, d2.top_count
     p1, p2 = {}, {}
@@ -447,21 +448,39 @@ def _same_diagram(got, want):
     assert got == want
     assert got.pairs == want.pairs
     assert got.partner == want.partner
+    assert got.links == want.links
     assert hash(got) == hash(want)
 
 
-def test_compose_partners_exhaustive():
-    # every composable pair with n + m + k <= 8
-    for n, m, k in itertools.product(range(9), repeat=3):
-        if n + m + k > 8 or (n + m) % 2 or (m + k) % 2:
+def _link_state_route(d1, d2):
+    """d1.d2 through link states: the result diagram and its loop count."""
+    loops, down, up = tldiag._middle(d1.links[1], d2.links[0])
+    links = (tldiag._cap(d1.links[0], down), tldiag._cap(d2.links[1], up))
+    return tldiag._trusted_diagram(links), loops
+
+
+def test_link_state_route_exhaustive():
+    # every composable pair with n + m + k <= 10
+    count = 0
+    for n, m, k in itertools.product(range(11), repeat=3):
+        if n + m + k > 10 or (n + m) % 2 or (m + k) % 2:
             continue
         for d1 in all_diagrams(n, m):
             for d2 in all_diagrams(m, k):
-                partner, loops = tldiag._compose_partners(d1, d2)
+                got, loops = _link_state_route(d1, d2)
                 ref_pairs, ref_loops = _reference_compose(d1, d2)
                 assert loops == ref_loops, (d1, d2)
-                _same_diagram(tldiag._trusted_diagram(n, k, partner),
-                              TLDiagram(n, k, ref_pairs))
+                _same_diagram(got, TLDiagram(n, k, ref_pairs))
+                count += 1
+    assert count == 5291
+
+
+def test_link_states_join_back_to_partner():
+    for n, m in itertools.product(range(13), repeat=2):
+        if n + m > 12 or (n + m) % 2:
+            continue
+        for d in all_diagrams(n, m):
+            assert tldiag._join(*d.links) == (d.pairs, d.partner), d
 
 
 def test_tensor_diagrams_exhaustive():
@@ -495,9 +514,9 @@ def _cancelling(draw, p):
     f, g = draw(_composable(p, max_terms=14, coeffs=wide_coefficients))
     e = draw(st.sampled_from(all_diagrams(g.bottom_count, g.top_count)))
     d1 = draw(st.sampled_from(all_diagrams(f.bottom_count, f.top_count)))
-    key = tldiag._compose_partners(d1, e)
+    key = _reference_compose(d1, e)
     twins = [d for d in all_diagrams(f.bottom_count, f.top_count)
-             if d != d1 and tldiag._compose_partners(d, e) == key]
+             if d != d1 and _reference_compose(d, e) == key]
     if not twins:
         return f, g
     fterms, gterms = dict(f.terms), dict(g.terms)
@@ -557,6 +576,25 @@ def test_compose_matches_term_by_term_reference(data, p):
             got = compose(f, g)
         assert got == want
         assert list(got.terms) == list(want.terms)
+
+
+@pytest.mark.parametrize("p", [6, 7])
+def test_compose_on_jones_wenzl_shapes(p):
+    # the products of the jw row and the Wenzl step: jw(n) squared, jw(n)
+    # against each hook on either side, prev.E and (prev.E).prev
+    ctx = field(p)
+    for n in range(2, 6):
+        jw = jones_wenzl(ctx, n)
+        prev = tensor(jones_wenzl(ctx, n - 1), identity(ctx, 1))
+        step = compose(prev, hook(ctx, n, n - 1))
+        products = [(jw, jw), (prev, hook(ctx, n, n - 1)), (step, prev)]
+        for i in range(1, n):
+            products += [(jw, hook(ctx, n, i)), (hook(ctx, n, i), jw)]
+        for f, g in products:
+            want = _reference_compose_morphisms(f, g)
+            for got in _both_paths(f, g):
+                assert got == want
+                assert list(got.terms) == list(want.terms)
 
 
 def test_compose_prunes_cancelled_groups_and_empty_operands():
