@@ -92,7 +92,8 @@ class Matrix:
         return Matrix(self.ctx, self.rows, self.cols, acc)
 
     def sub(self, other: "Matrix") -> "Matrix":
-        return self.add(other.scale(-self.ctx.one()))
+        return self.add(Matrix(self.ctx, other.rows, other.cols,
+                               {key: -v for key, v in other.data.items()}))
 
     def scale(self, scalar: CycNumber) -> "Matrix":
         if scalar.is_zero():
@@ -440,25 +441,32 @@ def braiding(m: WeightModule, n: WeightModule) -> Matrix:
 def twist_inverse(m: WeightModule) -> Matrix:
     """Inverse ribbon twist acting on m:
     w -> (-1)^lam zeta4p^{lam^2} sum_j zeta4p^{j(j+1)} q^{(j+1)lam}
-         ((q^2-1)^j/[j]!) F^j E^j w   (lam the weight of w)."""
+         ((q^2-1)^j/[j]!) F^j E^j w   (lam the weight of w).
+
+    E^j carries weight lam to mu = lam + 2j, so the scalar of the j-th term
+    moves past E^j: the sum is sum_j F^j D_j E^j with D_j diagonal, holding
+    the j-th scalar of lam = mu - 2j at each weight mu whose lam is a weight
+    of m.  E^j vanishes once 2j exceeds the weight span, so j stops at
+    top = min(p-1, span/2).  Horner's rule evaluates it innermost first:
+    X_top = D_top, X_j = D_j + F (X_{j+1} E), and the twist is X_0; no power
+    of E or F is built.  module_map certifies the result."""
     ctx = m.ctx
     p = ctx.p
-    epow = _op_powers(m.E, p - 1)
-    fpow = _op_powers(m.F, p - 1)
-    acc: dict = {}
-    for j in range(p):
-        if epow[j].is_zero():  # so are F^j E^j and every later term
-            break
-        fe = fpow[j].mul(epow[j])
-        for (i, k), v in fe.data.items():
-            lam = m.weights[k]
-            # (-1)^lam = zeta4p^{2p lam}; q^{(j+1)lam} = zeta4p^{2(j+1)lam}
-            e = 2 * p * lam + lam * lam + j * (j + 1) + 2 * (j + 1) * lam
-            term = _twist_term(ctx, j, e % ctx.N) * v
-            cur = acc.get((i, k))
-            acc[(i, k)] = term if cur is None else cur + term
-    mat = Matrix(ctx, m.dimension, m.dimension, acc)
-    return module_map(m, m, mat)
+    weights = m.weights
+    present = set(weights)
+    top = min(p - 1, (max(weights, default=0) - min(weights, default=0)) // 2)
+    n = m.dimension
+    x = Matrix(ctx, n, n)
+    for j in range(top, -1, -1):
+        diag = {}
+        for r, mu in enumerate(weights):
+            lam = mu - 2 * j
+            if lam in present:
+                # (-1)^lam = zeta4p^{2p lam}; q^{(j+1)lam} = zeta4p^{2(j+1)lam}
+                e = 2 * p * lam + lam * lam + j * (j + 1) + 2 * (j + 1) * lam
+                diag[(r, r)] = _twist_term(ctx, j, e % ctx.N)
+        x = Matrix(ctx, n, n, diag).add(m.F.mul(x.mul(m.E)))
+    return module_map(m, m, x)
 
 
 # -- the diagram functor and the self-duality of the standard module ---------

@@ -23,12 +23,13 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from ribbonkit.cyclo import ContextMismatch, field, inv, qfact, qint
-from ribbonkit import tldiag
+from ribbonkit import qrep, tldiag
 from ribbonkit.qrep import (
     InconsistentCharacter,
     Matrix,
@@ -211,6 +212,17 @@ def _reduce(rows):
     for row in rows:
         _echelon_add(pivots, _sparse(row))
     return pivots
+
+
+@pytest.mark.parametrize("p", LINALG_P)
+@given(data=st.data())
+def test_sub_is_add_of_the_negative(p, data):
+    # sub negates entry by entry; the field product by -1 gives the same
+    ctx = field(p)
+    a, b = data.draw(_invertible(ctx, 4)), data.draw(_invertible(ctx, 4))
+    assume(a.rows == b.rows)
+    assert a.sub(b) == a.add(b.scale(-ctx.one()))
+    assert a.sub(a).is_zero()
 
 
 @pytest.mark.parametrize("p", LINALG_P)
@@ -749,14 +761,37 @@ def test_tensor_divided_powers_match_reference(p):
     assert tensor(chi, simple_V(ctx, p)).Ep.is_zero()
 
 
-@pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7, 8, 16])
 def test_twist_inverse_matches_reference(p):
+    # p = 16 is the benchmarked one.  Beyond the simples: V2^(x)3 (weight
+    # multiplicities above one), the projective chi (x) (Vp (x) V2) (a
+    # Jordan block) and L(2) (x) Vp, whose weight span exceeds 2(p-1), so
+    # the depth stops at p-1, not at half the span
     ctx = field(p)
     v2, vp = simple_V(ctx, 2), simple_V(ctx, p)
     mods = [uq_module(ctx, (s, e)) for s in range(1, p + 1) for e in (0, 1)]
-    mods += [tensor(v2, v2), tensor(v2, vp), vir_module(ctx, (2, 2))]
+    mods += [tensor(v2, v2), tensor(v2, vp), vir_module(ctx, (2, 2)),
+             tensor(v2, tensor(v2, v2)),
+             tensor(chi_module(ctx), tensor(vp, v2)),
+             vir_module(ctx, (3, p))]
     for m in mods:
         assert twist_inverse(m) == _reference_twist_inverse(m)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7, 8])
+def test_twist_inverse_builds_no_operator_powers(p):
+    # the nested form reads E and F once per level and no power of them;
+    # the Ep and Fp thunks of a tensor product do build powers, so every
+    # operator is materialised before the patch
+    ctx = field(p)
+    mods = [uq_module(ctx, (s, e)) for s in range(1, p + 1) for e in (0, 1)]
+    for m in mods:
+        for name in ("E", "F", "Ep", "Fp"):
+            getattr(m, name)
+    with mock.patch.object(qrep, "_op_powers",
+                           side_effect=AssertionError("operator powers")):
+        for m in mods:
+            twist_inverse(m)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
