@@ -146,9 +146,6 @@ class Matrix:
             and self.data == other.data
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.data.items())))
-
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, nnz={len(self.data)})"
 
@@ -475,8 +472,12 @@ def twist_inverse(m: WeightModule) -> Matrix:
 def tl_to_matrix(ctx: FieldContext, mor: "tldiag.TLMorphism") -> Matrix:
     """Evaluate a diagram morphism on tensor powers of the standard module.
 
-    Strand indices are bits (0 = highest weight vector), big-endian per
-    position.  Every arc weight is +-zeta^{+-1}, so a state carries one zeta
+    Strand indices are bits (0 = highest weight vector), big-endian by
+    left-to-right position on each side, read from the diagram's link
+    states: caps from the bottom state, cups from the top state, and the
+    k-th through strand of one side joins the k-th of the other.  Raising
+    the right end of a cap weighs -zeta^{-1} and its left end zeta; for a
+    cup these are zeta^{-1} and -zeta.  So a state carries one zeta
     exponent (each cup or cap adds its weight's, through-strands add none
     and pass the index on) and meets the diagram coefficient once.
     """
@@ -484,17 +485,17 @@ def tl_to_matrix(ctx: FieldContext, mor: "tldiag.TLMorphism") -> Matrix:
     two_p = 2 * ctx.p  # -1 = zeta^{2p}, so a sign is an exponent shift
     acc: dict = {}
     for diag, coeff in mor.terms.items():
+        below, above = diag.links
         # each arc offers two (bottom bits, top bits, zeta exponent) choices
-        arcs = []
-        for x, y in diag.pairs:
-            if y < n:  # evaluation weights -zeta^{-1} and zeta
-                arcs.append(((1 << (n - 1 - y), 0, two_p - 1),
-                             (1 << (n - 1 - x), 0, 1)))
-            elif x >= n:  # coevaluation weights zeta^{-1} and -zeta
-                arcs.append(((0, 1 << (x - n), -1),
-                             (0, 1 << (y - n), two_p + 1)))
-            else:  # through-strand: both ends 0 or both ends 1
-                arcs.append(((0, 0, 0), (1 << (n - 1 - x), 1 << (y - n), 0)))
+        arcs = [((1 << (n - 1 - y), 0, two_p - 1), (1 << (n - 1 - x), 0, 1))
+                for x, y in enumerate(below) if y > x]
+        arcs += [((0, 1 << (m - 1 - y), -1), (0, 1 << (m - 1 - x), two_p + 1))
+                 for x, y in enumerate(above) if y > x]
+        # through strands, k-th to k-th: both ends 0 or both ends 1
+        through = zip([x for x, y in enumerate(below) if y < 0],
+                      [x for x, y in enumerate(above) if y < 0])
+        arcs += [((0, 0, 0), (1 << (n - 1 - x), 1 << (m - 1 - y), 0))
+                 for x, y in through]
         states = [(0, 0, 0)]  # packed bottom bits, top bits, zeta exponent
         for arc in arcs:
             states = [(bot | b, top | t, k + e)

@@ -3,23 +3,22 @@
 Diagrams are non-crossing perfect matchings on one circular boundary word:
 bottom points 0..n-1 left to right, then top points n..n+m-1 right to left.
 With that convention planarity is the balanced-bracket condition on the
-linear word, and diagram equality is structural equality of sorted pairs.
+linear word.  Only the public constructor and the derived pairs read that
+word: a diagram is stored as its two link states, the cellular
+factorisation of TL diagrams (Graham-Lehrer): per side a tuple over its
+positions, left to right, holding the mate's position on that side, or -1
+for a through strand; the k-th -1 of one side joins the k-th -1 of the
+other.  Equality and hashing read the link states.
 
-Each diagram also keeps its partner array (partner[i] is the mate of
-endpoint i) and its two link states, the cellular factorisation of TL
-diagrams (Graham-Lehrer): per side a tuple over its positions, left to
-right, holding the mate's position on that side, or -1 for a through
-strand; the k-th -1 of one side joins the k-th -1 of the other.
 Composition is pure combinatorics, independent of p.  d1.d2 depends only on
 bottom(d1), top(d2) and the middle of top(d1) against bottom(d2): one walk
 over the interface points that counts the closed loops and tells which
-through strands it joins in pairs.  Walking the middle, joining through
-strands within a state and turning two states into a partner array are
-functools.cache memos keyed by link-state tuples, so each runs once per
-distinct argument, not once per term pair.  Composing or tensoring planar
-matchings always gives a planar matching, so those results are built from
-their link states by a module-private constructor that skips the checks of
-the public one but stores the same canonical pairs and hash.
+through strands it joins in pairs.  Walking the middle and joining through
+strands within a state are functools.cache memos keyed by link-state
+tuples, so each runs once per distinct argument, not once per term pair.
+Composing or tensoring planar matchings always gives a planar matching, so
+those results are built from their link states by a module-private
+constructor that skips the checks of the public one.
 
 Morphisms are finite CycNumber-linear combinations of diagrams; composition
 stacks diagrams and converts every closed loop into a factor d.  The
@@ -65,13 +64,12 @@ class QuantumOrderError(ValueError):
 class TLDiagram:
     """A planar perfect matching between n bottom and m top points.
 
-    pairs is canonicalized to a lexicographically sorted tuple of sorted
-    pairs, so equality and hashing are structural; partner[i] is the mate
-    of endpoint i, and links is the (bottom, top) pair of link states.
+    links is the (bottom, top) pair of link states and the only stored
+    form; pairs, the lexicographically sorted tuple of sorted endpoint
+    pairs on the circular word, is derived from it on each read.
     """
 
-    __slots__ = ("bottom_count", "top_count", "pairs", "partner", "links",
-                 "_hash")
+    __slots__ = ("bottom_count", "top_count", "links", "_hash")
 
     def __init__(self, bottom_count: int, top_count: int, pairs: Iterable):
         n, m = bottom_count, top_count
@@ -98,18 +96,17 @@ class TLDiagram:
                 if not stack or stack[-1] != u:
                     raise ValueError(f"pairing {norm} is not planar")
                 stack.pop()
-        _fill(self, n, m, norm, tuple(partner), _link_states(n, m, partner))
+        _fill(self, _link_states(n, m, partner))
 
     def __setattr__(self, *a):
         raise AttributeError("TLDiagram is immutable")
 
+    @property
+    def pairs(self) -> tuple:
+        return _pairs(*self.links)
+
     def __eq__(self, other):
-        return (
-            isinstance(other, TLDiagram)
-            and self.bottom_count == other.bottom_count
-            and self.top_count == other.top_count
-            and self.pairs == other.pairs
-        )
+        return isinstance(other, TLDiagram) and self.links == other.links
 
     def __hash__(self):
         return self._hash
@@ -121,21 +118,18 @@ class TLDiagram:
     __repr__ = __str__
 
 
-def _fill(d: TLDiagram, n: int, m: int, pairs: tuple, partner: tuple,
-          links: tuple) -> None:
-    object.__setattr__(d, "bottom_count", n)
-    object.__setattr__(d, "top_count", m)
-    object.__setattr__(d, "pairs", pairs)
-    object.__setattr__(d, "partner", partner)
+def _fill(d: TLDiagram, links: tuple) -> None:
+    object.__setattr__(d, "bottom_count", len(links[0]))
+    object.__setattr__(d, "top_count", len(links[1]))
     object.__setattr__(d, "links", links)
-    object.__setattr__(d, "_hash", hash((n, m, pairs)))
+    object.__setattr__(d, "_hash", hash(links))
 
 
 def _trusted_diagram(links: tuple) -> TLDiagram:
     """The diagram with these (bottom, top) link states; only for results
     of composition and tensor, which are planar by construction."""
     d = object.__new__(TLDiagram)
-    _fill(d, len(links[0]), len(links[1]), *_join(*links), links)
+    _fill(d, links)
     return d
 
 
@@ -147,10 +141,9 @@ def _link_states(n: int, m: int, partner: Sequence[int]) -> tuple:
     return bottom, top
 
 
-@cache
-def _join(bottom: tuple, top: tuple) -> tuple:
-    """(pairs, partner) of the diagram with these link states; pairs come
-    out sorted because each is listed at its smaller endpoint."""
+def _pairs(bottom: tuple, top: tuple) -> tuple:
+    """Sorted endpoint pairs of the diagram with these link states; they
+    come out sorted because each is listed at its smaller endpoint."""
     last = len(bottom) + len(top) - 1
     partner = list(bottom) + [last - x if x >= 0 else -1 for x in reversed(top)]
     # through strands nest on the linear word: the k-th end joins the k-th
@@ -158,7 +151,7 @@ def _join(bottom: tuple, top: tuple) -> tuple:
     ends = [i for i, x in enumerate(partner) if x < 0]
     for i, j in zip(ends, reversed(ends)):
         partner[i] = j
-    return tuple([(a, b) for a, b in enumerate(partner) if a < b]), tuple(partner)
+    return tuple([(a, b) for a, b in enumerate(partner) if a < b])
 
 
 @cache
@@ -306,16 +299,6 @@ class TLMorphism:
             and self.bottom_count == other.bottom_count
             and self.top_count == other.top_count
             and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(
-            (
-                self.ctx.p,
-                self.bottom_count,
-                self.top_count,
-                frozenset(self.terms.items()),
-            )
         )
 
     def __str__(self):

@@ -28,8 +28,8 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from ribbonkit.cyclo import ContextMismatch, field, inv, qfact, qint
-from ribbonkit import qrep, tldiag
+from ribbonkit.cyclo import ContextMismatch, FieldContext, field, inv, qfact, qint
+from ribbonkit import checks, qrep, tldiag
 from ribbonkit.qrep import (
     InconsistentCharacter,
     Matrix,
@@ -170,12 +170,12 @@ def _random_element(rng, ctx, zero_share=0.0):
 
 
 @st.composite
-def _invertible(draw, ctx, max_dim=6):
+def _invertible(draw, ctx, max_dim=6, min_dim=1):
     """P.L.D.U: a row permutation, unit lower and upper triangular matrices
     whose entries are zero half the time (so pivots are often missing), and
     a diagonal without zeros.  Entries come from a drawn seed: one draw per
     matrix keeps hypothesis fast."""
-    n = draw(st.integers(1, max_dim))
+    n = draw(st.integers(min_dim, max_dim))
     perm = draw(st.permutations(range(n)))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     one = ctx.one()
@@ -219,8 +219,8 @@ def _reduce(rows):
 def test_sub_is_add_of_the_negative(p, data):
     # sub negates entry by entry; the field product by -1 gives the same
     ctx = field(p)
-    a, b = data.draw(_invertible(ctx, 4)), data.draw(_invertible(ctx, 4))
-    assume(a.rows == b.rows)
+    a = data.draw(_invertible(ctx, 4))
+    b = data.draw(_invertible(ctx, a.rows, min_dim=a.rows))
     assert a.sub(b) == a.add(b.scale(-ctx.one()))
     assert a.sub(a).is_zero()
 
@@ -938,6 +938,34 @@ def test_functor_matches_per_arc_reference(p):
             for mor in mors:
                 assert tl_to_matrix(ctx, mor) == _reference_tl_to_matrix(
                     ctx, mor)
+
+
+@pytest.mark.parametrize("p", [5, 6, 7])
+def test_diagram_layer_runs_on_link_states_alone(p):
+    # the endpoint pairs are derived for printing only: with tldiag._pairs
+    # refusing, the Jones-Wenzl recursion and its audit, tensor and the
+    # functor still run.  The references read pairs, so they are computed
+    # outside the patch.
+    ctx = FieldContext(p)  # not interned by field(), so jones_wenzl starts cold
+    rng = random.Random(p)
+    mors = [tldiag.TLMorphism(ctx, n, m, {d: _random_element(rng, ctx)
+                                          for d in tldiag.all_diagrams(n, m)})
+            for n in range(7) for m in range(n % 2, 7 - n, 2)]
+    want = [_reference_tl_to_matrix(ctx, mor) for mor in mors]
+    with mock.patch.object(tldiag, "_pairs",
+                           side_effect=AssertionError("pairs read")):
+        projectors = [tldiag.jones_wenzl(ctx, n) for n in range(1, p)]
+        for n in range(1, p):
+            _, idempotent, alive, closure = checks.jw_audit(ctx, n)
+            assert idempotent and not alive
+            assert closure == (-1) ** n * qint(ctx, n + 1)
+        images = [tl_to_matrix(ctx, mor) for mor in mors + projectors]
+        assert images[:len(mors)] == want
+        for f, g in zip(mors, mors[1:]):
+            assert tl_to_matrix(ctx, tldiag.tensor(f, g)) == Matrix.kron(
+                tl_to_matrix(ctx, f), tl_to_matrix(ctx, g))
+    for e, image in zip(projectors, images[len(mors):]):
+        assert image == _reference_tl_to_matrix(ctx, e)
 
 
 @given(data=st.data(), p=st.sampled_from([2, 3]))

@@ -21,7 +21,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from ribbonkit import tldiag
 from ribbonkit.cyclo import CycNumber, FieldContext, field, inv, qint
@@ -235,13 +235,11 @@ def test_markov_jw_signed_dimensions(p):
 def test_braiding_candidates_structure(p):
     ctx = field(p)
     cands = braiding_candidates(ctx)
-    assert len(cands) == 4
     f = compose(cap(ctx), cup(ctx))
     zh = ctx.qhalf()
     first = zh * f + inv(zh) * identity(ctx, 2)
     second = inv(zh) * f + zh * identity(ctx, 2)
-    assert cands[0] == first
-    assert set(cands) == {first, second, -first, -second}
+    assert cands == [first, second, -first, -second]
 
 
 @pytest.mark.parametrize("p", ALL_P)
@@ -447,7 +445,6 @@ def _reference_compose_morphisms(f, g):
 def _same_diagram(got, want):
     assert got == want
     assert got.pairs == want.pairs
-    assert got.partner == want.partner
     assert got.links == want.links
     assert hash(got) == hash(want)
 
@@ -475,12 +472,13 @@ def test_link_state_route_exhaustive():
     assert count == 5291
 
 
-def test_link_states_join_back_to_partner():
+def test_link_states_round_trip_through_pairs():
     for n, m in itertools.product(range(13), repeat=2):
         if n + m > 12 or (n + m) % 2:
             continue
         for d in all_diagrams(n, m):
-            assert tldiag._join(*d.links) == (d.pairs, d.partner), d
+            assert tldiag._pairs(*d.links) == d.pairs, d
+            assert TLDiagram(n, m, d.pairs).links == d.links, d
 
 
 def test_tensor_diagrams_exhaustive():
@@ -555,6 +553,9 @@ def _one_term_and_many(draw, p):
                                        for d, k in zip(many, exps)})
 
 
+# no shrink phase: shrinking 14-term morphisms against the slow reference
+# turns a wrong compose into a failure that takes most of a minute
+@settings(phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(data=st.data(), p=st.sampled_from([3, 5, 7, 8, 9, 16]))
 def test_compose_matches_term_by_term_reference(data, p):
     # dense reduction rows at p = 7 and 9, Phi = z^n + 1 at p = 8 and 16
