@@ -564,16 +564,16 @@ def _module_relations(p, env):
 @check("properties.balancing")
 def _balancing(p, env):
     ctx = field(p)
-    pairs = [(simple_V(ctx, a), simple_V(ctx, b))
+    pairs = [(f"V_{a} (x) V_{b}", simple_V(ctx, a), simple_V(ctx, b))
              for a in range(1, p + 1) for b in range(a, p + 1)
              if a * b <= 12]
-    pairs.append((chi_module(ctx), simple_V(ctx, 2)))
-    for m, n in pairs:
+    pairs.append(("chi (x) V_2", chi_module(ctx), simple_V(ctx, 2)))
+    for name, m, n in pairs:
         c2 = braiding(n, m).mul(braiding(m, n))
         lhs = c2.mul(twist_inverse(tensor(m, n)))
         rhs = Matrix.kron(twist_inverse(m), twist_inverse(n))
         if lhs != rhs:
-            return False, "balancing identity breaks"
+            return False, f"balancing identity breaks on {name}"
     return True, f"balancing identity on {len(pairs)} products of dim <= 12"
 
 

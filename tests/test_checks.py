@@ -11,7 +11,8 @@ Frozen expectations of the rows that compute their verdict in the registry:
   * braiding.rmatrix: braiding(V_2, V_2) is the functor image of the
     +zeta^{1/2} candidate, and ev.coev = -(q+q^{-1}), which is -1 at p = 3
   * properties.balancing: c_{N,M} c_{M,N} theta^-1(M (x) N) =
-    theta^-1(M) (x) theta^-1(N), which a doubled braiding breaks
+    theta^-1(M) (x) theta^-1(N), which a doubled braiding breaks first on
+    V_1 (x) V_1, and a braiding doubled on V_2 (x) V_3 alone breaks there
   * fpdim.simple_certificates: the module of each of the 2p labels is
     certified simple and is its own single class; V_p (x) V_2 is refused
   * grring.iso_K at window 6: unit row, first-column products M_{r,1}
@@ -90,7 +91,22 @@ def test_balancing_names_the_identity(monkeypatch):
     detail = _fail_detail(monkeypatch, "properties.balancing", checks,
                           "braiding",
                           lambda m, n: real(m, n).scale(m.ctx.rational(2)))
-    assert detail == "balancing identity breaks"
+    assert detail == "balancing identity breaks on V_1 (x) V_1"
+
+
+def test_balancing_names_the_first_failing_pair(monkeypatch):
+    # only V_2 (x) V_3 is broken: both of its braidings are doubled
+    real = checks.braiding
+
+    def doubled(m, n):
+        c = real(m, n)
+        if {m.dimension, n.dimension} == {2, 3}:
+            return c.scale(m.ctx.rational(2))
+        return c
+
+    detail = _fail_detail(monkeypatch, "properties.balancing", checks,
+                          "braiding", doubled)
+    assert detail == "balancing identity breaks on V_2 (x) V_3"
 
 
 def test_phase_channels_names_the_channel(monkeypatch):

@@ -766,7 +766,8 @@ def test_twist_inverse_matches_reference(p):
     # p = 16 is the benchmarked one.  Beyond the simples: V2^(x)3 (weight
     # multiplicities above one), the projective chi (x) (Vp (x) V2) (a
     # Jordan block) and L(2) (x) Vp, whose weight span exceeds 2(p-1), so
-    # the depth stops at p-1, not at half the span
+    # the depth stops at p-1, not at half the span.  Up to p = 8 also
+    # V2^(x)4 (multiplicity 6) and V4 (x) V4 (multiplicity 4)
     ctx = field(p)
     v2, vp = simple_V(ctx, 2), simple_V(ctx, p)
     mods = [uq_module(ctx, (s, e)) for s in range(1, p + 1) for e in (0, 1)]
@@ -774,13 +775,17 @@ def test_twist_inverse_matches_reference(p):
              tensor(v2, tensor(v2, v2)),
              tensor(chi_module(ctx), tensor(vp, v2)),
              vir_module(ctx, (3, p))]
+    if p <= 8:
+        mods.append(tensor(v2, tensor(v2, tensor(v2, v2))))
+        if p >= 4:
+            mods.append(tensor(simple_V(ctx, 4), simple_V(ctx, 4)))
     for m in mods:
         assert twist_inverse(m) == _reference_twist_inverse(m)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7, 8])
 def test_twist_inverse_builds_no_operator_powers(p):
-    # the nested form reads E and F once per level and no power of them;
+    # the nested form reads E and F once and builds no power of them;
     # the Ep and Fp thunks of a tensor product do build powers, so every
     # operator is materialised before the patch
     ctx = field(p)
@@ -792,6 +797,21 @@ def test_twist_inverse_builds_no_operator_powers(p):
                            side_effect=AssertionError("operator powers")):
         for m in mods:
             twist_inverse(m)
+
+
+@pytest.mark.parametrize("p", [2, 5, 8])
+def test_twist_inverse_builds_no_matrix_product(p):
+    # the levels are dicts and the sandwich F X E a table, so with
+    # module_map passing its matrix through, no Matrix.mul runs at all
+    ctx = field(p)
+    v2 = simple_V(ctx, 2)
+    mods = [uq_module(ctx, (s, e)) for s in range(1, p + 1) for e in (0, 1)]
+    mods.append(tensor(v2, tensor(v2, v2)))
+    expected = [twist_inverse(m) for m in mods]
+    with mock.patch.object(qrep, "module_map", lambda dom, cod, x: x), \
+            mock.patch.object(Matrix, "mul",
+                              side_effect=AssertionError("Matrix.mul")):
+        assert [twist_inverse(m) for m in mods] == expected
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
