@@ -21,13 +21,18 @@ those results are built from their link states by a module-private
 constructor that skips the checks of the public one.
 
 Morphisms are finite CycNumber-linear combinations of diagrams; composition
-stacks diagrams and converts every closed loop into a factor d.  The
-coefficient products are summed per (result diagram, loop count) key, and
-each key's sum is reduced and multiplied by d**loops once.  From
-_PACKED_MIN_PAIRS term pairs on, a key's sum is a sum of packed integer
-products (cyclo.pack, cyclo.unpack_sum), so a term pair costs one integer
-product instead of a field multiply; a product with a one-term operand
-multiplies pair by pair.
+stacks diagrams and converts every closed loop into a factor d.  Since
+d1.d2 depends only on d1's bottom state and on the column that d2 makes
+against d1's top state, compose sums the second operand's coefficients per
+column first and then costs one coefficient product per (f term, distinct
+column of its top state), not one per term pair.  The products are summed
+per (result diagram, loop count) key, and each key's sum is reduced and
+multiplied by d**loops once.  From _PACKED_MIN_PAIRS term pairs on, those
+sums are sums of packed integers (cyclo.pack, cyclo.unpack_sum), so a
+product is one integer product instead of a field multiply.  A one-term
+operand's coefficient is a scalar: the other operand's coefficients are
+only added, and each key's sum is multiplied once by scalar * d**loops, or
+not at all where that factor is one.
 """
 
 from __future__ import annotations
@@ -38,18 +43,19 @@ from typing import Iterable, Sequence
 
 from .cyclo import CycNumber, FieldContext, inv, pack, qint, unpack_sum
 
-# compose sums packed products (cyclo.pack) from this many term pairs on.
-# Below it, packing both operands and unpacking each key's sum costs more
-# than multiplying pair by pair.  Measured on Jones-Wenzl terms (the first
-# a against the last b of jw(4) at p=5, of jw(5) at p=7 and 10; packed
-# faster in k of 15 interleaved rounds on a 2-core Xeon): at p=5, 4x3 pairs
-# 0/15 and 4x4 14/15; at p=7 and 10 the crossover lies between 16 and 25
-# pairs, 4x4 3/15 and 2/15, 4x5 8/15 and 11/15, 5x5 9/15 and 10/15, 6x6
-# 13/15 and 15/15.  The term-pair walk this route replaced gave the same
-# rows within noise, and no single constant above 16 wins at all three p.  A
-# one-term operand stays pair by pair at any size: its pairs almost never
-# share a key, so there is no sum to pack (a 42x1-term hook product at
-# p=7 on a 2-core Xeon: 555 us pair by pair, 738 us packed).
+# compose sums packed integers (cyclo.pack) from this many term pairs on,
+# and field elements below it, where packing both operands and unpacking
+# each key's sum costs more than it saves.  The gate counts term pairs,
+# although a product costs one multiply per (f term, distinct column of
+# its top state).  Measured when each term pair still cost one multiply,
+# on Jones-Wenzl terms (the first a against the last b of jw(4) at p=5, of
+# jw(5) at p=7 and 10; packed faster in k of 15 interleaved rounds on a
+# 2-core Xeon): at p=5, 4x3 pairs 0/15 and 4x4 14/15; at p=7 and 10 the
+# crossover lies between 16 and 25 pairs, 4x4 3/15 and 2/15, 4x5 8/15 and
+# 11/15, 5x5 9/15 and 10/15, 6x6 13/15 and 15/15; no single constant above
+# 16 wins at all three p.  A one-term operand is never packed at any size:
+# its coefficient is a scalar applied once per key, and the other
+# operand's coefficients are only added, so there is no product to pack.
 _PACKED_MIN_PAIRS = 16
 
 
@@ -379,17 +385,22 @@ def all_diagrams(n: int, m: int) -> list[TLDiagram]:
 def compose(f: TLMorphism, g: TLMorphism) -> TLMorphism:
     """Diagrammatic order: f acts first, g second; f: n->m, g: m->k.
 
-    For each distinct top state of f, every g term gets a column id, one
-    per distinct (joins among f's through strands, loops, result top
-    state); each distinct (f bottom state, column) then resolves once to a
-    (result diagram, loop count) key, so a term pair costs list indexing
-    and one coefficient product.  Below _PACKED_MIN_PAIRS term pairs, or
-    when either operand has one term, each c1*c2 is a field multiply;
-    otherwise both coefficient lists are packed once, a pair adds one
-    integer product to its key, and a key's sum is unpacked once.  Key ids
-    are handed out in pair order (f's terms outer, g's inner), so result
-    terms keep the order in which their diagrams first appear; zero
-    coefficients are dropped.
+    A product d1.d2 depends only on d1's bottom state and on the column
+    (joins among f's through strands, loops, result top state) that d2
+    makes against d1's top state.  So for each distinct top state of f, g's
+    coefficients are first summed per column, and each distinct (f bottom
+    state, column) resolves once to a (result diagram, loop count) key: an
+    f term costs one coefficient product per distinct column of its top
+    state, not one per g term.  A top state's column sums are dropped
+    after its last f term.  From _PACKED_MIN_PAIRS term pairs on, both
+    coefficient lists are packed once, the column sums and key sums are
+    integer sums and a key's sum is unpacked once; otherwise they are field
+    sums.  When either operand has one term, its coefficient is a scalar:
+    the other operand's coefficients are only added, and each key's sum is
+    multiplied once by scalar * d**loops, not at all where that factor is
+    one.  Key ids are handed out in pair order (f's terms outer, g's
+    inner), so result terms keep the order in which their diagrams first
+    appear; zero coefficients are dropped.
     """
     if f.ctx is not g.ctx:
         raise BoundaryMismatch("mixed field contexts")
@@ -400,51 +411,61 @@ def compose(f: TLMorphism, g: TLMorphism) -> TLMorphism:
         )
     ctx = f.ctx
     fs, gs = list(f.terms.values()), list(g.terms.values())
-    packed = min(len(fs), len(gs)) > 1 and len(fs) * len(gs) >= _PACKED_MIN_PAIRS
+    one_f, one_g = len(fs) == 1, len(fs) != 1 and len(gs) == 1
+    scalar = fs[0] if one_f else gs[0] if one_g else None
+    if scalar == 1:
+        scalar = None  # None: no factor besides d**loops
+    packed = not (one_f or one_g) and len(fs) * len(gs) >= _PACKED_MIN_PAIRS
     if packed:
         fs, gs, layout = pack(ctx, fs, gs)
-    g_links = [d.links for d in g.terms]
+    g_terms = list(zip([d.links for d in g.terms], gs))
+    last = {d1.links[1]: i for i, d1 in enumerate(f.terms)}
     cols: dict[tuple, int] = {}  # _column value -> column id
-    rows: dict[tuple, list] = {}  # f top state -> column id of each g term
-    f_rows = []
-    for d1 in f.terms:
-        bottom, top = d1.links
-        row = rows.get(top)
-        if row is None:
-            row = rows[top] = [cols.setdefault(_column(top, gb, gt), len(cols))
-                               for gb, gt in g_links]
-        f_rows.append((bottom, row))
-    columns = list(cols)
-    # sum c1*c2 per (result links, loops), the sums indexed by key id
+    columns: list[tuple] = []  # column id -> _column value
+    sums: dict[tuple, dict] = {}  # f top state -> {column id: sum of g's}
+    # sum the products per (result links, loops), the sums indexed by key id
     keys: dict[tuple, int] = {}
     known: dict[tuple, dict] = {}  # f bottom state -> {column id: key id}
     acc: list = []
-    for (bottom, row), a in zip(f_rows, fs):
+    for i, (d1, a) in enumerate(zip(f.terms, fs)):
+        bottom, top = d1.links
+        row = sums.get(top)
+        if row is None:
+            row = sums[top] = {}
+            for (gb, gt), b in g_terms:
+                col = _column(top, gb, gt)
+                c = cols.get(col)
+                if c is None:
+                    c = cols[col] = len(columns)
+                    columns.append(col)
+                row[c] = row[c] + b if c in row else b
+        if last[top] == i:
+            del sums[top]
         seen = known.setdefault(bottom, {})
-        for c in row:
-            if c not in seen:
+        for c, s in row.items():
+            t = a if one_g else s if one_f else a * s
+            k = seen.get(c)
+            if k is None:
                 down, loops, res_top = columns[c]
                 key = (_cap(bottom, down), res_top), loops
                 k = seen[c] = keys.setdefault(key, len(keys))
                 if k == len(acc):
-                    acc.append(0 if packed else None)
-        ks = [seen[c] for c in row]
-        if packed:
-            for k, b in zip(ks, gs):
-                acc[k] += a * b
-        else:
-            for k, b in zip(ks, gs):
-                s = acc[k]
-                acc[k] = a * b if s is None else s + a * b
+                    acc.append(t)
+                    continue
+            acc[k] += t
     d_pow = [loop_value(ctx)]  # d**1, d**2, ... as far as loops reach
+    factors = {0: scalar}  # loops -> scalar * d**loops, None for one
     summed: dict[tuple, CycNumber] = {}
     for (res, loops), coeff in zip(keys, acc):
         if packed:
             coeff = unpack_sum(ctx, coeff, layout)
-        if loops:
+        if loops not in factors:
             while len(d_pow) < loops:
                 d_pow.append(d_pow[-1] * d_pow[0])
-            coeff = coeff * d_pow[loops - 1]
+            factors[loops] = (d_pow[loops - 1] if scalar is None
+                              else scalar * d_pow[loops - 1])
+        if factors[loops] is not None:
+            coeff = coeff * factors[loops]
         summed[res] = summed[res] + coeff if res in summed else coeff
     terms = {_trusted_diagram(res): c for res, c in summed.items()}
     return TLMorphism(ctx, f.bottom_count, g.top_count, terms)

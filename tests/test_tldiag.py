@@ -12,8 +12,8 @@ Composition through link states and tensor of diagrams are checked against
 test-only copies of an older node-tuple walker and index remap: exhaustively
 on small boundaries, and on random morphisms and the Jones-Wenzl products
 against a term-by-term sum, through both summation paths of compose (packed
-integer sums, and field products pair by pair) and with coefficients up to
-2^64 over rational denominators.
+integer sums, and field sums) and with coefficients up to 2^64 over rational
+denominators.
 """
 
 import itertools
@@ -527,7 +527,7 @@ def _cancelling(draw, p):
 
 def _both_paths(f, g):
     """compose(f, g) with packed sums for every product, then with field
-    products pair by pair for every product."""
+    sums for every product."""
     out = []
     for min_pairs in (1, float("inf")):
         with mock.patch.object(tldiag, "_PACKED_MIN_PAIRS", min_pairs):
@@ -567,8 +567,8 @@ def test_compose_matches_term_by_term_reference(data, p):
         assert not any(c.is_zero() for c in got.terms.values())
         for d in got.terms:
             _same_diagram(d, TLDiagram(d.bottom_count, d.top_count, d.pairs))
-    # a one-term operand on either side goes pair by pair, however many
-    # terms the other has
+    # a one-term operand on either side is a scalar and is never packed,
+    # however many terms the other has
     one, many = data.draw(_one_term_and_many(p))
     for f, g in ((one, many), (many, one)):
         want = _reference_compose_morphisms(f, g)
@@ -579,23 +579,53 @@ def test_compose_matches_term_by_term_reference(data, p):
         assert list(got.terms) == list(want.terms)
 
 
-@pytest.mark.parametrize("p", [6, 7])
+@pytest.mark.parametrize("p", [6, 7, 8])
 def test_compose_on_jones_wenzl_shapes(p):
     # the products of the jw row and the Wenzl step: jw(n) squared, jw(n)
-    # against each hook on either side, prev.E and (prev.E).prev
+    # against each hook on either side, prev.E and (prev.E).prev; dense
+    # reduction rows at p = 6 and 7, Phi = z^16 + 1 at p = 8
     ctx = field(p)
+    products = []
     for n in range(2, 6):
         jw = jones_wenzl(ctx, n)
         prev = tensor(jones_wenzl(ctx, n - 1), identity(ctx, 1))
         step = compose(prev, hook(ctx, n, n - 1))
-        products = [(jw, jw), (prev, hook(ctx, n, n - 1)), (step, prev)]
+        products += [(jw, jw), (prev, hook(ctx, n, n - 1)), (step, prev)]
         for i in range(1, n):
             products += [(jw, hook(ctx, n, i)), (hook(ctx, n, i), jw)]
-        for f, g in products:
-            want = _reference_compose_morphisms(f, g)
-            for got in _both_paths(f, g):
-                assert got == want
-                assert list(got.terms) == list(want.terms)
+    if p == 7:
+        # 132 x 132 terms, where many g terms share a column
+        products.append((jones_wenzl(ctx, 6), jones_wenzl(ctx, 6)))
+    for f, g in products:
+        want = _reference_compose_morphisms(f, g)
+        for got in _both_paths(f, g):
+            assert got == want
+            assert list(got.terms) == list(want.terms)
+
+
+@pytest.mark.parametrize("i", [1, 2, 3, 4])
+def test_compose_with_a_hook_multiplies_only_loop_keys(i):
+    # the hook's coefficient is one, so a loop-free key costs no field
+    # product and a key with a loop costs one, by d
+    ctx = field(7)
+    jw, e = jones_wenzl(ctx, 5), hook(ctx, 5, i)
+    mul = CycNumber.__mul__
+    for f, g in ((e, jw), (jw, e)):
+        pairs_loops = [_reference_compose(d1, d2)
+                       for d1 in f.terms for d2 in g.terms]
+        loop_keys = {(TLDiagram(5, 5, pairs), loops)
+                     for pairs, loops in pairs_loops if loops}
+        assert loop_keys
+        calls = []
+
+        def counted(x, y):
+            calls.append(1)
+            return mul(x, y)
+
+        with mock.patch.object(CycNumber, "__mul__", counted):
+            got = compose(f, g)
+        assert len(calls) == len(loop_keys)
+        assert got == _reference_compose_morphisms(f, g)
 
 
 def test_compose_prunes_cancelled_groups_and_empty_operands():
@@ -616,6 +646,23 @@ def test_compose_prunes_cancelled_groups_and_empty_operands():
         assert got.is_zero()
     for got in _both_paths(zero_f, e) + _both_paths(f, zero_e):
         assert got.is_zero() and (got.bottom_count, got.top_count) == (4, 0)
+    # e1 and e2 make one column (one loop, one result diagram) against d1's
+    # top state, and their coefficients cancel: that column's sum is zero,
+    # its key is pruned, and d2's products, where they differ, stay in order
+    e1 = TLDiagram(4, 4, [(0, 5), (1, 2), (3, 4), (6, 7)])
+    e2 = TLDiagram(4, 4, [(0, 7), (1, 2), (3, 6), (4, 5)])
+    top = d1.links[1]
+    assert tldiag._column(top, *e1.links) == tldiag._column(top, *e2.links)
+    cancelled, loops = _reference_compose(d1, e1)
+    assert loops == 1
+    f = TLMorphism(ctx, 4, 4, {d1: x, d2: ctx.root(3)})
+    g = TLMorphism(ctx, 4, 4, {e1: x, e2: -x})
+    want = _reference_compose_morphisms(f, g)
+    assert len(want.terms) == 2
+    for got in _both_paths(f, g):
+        assert got == want
+        assert list(got.terms) == list(want.terms)
+        assert TLDiagram(4, 4, cancelled) not in got.terms
 
 
 @pytest.mark.parametrize("p", [7, 8])
