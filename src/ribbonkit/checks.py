@@ -27,8 +27,8 @@ from functools import cache, partial
 from .cyclo import field, inv, qint
 from .tldiag import (
     all_diagrams, braiding_candidates, cap, check_hexagon, check_yang_baxter,
-    compose, cup, from_diagram, hook, identity, jones_wenzl, markov_close,
-    tensor as tl_tensor,
+    compose, cup, from_diagram, hexagon_holds, hexagon_rows, hook, identity,
+    jones_wenzl, markov_close, tensor as tl_tensor,
 )
 from .qrep import (
     Matrix, braiding, certify_simple, check_module, chi_module, selfdual_V,
@@ -96,11 +96,16 @@ def jw_audit(ctx, n: int):
 
 
 def hexagon_winners(ctx) -> list:
-    """Units a with a f + a^{-1} id solving the hexagon, over all 4p roots."""
-    f = compose(cap(ctx), cup(ctx))
-    ident = identity(ctx, 2)
+    """Units a with a f + a^{-1} id solving the hexagon, over all 4p roots.
+
+    Each unit a = zeta^j is tested on the hexagon's coefficient rows
+    (tldiag.hexagon_rows) with a^2 = zeta^{2j}, ab = 1, b^2 = zeta^{-2j}:
+    no inverse and no morphism per unit.  check_hexagon is the direct route.
+    """
+    rows = hexagon_rows(ctx)
+    one = ctx.one()
     return [ctx.root(j) for j in range(ctx.N)
-            if check_hexagon(ctx.root(j) * f + inv(ctx.root(j)) * ident)]
+            if hexagon_holds(rows, ctx.root(2 * j), one, ctx.root(-2 * j))]
 
 
 def inverse_pair_failures(cands) -> list:

@@ -37,8 +37,8 @@ from functools import cache
 from .cyclo import field
 from .tldiag import braiding_candidates, check_yang_baxter
 from .fusion import (
-    DEFAULT_RMAX, TruncationOverflow, linear, singlet_ring, uq_ring,
-    vir_ring, wp_ring,
+    DEFAULT_RMAX, TruncationOverflow, iso_T_labels, linear, singlet_ring,
+    uq_ring, vir_ring, wp_ring,
 )
 from .ribbon import (
     muger_candidates, singlet_twists, voa_monodromy_phase, wp_twists,
@@ -269,17 +269,18 @@ def random_expression(rng: random.Random, depth: int = 0):
 _FAMILY_OF = {"V": "uq", "chi": "uq", "X": "wp", "L": "vir", "M": "singlet"}
 
 
-def _collect_families(node, acc: set):
+def _atoms(node, acc: list) -> list:
+    """acc extended by the atom nodes of an AST, left to right."""
     if node[0] == "atom":
-        acc.add(_FAMILY_OF[node[1]])
+        acc.append(node)
     elif node[0] in ("add", "sub", "mul"):
-        _collect_families(node[1], acc)
-        _collect_families(node[2], acc)
+        _atoms(node[1], acc)
+        _atoms(node[2], acc)
+    return acc
 
 
 def expression_family(node) -> str:
-    fams = set()
-    _collect_families(node, fams)
+    fams = {_FAMILY_OF[atom[1]] for atom in _atoms(node, [])}
     if not fams:
         raise EvalError("expression has no atoms, so no ring is determined")
     if len(fams) > 1:
@@ -298,7 +299,9 @@ def _build_ring(family: str, p: int, rmax):
     return maker(p, rmax)
 
 
-def _atom_label(node, ring, p: int):
+def _atom_label(node, labels, p: int):
+    """The label of an atom node, refused unless it is in labels (a ring,
+    or any container of its labels)."""
     _, fam, idx = node
     idx = tuple(p if v == "p" else v for v in idx)
     if fam == "chi":
@@ -307,7 +310,7 @@ def _atom_label(node, ring, p: int):
         lab = (idx[0], 0)
     else:
         lab = idx
-    if lab not in ring:
+    if lab not in labels:
         raise EvalError(f"label {_atom_str(node)} is not in the p={p} ring")
     return lab
 
@@ -340,6 +343,15 @@ def evaluate(node, p: int, rmax=DEFAULT_RMAX) -> Counter:
     dropped.  Window overflow in a truncated ring surfaces as EvalError.
     """
     family = expression_family(node)
+    if family in ("uq", "wp"):
+        # the label bijection lists both finite rings' labels without their
+        # product tables, so an atom outside the ring is refused before one
+        # is built; only atoms can be refused there, so the first refusal
+        # is the one evaluation would reach
+        assign = iso_T_labels(p)
+        labels = assign if family == "uq" else set(assign.values())
+        for atom in _atoms(node, []):
+            _atom_label(atom, labels, p)
     ring = _build_ring(family, p, rmax)
     try:
         combo = _eval(node, ring, p)

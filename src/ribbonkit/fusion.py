@@ -425,10 +425,7 @@ class TruncatedRing:
         self.r_max = r_max
         self.kind = kind
         self.unit = (1, 1)
-
-    @property
-    def _r_min(self) -> int:
-        return 1 if self.kind == "vir" else -self.r_max
+        self._r_min = 1 if kind == "vir" else -r_max
 
     @property
     def labels(self):
@@ -440,10 +437,10 @@ class TruncatedRing:
         return self._r_min <= r <= self.r_max and 1 <= s <= self.p
 
     def _check_label(self, lab):
-        _, s = lab
+        r, s = lab
         if not 1 <= s <= self.p:
             raise ValueError(f"inner index {s} outside 1..{self.p}")
-        if lab not in self:
+        if not self._r_min <= r <= self.r_max:
             raise TruncationOverflow(
                 f"label {lab} outside the r_max={self.r_max} window"
             )
@@ -485,16 +482,17 @@ class TruncatedRing:
         else:
             ts = (r + r2 - 1,)
         ks = range(abs(s - s2) + 1, s + s2, 2)
-        out = Counter()
+        out = {}
+        get = out.get
         for t in ts:
             for k in ks:
                 if k <= p:
-                    out[(t, k)] += 1
+                    out[(t, k)] = get((t, k), 0) + 1
                 else:
-                    out[(t + 1, k - p)] += 1
-                    out[(t, 2 * p - k)] += 1
+                    for lab in ((t + 1, k - p), (t, 2 * p - k)):
+                        out[lab] = get(lab, 0) + 1
                     if t > 1 or not vir:
-                        out[(t - 1, k - p)] += 1
+                        out[(t - 1, k - p)] = get((t - 1, k - p), 0) + 1
         if vir:
             top = {}
             for t, k in out:
@@ -503,10 +501,9 @@ class TruncatedRing:
                            reverse=True)
         else:
             order = sorted(out, reverse=True)
-        out = Counter({lab: out[lab] for lab in order})
-        for lab in out:
+        for lab in order:
             self._check_label(lab)
-        return out
+        return Counter({lab: out[lab] for lab in order})
 
     def _weights(self, lab) -> Counter:
         r, s = lab

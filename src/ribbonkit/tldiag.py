@@ -553,6 +553,35 @@ def check_hexagon(c: TLMorphism) -> bool:
     return lhs == rhs
 
 
+@cache
+def hexagon_rows(ctx: FieldContext) -> tuple:
+    """The hexagon of check_hexagon for c = a f + b id (f = cap.cup) as
+    coefficient rows, built once per context with four compositions.
+
+    The left side start.(1 x c).(c x 1) is bilinear in c, so it is
+    a^2 X + ab Y + b^2 S with X = start.(1 x f).(f x 1),
+    Y = start.(1 x f) + start.(f x 1) and S = start.  One row
+    (X_d, Y_d, S_d, R_d) per diagram d of TL(1->3), R = 1 x cup.
+    """
+    one1 = identity(ctx, 1)
+    f = compose(cap(ctx), cup(ctx))
+    start = tensor(cup(ctx), one1)
+    left = compose(start, tensor(one1, f))
+    parts = (compose(left, tensor(f, one1)),
+             left + compose(start, tensor(f, one1)),
+             start, tensor(one1, cup(ctx)))
+    zero = ctx.zero()
+    return tuple(tuple(m.terms.get(d, zero) for m in parts)
+                 for d in all_diagrams(1, 3))
+
+
+def hexagon_holds(rows: tuple, aa: CycNumber, ab: CycNumber,
+                  bb: CycNumber) -> bool:
+    """Whether c = a f + b id solves the hexagon, from hexagon_rows and the
+    three products aa = a^2, ab = a b, bb = b^2."""
+    return all(aa * x + ab * y + bb * s == r for x, y, s, r in rows)
+
+
 def check_yang_baxter(c: TLMorphism) -> bool:
     if c.bottom_count != 2 or c.top_count != 2:
         raise BoundaryMismatch("Yang-Baxter check needs an endomorphism of [2]")

@@ -25,9 +25,10 @@ from collections import Counter
 
 import pytest
 
-from ribbonkit import checks, fusion
+from ribbonkit import checks, fusion, tldiag
 from ribbonkit.checks import CHECKS, iso_K_witness, run_checks
-from ribbonkit.cyclo import field
+from ribbonkit.cyclo import field, inv
+from ribbonkit.tldiag import cap, check_hexagon, compose, cup, identity
 from ribbonkit.qrep import simple_V, tensor
 
 ALL_P = [2, 3, 4, 5, 6, 7]
@@ -45,11 +46,47 @@ def _fail_detail(monkeypatch, name, target, attr, value) -> str:
 
 
 def test_hexagon_names_the_winners(monkeypatch):
-    # every scanned unit passes a hexagon that accepts everything
+    # every scanned unit passes a per-unit verdict that accepts everything
     detail = _fail_detail(monkeypatch, "braiding.hexagon", checks,
-                          "check_hexagon", lambda morphism: True)
+                          "hexagon_holds", lambda rows, aa, ab, bb: True)
     found = detail.split("[")[1].split("]")[0].split(", ")
     assert found == [str(field(P).root(j)) for j in range(4 * P)]
+
+
+@pytest.mark.parametrize("p", range(2, 11))
+def test_hexagon_winners_match_the_direct_scan(p):
+    # the expanded hexagon against check_hexagon on a f + a^{-1} id, for
+    # every unit a
+    ctx = field(p)
+    f = compose(cap(ctx), cup(ctx))
+    ident = identity(ctx, 2)
+    direct = [ctx.root(j) for j in range(ctx.N)
+              if check_hexagon(ctx.root(j) * f + inv(ctx.root(j)) * ident)]
+    assert checks.hexagon_winners(ctx) == direct
+    assert len(direct) == 4
+
+
+def test_hexagon_winners_compose_once_per_field(monkeypatch):
+    # the scan builds no morphism per unit: four compositions build the
+    # rows, whatever p, and check_hexagon is never called
+    def refuse(c):
+        raise AssertionError("check_hexagon called")
+
+    calls = []
+
+    def counted(f, g):
+        calls.append(1)
+        return compose(f, g)
+
+    monkeypatch.setattr(checks, "check_hexagon", refuse)
+    monkeypatch.setattr(tldiag, "compose", counted)
+    counts = []
+    for p in range(2, 11):
+        tldiag.hexagon_rows.cache_clear()
+        calls.clear()
+        assert len(checks.hexagon_winners(field(p))) == 4
+        counts.append(len(calls))
+    assert counts == [4] * 9
 
 
 def test_inverse_pairs_names_the_pair(monkeypatch):

@@ -336,6 +336,28 @@ def test_cmd_fuse_checks_atoms_without_the_window(capsys, monkeypatch):
         "window\n")
 
 
+def _no_ring(p):
+    raise AssertionError("a product table was built")
+
+
+def test_cmd_fuse_refuses_atoms_before_the_ring(capsys, monkeypatch):
+    # atoms of the finite rings are checked against the label bijection,
+    # so an atom outside the ring is refused before a product table exists
+    monkeypatch.setattr(cli, "uq_ring", _no_ring)
+    monkeypatch.setattr(cli, "wp_ring", _no_ring)
+    for expr, atom in (("V[31]*V[1]", "V[31]"),
+                       ("X[2,+]*X[31,-]", "X[31,-]"),
+                       ("2 + chi*V[0]", "V[0]")):
+        assert main(["fuse", "-p", "30", expr]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: label {atom} is not in the p=30 ring\n")
+    # atoms inside the ring still reach the product table
+    with pytest.raises(AssertionError, match="product table"):
+        main(["fuse", "-p", "30", "V[30]*V[1]"])
+    with pytest.raises(AssertionError, match="product table"):
+        main(["fuse", "-p", "30", "X[30,+] + X[1,-]"])
+
+
 def _readme_examples():
     # (argv, output lines) of each `$ ribbonkit ...` example in README's sh
     # blocks; a block whose output is elided with `...` is left out

@@ -38,6 +38,8 @@ from ribbonkit.tldiag import (
     compose,
     cup,
     from_diagram,
+    hexagon_holds,
+    hexagon_rows,
     hook,
     identity,
     jones_wenzl,
@@ -299,6 +301,26 @@ def test_hexagon_solution_set_is_exactly_four(p):
     # ab != 1 never solves it, even for otherwise-valid a
     bad = zh * f + zh * ident
     assert not check_hexagon(bad)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_hexagon_rows_match_check_hexagon(p):
+    # the expansion a^2 X + ab Y + b^2 S = R against the direct hexagon on
+    # a f + b id, for every pair of units: exactly the four pairs with
+    # ab = 1 and a = +-zeta^{+-1/2} hold, so b != a^{-1} always fails
+    ctx = field(p)
+    f = compose(cap(ctx), cup(ctx))
+    ident = identity(ctx, 2)
+    rows = hexagon_rows(ctx)
+    held = []
+    for a, b in itertools.product(map(ctx.root, range(ctx.N)), repeat=2):
+        direct = check_hexagon(a * f + b * ident)
+        assert hexagon_holds(rows, a * a, a * b, b * b) == direct
+        if direct:
+            held.append((a, b))
+    zh = ctx.qhalf()
+    assert sorted(held, key=str) == sorted(
+        [(a, inv(a)) for a in (zh, inv(zh), -zh, -inv(zh))], key=str)
 
 
 @pytest.mark.parametrize("p", [3, 4, 5, 6, 7])
