@@ -44,8 +44,8 @@ from .ribbon import (
     muger_candidates, singlet_twists, voa_monodromy_phase, wp_twists,
 )
 from .checks import (
-    SUITES, fpdim_routes, hexagon_winners, inverse_pair_failures, jw_audit,
-    run_checks, twist_routes,
+    JW_CERTIFICATE, JW_SQUARED_MAX_N, SUITES, fpdim_routes, hexagon_winners,
+    inverse_pair_failures, jw_audit, run_checks, twist_routes,
 )
 
 
@@ -290,6 +290,26 @@ def expression_family(node) -> str:
     return fams.pop()
 
 
+def _has_product(node) -> bool:
+    if node[0] == "mul":
+        return True
+    return node[0] in ("add", "sub") and (_has_product(node[1])
+                                         or _has_product(node[2]))
+
+
+class _LabelsOnly:
+    """All that _eval reads of a ring for an expression with no product:
+    the labels and the unit."""
+
+    __slots__ = ("labels", "unit")
+
+    def __init__(self, labels, unit):
+        self.labels, self.unit = labels, unit
+
+    def __contains__(self, lab) -> bool:
+        return lab in self.labels
+
+
 def _build_ring(family: str, p: int, rmax):
     if family == "uq":
         return uq_ring(p)
@@ -343,6 +363,7 @@ def evaluate(node, p: int, rmax=DEFAULT_RMAX) -> Counter:
     dropped.  Window overflow in a truncated ring surfaces as EvalError.
     """
     family = expression_family(node)
+    ring = None
     if family in ("uq", "wp"):
         # the label bijection lists both finite rings' labels without their
         # product tables, so an atom outside the ring is refused before one
@@ -352,7 +373,13 @@ def evaluate(node, p: int, rmax=DEFAULT_RMAX) -> Counter:
         labels = assign if family == "uq" else set(assign.values())
         for atom in _atoms(node, []):
             _atom_label(atom, labels, p)
-    ring = _build_ring(family, p, rmax)
+        if not _has_product(node):
+            # a sum reads only labels and the unit, V[1] = (1, 0) in uq and
+            # its image under the bijection, which keeps the unit, in wp
+            ring = _LabelsOnly(labels, (1, 0) if family == "uq"
+                               else assign[(1, 0)])
+    if ring is None:
+        ring = _build_ring(family, p, rmax)
     try:
         combo = _eval(node, ring, p)
     except TruncationOverflow as err:
@@ -427,13 +454,19 @@ def _cmd_jw(args, ps) -> int:
     for p in ps:
         e, idem, alive, closure = jw_audit(field(p), args.n)
         hooks = not alive
-        _emit(args, {
+        payload = {
             "verb": "jw", "p": p, "n": args.n, "terms": len(e.terms),
             "idempotent": idem, "hooks_killed": hooks,
             "markov": str(closure),
-        }, f"p={p}: jw({args.n}) terms={len(e.terms)} "
-           f"idempotent={'yes' if idem else 'NO'} "
-           f"hooks-killed={'yes' if hooks else 'NO'} markov={closure}")
+        }
+        how = ""
+        if args.n > JW_SQUARED_MAX_N:
+            payload["idempotent_by"] = JW_CERTIFICATE
+            how = f" (from {JW_CERTIFICATE})"
+        _emit(args, payload,
+              f"p={p}: jw({args.n}) terms={len(e.terms)} "
+              f"idempotent={'yes' if idem else 'NO'}{how} "
+              f"hooks-killed={'yes' if hooks else 'NO'} markov={closure}")
         bad += not (idem and hooks)
     return 1 if bad else 0
 

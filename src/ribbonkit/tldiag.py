@@ -33,6 +33,11 @@ product is one integer product instead of a field multiply.  A one-term
 operand's coefficient is a scalar: the other operand's coefficients are
 only added, and each key's sum is multiplied once by scalar * d**loops, or
 not at all where that factor is one.
+
+The Markov closure joins top position i to bottom position i of an
+endomorphism; a functools.cache walk over a diagram's two link states
+counts the loops of its closure, so markov_close sums the coefficients per
+loop count and multiplies each sum once by d**loops, composing nothing.
 """
 
 from __future__ import annotations
@@ -490,11 +495,18 @@ def tensor(f: TLMorphism, g: TLMorphism) -> TLMorphism:
 def jones_wenzl(ctx: FieldContext, n: int) -> TLMorphism:
     """The n-strand Jones-Wenzl idempotent, for 1 <= n <= p-1.
 
-    Wenzl recursion in the loop-value convention: with jw' = jw(n-1) x id,
-        jw(n) = jw' + ([n-1]/[n]) * jw' . E_{n-1} . jw'
-    (the coefficient sign follows the Chebyshev-in-d normalization, which is
-    the one making jw(2) = id - d^{-1} cup.cap idempotent).  Memoised per
-    context and n, so jw(n) reuses jw(n-1).
+    Single-clasp expansion (Morrison, arXiv:1503.00384; cf. Frenkel-
+    Khovanov 1997): with jw' = jw(n-1) x id,
+        jw(n) = jw' . X_n,  X_n = id + sum_{k=1}^{n-1} ([k]/[n]) W_k
+    where W_k = E_{n-1} . E_{n-2} ... E_k in diagrammatic order, a single
+    diagram.  It is the Wenzl step jw(n) = jw' + ([n-1]/[n]) jw'.E_{n-1}.jw'
+    (the coefficient sign follows the Chebyshev-in-d normalization, which
+    makes jw(2) = id - d^{-1} cup.cap idempotent) with the right-hand jw'
+    expanded by the same step down to jw(1): each jw(m) x id^{n-m} commutes
+    past E_j for j > m and is absorbed into the left jw', and the
+    coefficients [m-1]/[m] telescope to [k]/[n].  So the build composes jw'
+    with an n-term factor, never two large morphisms.  Memoised per context
+    and n, so jw(n) reuses jw(n-1).
     """
     if n < 1:
         raise ValueError("strand count must be >= 1")
@@ -505,30 +517,63 @@ def jones_wenzl(ctx: FieldContext, n: int) -> TLMorphism:
     if n == 1:
         return identity(ctx, 1)
     prev = tensor(jones_wenzl(ctx, n - 1), identity(ctx, 1))
-    coeff = qint(ctx, n - 1) / qint(ctx, n)
-    corr = compose(compose(prev, hook(ctx, n, n - 1)), prev)
-    return prev + coeff * corr
+    clasp = word = identity(ctx, n)
+    inv_n = inv(qint(ctx, n))
+    for k in range(n - 1, 0, -1):
+        word = compose(word, hook(ctx, n, k))
+        clasp = clasp + word * (qint(ctx, k) * inv_n)
+    return compose(prev, clasp)
 
 
-def _rainbow(ctx: FieldContext, n: int, as_top: bool) -> TLMorphism:
-    pairs = [(i, 2 * n - 1 - i) for i in range(n)]
-    d = TLDiagram(0, 2 * n, pairs) if as_top else TLDiagram(2 * n, 0, pairs)
-    return from_diagram(ctx, d)
+@cache
+def _closure_loops(bottom: tuple, top: tuple) -> int:
+    """Loops of the Markov closure of the n -> n diagram with these link
+    states, which joins top position i to bottom position i."""
+    n = len(bottom)
+    # points: bottom i is i, top i is n + i
+    mate = list(bottom) + [n + x if x >= 0 else -1 for x in top]
+    ends = [i for i, x in enumerate(mate) if x < 0]
+    half = len(ends) // 2
+    for a, b in zip(ends[:half], ends[half:]):
+        mate[a], mate[b] = b, a
+    seen = [False] * (2 * n)
+    loops = 0
+    # every loop alternates diagram arcs with closing arcs, so it meets
+    # the bottom row
+    for j in range(n):
+        if seen[j]:
+            continue
+        loops += 1
+        while not seen[j]:
+            seen[j] = True
+            j = mate[j]
+            seen[j] = True
+            j = j - n if j >= n else j + n
+    return loops
 
 
 def markov_close(f: TLMorphism) -> CycNumber:
-    """Close all strands of an endomorphism with nested arcs; the scalar."""
+    """Close all strands of an endomorphism with nested arcs; the scalar.
+
+    The coefficients are summed by the closure's loop count, and each sum
+    is multiplied once by d**loops.
+    """
     if f.bottom_count != f.top_count:
         raise BoundaryMismatch("markov_close needs an endomorphism")
     ctx = f.ctx
-    n = f.bottom_count
-    if n == 0:
-        return f.terms.get(TLDiagram(0, 0, []), ctx.zero())
-    closed = compose(
-        compose(_rainbow(ctx, n, as_top=True), tensor(f, identity(ctx, n))),
-        _rainbow(ctx, n, as_top=False),
-    )
-    return closed.terms.get(TLDiagram(0, 0, []), ctx.zero())
+    sums: dict[int, CycNumber] = {}
+    for d, c in f.terms.items():
+        loops = _closure_loops(*d.links)
+        sums[loops] = sums[loops] + c if loops in sums else c
+    total = ctx.zero()
+    d_pow = [loop_value(ctx)]  # d**1, d**2, ... as far as loops reach
+    for loops, s in sums.items():
+        if loops:
+            while len(d_pow) < loops:
+                d_pow.append(d_pow[-1] * d_pow[0])
+            s = s * d_pow[loops - 1]
+        total = total + s
+    return total
 
 
 def braiding_candidates(ctx: FieldContext) -> list[TLMorphism]:

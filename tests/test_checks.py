@@ -287,6 +287,52 @@ def test_grring_iso_K_witnesses(p, monkeypatch):
                     False, "{} fails at {}: got {}".format(*got))
 
 
+def test_jw_hook_certificate_negative_controls(monkeypatch):
+    # above JW_SQUARED_MAX_N, jw_audit derives idempotency from the identity
+    # coefficient and the hooks instead of squaring: a jw(9) with one
+    # coefficient changed must fail it, and so must 2 jw(9), which still
+    # kills every hook
+    ctx, n = field(10), 9
+    assert checks.JW_SQUARED_MAX_N == 8
+    real_compose = checks.compose
+    squares = []
+
+    def counted(f, g):
+        squares.append(f is g)
+        return real_compose(f, g)
+
+    monkeypatch.setattr(checks, "compose", counted)
+    e, idempotent, alive, _ = checks.jw_audit(ctx, n)
+    assert idempotent and not alive and not any(squares)
+    ident, = identity(ctx, n).terms
+    other = next(d for d in e.terms if d != ident)
+    bumped = tldiag.TLMorphism(ctx, n, n,
+                               {**e.terms, other: e.terms[other] + 1})
+    for broken in (bumped, e * 2):
+        monkeypatch.setattr(checks, "jones_wenzl", lambda c, m: broken)
+        _, idempotent, alive, _ = checks.jw_audit(ctx, n)
+        assert not idempotent
+        assert (alive == []) == (broken == e * 2)
+    # the row says which n it squared and names the broken projector; with
+    # the square stopped at n = 5, the rows stay cheap
+    monkeypatch.setattr(checks, "JW_SQUARED_MAX_N", 5)
+    real_jw = tldiag.jones_wenzl
+    monkeypatch.setattr(checks, "jones_wenzl", real_jw)
+    assert CHECKS["jw.projectors"](7, ENV) == (True, (
+        "n=1..6: idempotent (squared for n<=5, from identity coefficient 1 "
+        "and hook-killing for n=6), hook-killing, alternating closures, "
+        "vanishing top closure"))
+    ok, detail = CHECKS["jw.projectors"](8, ENV)
+    assert ok and detail.startswith(
+        "n=1..7: idempotent (squared for n<=5, from identity coefficient 1 "
+        "and hook-killing for n=6..7), ")
+    doubled = 2 * real_jw(field(8), 7)
+    monkeypatch.setattr(checks, "jones_wenzl", lambda c, m: (
+        doubled if m == 7 else real_jw(c, m)))
+    assert CHECKS["jw.projectors"](8, ENV) == (
+        False, "jw(7) is not idempotent")
+
+
 @pytest.mark.parametrize("p", ALL_P)
 def test_pass_details(p):
     # the run options carry no functions: properties.dsl_roundtrip

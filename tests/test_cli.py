@@ -351,11 +351,27 @@ def test_cmd_fuse_refuses_atoms_before_the_ring(capsys, monkeypatch):
         assert main(["fuse", "-p", "30", expr]) == 2
         assert capsys.readouterr() == (
             "", f"error: label {atom} is not in the p=30 ring\n")
-    # atoms inside the ring still reach the product table
+    # atoms inside the ring still reach the product table in a product
     with pytest.raises(AssertionError, match="product table"):
         main(["fuse", "-p", "30", "V[30]*V[1]"])
     with pytest.raises(AssertionError, match="product table"):
-        main(["fuse", "-p", "30", "X[30,+] + X[1,-]"])
+        main(["fuse", "-p", "30", "X[30,+] + X[1,-]*2"])
+
+
+def test_cmd_fuse_sums_without_the_ring(capsys, monkeypatch):
+    # a sum reads only the labels and the unit: no product table is built,
+    # and the lines are those that the ring route printed
+    monkeypatch.setattr(cli, "uq_ring", _no_ring)
+    monkeypatch.setattr(cli, "wp_ring", _no_ring)
+    for expr, line in (("V[2] + chi", "chi + V[2]"),
+                       ("2 - V[30] + chi", "2*V[1] + chi - V[30]"),
+                       ("X[2,+] + X[1,-] - 3", "X[1,-] - 3*X[1,+] + X[2,+]"),
+                       ("(X[30,-] - 1) - X[30,-]", "0 - X[1,+]")):
+        assert main(["fuse", "-p", "30", expr]) == 0
+        assert capsys.readouterr() == (line + "\n", "")
+    assert main(["fuse", "-p", "30", "V[31] + chi"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: label V[31] is not in the p=30 ring\n")
 
 
 def _readme_examples():
@@ -400,6 +416,21 @@ def test_cmd_jw(capsys):
     assert capsys.readouterr().out == (
         "p=5: jw(3) terms=5 idempotent=yes hooks-killed=yes markov=-1\n")
     assert main(["jw", "-p", "3", "-n", "3"]) == 2
+
+
+def test_cmd_jw_says_when_idempotency_is_derived(capsys):
+    # jw(9) is not squared: text and JSON say where idempotency comes from
+    assert main(["jw", "-p", "10", "-n", "9"]) == 0
+    assert capsys.readouterr().out == (
+        "p=10: jw(9) terms=4862 idempotent=yes (from identity coefficient 1 "
+        "and hook-killing) hooks-killed=yes markov=0\n")
+    assert main(["jw", "-p", "10", "-n", "9", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "verb": "jw", "p": 10, "n": 9, "terms": 4862, "idempotent": True,
+        "hooks_killed": True, "markov": "0",
+        "idempotent_by": "identity coefficient 1 and hook-killing"}
+    assert main(["jw", "-p", "5", "-n", "3", "--format", "json"]) == 0
+    assert "idempotent_by" not in json.loads(capsys.readouterr().out)
 
 
 def test_cmd_jw_reports_every_p(capsys, monkeypatch):

@@ -867,6 +867,14 @@ def test_functor_base_cases(p):
     assert tl_to_matrix(ctx, f_tl) == coev.mul(ev)
 
 
+def _rainbow(ctx, n, as_top):
+    """n nested cups (0 -> 2n), or n nested caps (2n -> 0)."""
+    pairs = [(i, 2 * n - 1 - i) for i in range(n)]
+    d = (tldiag.TLDiagram(0, 2 * n, pairs) if as_top
+         else tldiag.TLDiagram(2 * n, 0, pairs))
+    return tldiag.from_diagram(ctx, d)
+
+
 @pytest.mark.parametrize("p", ALL_P)
 def test_quantum_trace_matches_markov(p):
     # the closure of jw(n) by nested arcs, mapped piece by piece: the
@@ -877,8 +885,8 @@ def test_quantum_trace_matches_markov(p):
         jw = tldiag.jones_wenzl(ctx, n)
         e = tl_to_matrix(ctx, jw)
         assert e.mul(e) == e
-        cups = tl_to_matrix(ctx, tldiag._rainbow(ctx, n, as_top=True))
-        caps = tl_to_matrix(ctx, tldiag._rainbow(ctx, n, as_top=False))
+        cups = tl_to_matrix(ctx, _rainbow(ctx, n, as_top=True))
+        caps = tl_to_matrix(ctx, _rainbow(ctx, n, as_top=False))
         closed = caps.mul(
             Matrix.kron(e, Matrix.identity(ctx, 1 << n)).mul(cups))
         assert (closed.rows, closed.cols) == (1, 1)

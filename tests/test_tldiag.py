@@ -13,7 +13,9 @@ test-only copies of an older node-tuple walker and index remap: exhaustively
 on small boundaries, and on random morphisms and the Jones-Wenzl products
 against a term-by-term sum, through both summation paths of compose (packed
 integer sums, and field sums) and with coefficients up to 2^64 over rational
-denominators.
+denominators.  The single-clasp jones_wenzl is checked coefficient by
+coefficient against the Wenzl recursion, and the link-state walk of
+markov_close against the closing rainbows composed out.
 """
 
 import itertools
@@ -191,6 +193,25 @@ def test_jw_idempotent_and_hook_killing(p):
             assert compose(e, jw).is_zero()
 
 
+def _wenzl_reference(ctx, top):
+    """[jw(1), ..., jw(top)] by the Wenzl recursion, with jw' = jw(n-1) x id:
+        jw(n) = jw' + ([n-1]/[n]) * jw' . E_{n-1} . jw'"""
+    out = [identity(ctx, 1)]
+    for n in range(2, top + 1):
+        prev = tensor(out[-1], identity(ctx, 1))
+        corr = compose(compose(prev, hook(ctx, n, n - 1)), prev)
+        out.append(prev + (qint(ctx, n - 1) / qint(ctx, n)) * corr)
+    return out
+
+
+@pytest.mark.parametrize("p", range(2, 10))
+def test_single_clasp_matches_wenzl_recursion(p):
+    # coefficient by coefficient, on every diagram, for n <= 8
+    ctx = field(p)
+    for n, want in enumerate(_wenzl_reference(ctx, min(8, p - 1)), 1):
+        assert jones_wenzl(ctx, n).terms == want.terms
+
+
 @pytest.mark.parametrize("p", ALL_P)
 def test_jw_out_of_range(p):
     ctx = field(p)
@@ -219,6 +240,38 @@ def test_markov_basics():
     # closing the single cup-cap diagram yields one loop
     f = compose(cap(ctx), cup(ctx))
     assert markov_close(f) == loop_value(ctx)
+
+
+def _rainbow_closure(f):
+    """The Markov closure composed out: f x id_n between n nested cups
+    below and n nested caps above; the coefficient of the empty diagram."""
+    ctx, n = f.ctx, f.bottom_count
+    arcs = [(i, 2 * n - 1 - i) for i in range(n)]
+    cups = from_diagram(ctx, TLDiagram(0, 2 * n, arcs))
+    caps = from_diagram(ctx, TLDiagram(2 * n, 0, arcs))
+    closed = compose(compose(cups, tensor(f, identity(ctx, n))), caps)
+    return closed.terms.get(TLDiagram(0, 0, []), ctx.zero())
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_closure_walk_matches_rainbows_on_every_diagram(n):
+    # at p = 7 the powers of d are distinct, so equal values mean equal
+    # loop counts
+    ctx = field(7)
+    powers = [loop_value(ctx) ** k for k in range(n + 1)]
+    assert len(set(powers)) == n + 1
+    for d in all_diagrams(n, n):
+        f = from_diagram(ctx, d)
+        assert markov_close(f) == _rainbow_closure(f)
+        assert markov_close(f) == powers[tldiag._closure_loops(*d.links)]
+
+
+@pytest.mark.parametrize("p", range(2, 11))
+def test_closure_walk_matches_rainbows_on_projectors(p):
+    ctx = field(p)
+    for n in range(1, p):
+        jw = jones_wenzl(ctx, n)
+        assert markov_close(jw) == _rainbow_closure(jw)
 
 
 @pytest.mark.parametrize("p", ALL_P)
@@ -603,16 +656,23 @@ def test_compose_matches_term_by_term_reference(data, p):
 
 @pytest.mark.parametrize("p", [6, 7, 8])
 def test_compose_on_jones_wenzl_shapes(p):
-    # the products of the jw row and the Wenzl step: jw(n) squared, jw(n)
-    # against each hook on either side, prev.E and (prev.E).prev; dense
-    # reduction rows at p = 6 and 7, Phi = z^16 + 1 at p = 8
+    # the products of the jw row, the single-clasp build and the Wenzl
+    # reference: jw(n) squared, jw(n) against each hook on either side,
+    # word.E_k and jw'.X_n, prev.E and (prev.E).prev; dense reduction rows
+    # at p = 6 and 7, Phi = z^16 + 1 at p = 8
     ctx = field(p)
     products = []
     for n in range(2, 6):
         jw = jones_wenzl(ctx, n)
         prev = tensor(jones_wenzl(ctx, n - 1), identity(ctx, 1))
+        clasp = word = identity(ctx, n)
+        for k in range(n - 1, 0, -1):
+            products.append((word, hook(ctx, n, k)))
+            word = compose(word, hook(ctx, n, k))
+            clasp = clasp + word * (qint(ctx, k) / qint(ctx, n))
         step = compose(prev, hook(ctx, n, n - 1))
-        products += [(jw, jw), (prev, hook(ctx, n, n - 1)), (step, prev)]
+        products += [(prev, clasp), (jw, jw), (prev, hook(ctx, n, n - 1)),
+                     (step, prev)]
         for i in range(1, n):
             products += [(jw, hook(ctx, n, i)), (hook(ctx, n, i), jw)]
     if p == 7:
