@@ -92,23 +92,25 @@ JW_CERTIFICATE = "identity coefficient 1 and hook-killing"
 
 def jw_audit(ctx, n: int):
     """(projector, idempotent, indices of the hooks it does not kill,
-    Markov closure) for jw(n).
+    Markov closure, route) for jw(n).
 
-    Up to n = JW_SQUARED_MAX_N, idempotency is the direct check e.e == e.
-    Above it, it is the hook certificate: e is idempotent when its identity
-    coefficient is 1 and it kills every hook, because every other basis
-    diagram is a product of hooks (Jones normal form), so e.e = e.id = e.
+    Up to n = JW_SQUARED_MAX_N, idempotency is the direct check e.e == e,
+    and route is None.  Above it, it is the hook certificate, and route is
+    JW_CERTIFICATE: e is idempotent when its identity coefficient is 1 and
+    it kills every hook, because every other basis diagram is a product of
+    hooks (Jones normal form), so e.e = e.id = e.
     """
     e = jones_wenzl(ctx, n)
     hooks = {i: hook(ctx, n, i) for i in range(1, n)}
     alive = [i for i, h in hooks.items()
              if not (compose(h, e).is_zero() and compose(e, h).is_zero())]
     if n <= JW_SQUARED_MAX_N:
-        idempotent = compose(e, e) == e
+        idempotent, route = compose(e, e) == e, None
     else:
         ident, = identity(ctx, n).terms
         idempotent = not alive and e.terms.get(ident) == 1
-    return e, idempotent, alive, markov_close(e)
+        route = JW_CERTIFICATE
+    return e, idempotent, alive, markov_close(e), route
 
 
 def hexagon_winners(ctx) -> list:
@@ -318,7 +320,7 @@ def _jw_projectors(p, env):
     problems = []
     for n in range(1, p):
         # the loop ends at n = p - 1, leaving closure at the top projector
-        _, idempotent, alive, closure = jw_audit(ctx, n)
+        _, idempotent, alive, closure, _ = jw_audit(ctx, n)
         if not idempotent:
             problems.append(f"jw({n}) is not idempotent")
         problems += [f"jw({n}) does not kill hook {i}" for i in alive]

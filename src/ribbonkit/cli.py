@@ -44,8 +44,8 @@ from .ribbon import (
     muger_candidates, singlet_twists, voa_monodromy_phase, wp_twists,
 )
 from .checks import (
-    JW_CERTIFICATE, JW_SQUARED_MAX_N, SUITES, fpdim_routes, hexagon_winners,
-    inverse_pair_failures, jw_audit, run_checks, twist_routes,
+    SUITES, fpdim_routes, hexagon_winners, inverse_pair_failures, jw_audit,
+    run_checks, twist_routes,
 )
 
 
@@ -290,38 +290,29 @@ def expression_family(node) -> str:
     return fams.pop()
 
 
-def _has_product(node) -> bool:
-    if node[0] == "mul":
-        return True
-    return node[0] in ("add", "sub") and (_has_product(node[1])
-                                         or _has_product(node[2]))
+def _ring_view(family: str, p: int, rmax) -> tuple:
+    """(labels, unit, product) of the family's ring at p: all that _eval
+    reads of it.
 
-
-class _LabelsOnly:
-    """All that _eval reads of a ring for an expression with no product:
-    the labels and the unit."""
-
-    __slots__ = ("labels", "unit")
-
-    def __init__(self, labels, unit):
-        self.labels, self.unit = labels, unit
-
-    def __contains__(self, lab) -> bool:
-        return lab in self.labels
-
-
-def _build_ring(family: str, p: int, rmax):
+    A truncated window is its own view.  A finite ring's labels are the
+    keys (uq) or values (wp) of the label bijection, and its unit is V[1] =
+    (1, 0) or that label's image; its product table is built at the first
+    product only, so a sum builds none.
+    """
+    if family in ("vir", "singlet"):
+        ring = (vir_ring if family == "vir" else singlet_ring)(p, rmax)
+        return ring, ring.unit, ring.product
+    assign = iso_T_labels(p)
     if family == "uq":
-        return uq_ring(p)
-    if family == "wp":
-        return wp_ring(p)
-    maker = vir_ring if family == "vir" else singlet_ring
-    return maker(p, rmax)
+        labels, unit = assign, (1, 0)
+    else:
+        labels, unit = set(assign.values()), assign[(1, 0)]
+    ring = cache(lambda: (uq_ring if family == "uq" else wp_ring)(p))
+    return labels, unit, lambda a, b: ring().product(a, b)
 
 
 def _atom_label(node, labels, p: int):
-    """The label of an atom node, refused unless it is in labels (a ring,
-    or any container of its labels)."""
+    """The label of an atom node, refused unless it is in labels."""
     _, fam, idx = node
     idx = tuple(p if v == "p" else v for v in idx)
     if fam == "chi":
@@ -335,19 +326,20 @@ def _atom_label(node, labels, p: int):
     return lab
 
 
-def _eval(node, ring, p) -> dict:
+def _eval(node, view, p) -> dict:
+    labels, unit, product = view
     kind = node[0]
     if kind == "int":
-        return {ring.unit: node[1]}
+        return {unit: node[1]}
     if kind == "atom":
-        return {_atom_label(node, ring, p): 1}
-    left = _eval(node[1], ring, p)
-    right = _eval(node[2], ring, p)
+        return {_atom_label(node, labels, p): 1}
+    left = _eval(node[1], view, p)
+    right = _eval(node[2], view, p)
     if kind == "mul":
         # bilinear: linear in the pair of factors, every pair formed
         pairs = {(la, lb): ca * cb for la, ca in left.items()
                  for lb, cb in right.items()}
-        return linear(lambda pair: ring.product(*pair), pairs)
+        return linear(lambda pair: product(*pair), pairs)
     out = Counter(left)
     if kind == "add":
         out.update(right)
@@ -362,26 +354,9 @@ def evaluate(node, p: int, rmax=DEFAULT_RMAX) -> Counter:
     Subtraction may leave negative multiplicities; zero entries are
     dropped.  Window overflow in a truncated ring surfaces as EvalError.
     """
-    family = expression_family(node)
-    ring = None
-    if family in ("uq", "wp"):
-        # the label bijection lists both finite rings' labels without their
-        # product tables, so an atom outside the ring is refused before one
-        # is built; only atoms can be refused there, so the first refusal
-        # is the one evaluation would reach
-        assign = iso_T_labels(p)
-        labels = assign if family == "uq" else set(assign.values())
-        for atom in _atoms(node, []):
-            _atom_label(atom, labels, p)
-        if not _has_product(node):
-            # a sum reads only labels and the unit, V[1] = (1, 0) in uq and
-            # its image under the bijection, which keeps the unit, in wp
-            ring = _LabelsOnly(labels, (1, 0) if family == "uq"
-                               else assign[(1, 0)])
-    if ring is None:
-        ring = _build_ring(family, p, rmax)
+    view = _ring_view(expression_family(node), p, rmax)
     try:
-        combo = _eval(node, ring, p)
+        combo = _eval(node, view, p)
     except TruncationOverflow as err:
         raise EvalError(str(err)) from err
     return Counter({lab: mult for lab, mult in combo.items() if mult})
@@ -452,7 +427,7 @@ def _cmd_fuse(args, ps) -> int:
 def _cmd_jw(args, ps) -> int:
     bad = 0
     for p in ps:
-        e, idem, alive, closure = jw_audit(field(p), args.n)
+        e, idem, alive, closure, route = jw_audit(field(p), args.n)
         hooks = not alive
         payload = {
             "verb": "jw", "p": p, "n": args.n, "terms": len(e.terms),
@@ -460,9 +435,9 @@ def _cmd_jw(args, ps) -> int:
             "markov": str(closure),
         }
         how = ""
-        if args.n > JW_SQUARED_MAX_N:
-            payload["idempotent_by"] = JW_CERTIFICATE
-            how = f" (from {JW_CERTIFICATE})"
+        if route:
+            payload["idempotent_by"] = route
+            how = f" (from {route})"
         _emit(args, payload,
               f"p={p}: jw({args.n}) terms={len(e.terms)} "
               f"idempotent={'yes' if idem else 'NO'}{how} "
@@ -509,16 +484,12 @@ def _cmd_twists(args, ps) -> int:
         table, mismatched = twist_routes(p)
         agree = not mismatched
         bad += not agree
-        if args.format == "json":
-            payload = twist_table_json(table)
-            payload.update({"verb": "twists", "p": p,
-                            "module_route_agrees": agree})
-            print(json.dumps(payload))
-        else:
-            for lab in sorted(table.theta):
-                print(f"p={p} {label_str(lab, 'wp')}: {table.theta[lab]}")
-            print(f"p={p} module route (inverse twists) agrees: "
-                  f"{'yes' if agree else 'NO'}")
+        lines = [f"p={p} {label_str(lab, 'wp')}: {table.theta[lab]}"
+                 for lab in sorted(table.theta)]
+        lines.append(f"p={p} module route (inverse twists) agrees: "
+                     f"{'yes' if agree else 'NO'}")
+        _emit(args, {**twist_table_json(table), "verb": "twists", "p": p,
+                     "module_route_agrees": agree}, "\n".join(lines))
     return 1 if bad else 0
 
 

@@ -17,8 +17,8 @@ through strands it joins in pairs.  Walking the middle and joining through
 strands within a state are functools.cache memos keyed by link-state
 tuples, so each runs once per distinct argument, not once per term pair.
 Composing or tensoring planar matchings always gives a planar matching, so
-those results are built from their link states by a module-private
-constructor that skips the checks of the public one.
+those results, and the hooks, are built from their link states by a
+module-private constructor that skips the checks of the public one.
 
 Morphisms are finite CycNumber-linear combinations of diagrams; composition
 stacks diagrams and converts every closed loop into a factor d.  Since
@@ -137,8 +137,9 @@ def _fill(d: TLDiagram, links: tuple) -> None:
 
 
 def _trusted_diagram(links: tuple) -> TLDiagram:
-    """The diagram with these (bottom, top) link states; only for results
-    of composition and tensor, which are planar by construction."""
+    """The diagram with these (bottom, top) link states; only for link
+    states that are planar by construction: results of composition and
+    tensor, and the hooks."""
     d = object.__new__(TLDiagram)
     _fill(d, links)
     return d
@@ -352,14 +353,15 @@ def loop_value(ctx: FieldContext) -> CycNumber:
 
 
 def hook(ctx: FieldContext, n: int, i: int) -> TLMorphism:
-    """E_i on n strands (1 <= i <= n-1): cup.cap acting on strands i, i+1."""
+    """E_i on n strands (1 <= i <= n-1): cup.cap acting on strands i, i+1.
+
+    Built from its link states: positions i-1 and i are mates on both
+    sides, and every other strand runs through.
+    """
     if not 1 <= i <= n - 1:
         raise ValueError(f"hook index {i} out of range for {n} strands")
-    f2 = compose(cap(ctx), cup(ctx))
-    out = tensor(identity(ctx, i - 1), f2) if i > 1 else f2
-    if i < n - 1:
-        out = tensor(out, identity(ctx, n - i - 1))
-    return out
+    state = (-1,) * (i - 1) + (i, i - 1) + (-1,) * (n - i - 1)
+    return from_diagram(ctx, _trusted_diagram((state, state)))
 
 
 def all_diagrams(n: int, m: int) -> list[TLDiagram]:

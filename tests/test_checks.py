@@ -302,15 +302,16 @@ def test_jw_hook_certificate_negative_controls(monkeypatch):
         return real_compose(f, g)
 
     monkeypatch.setattr(checks, "compose", counted)
-    e, idempotent, alive, _ = checks.jw_audit(ctx, n)
+    e, idempotent, alive, _, route = checks.jw_audit(ctx, n)
     assert idempotent and not alive and not any(squares)
+    assert route == checks.JW_CERTIFICATE
     ident, = identity(ctx, n).terms
     other = next(d for d in e.terms if d != ident)
     bumped = tldiag.TLMorphism(ctx, n, n,
                                {**e.terms, other: e.terms[other] + 1})
     for broken in (bumped, e * 2):
         monkeypatch.setattr(checks, "jones_wenzl", lambda c, m: broken)
-        _, idempotent, alive, _ = checks.jw_audit(ctx, n)
+        _, idempotent, alive, _, _ = checks.jw_audit(ctx, n)
         assert not idempotent
         assert (alive == []) == (broken == e * 2)
     # the row says which n it squared and names the broken projector; with

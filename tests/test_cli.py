@@ -203,8 +203,16 @@ def _outcome(evaluator, node, p, rmax):
     return "ok", list(combo.items())
 
 
+_LOOP_RINGS = {
+    "uq": lambda p, rmax: fusion.uq_ring(p),
+    "wp": lambda p, rmax: fusion.wp_ring(p),
+    "vir": fusion.vir_ring,
+    "singlet": fusion.singlet_ring,
+}
+
+
 def _loop_evaluate(node, p, rmax):
-    ring = cli._build_ring(cli.expression_family(node), p, rmax)
+    ring = _LOOP_RINGS[cli.expression_family(node)](p, rmax)
     try:
         combo = _loop_eval(node, ring, p)
     except fusion.TruncationOverflow as err:
@@ -342,7 +350,8 @@ def _no_ring(p):
 
 def test_cmd_fuse_refuses_atoms_before_the_ring(capsys, monkeypatch):
     # atoms of the finite rings are checked against the label bijection,
-    # so an atom outside the ring is refused before a product table exists
+    # and evaluation reaches an atom before any product that reads it, so
+    # an atom outside the ring is refused before a product table exists
     monkeypatch.setattr(cli, "uq_ring", _no_ring)
     monkeypatch.setattr(cli, "wp_ring", _no_ring)
     for expr, atom in (("V[31]*V[1]", "V[31]"),
@@ -372,6 +381,29 @@ def test_cmd_fuse_sums_without_the_ring(capsys, monkeypatch):
     assert main(["fuse", "-p", "30", "V[31] + chi"]) == 2
     assert capsys.readouterr() == (
         "", "error: label V[31] is not in the p=30 ring\n")
+
+
+def test_evaluate_builds_a_finite_ring_at_most_once(monkeypatch):
+    # the product table is built at the first product and serves the rest;
+    # a sum builds none
+    built = []
+
+    def counted(real):
+        def build(p):
+            built.append(real.__name__)
+            return real(p)
+        return build
+
+    monkeypatch.setattr(cli, "uq_ring", counted(fusion.uq_ring))
+    monkeypatch.setattr(cli, "wp_ring", counted(fusion.wp_ring))
+    for text, rings in (("(V[2]+chi)*V[3]*V[2]", ["uq_ring"]),
+                        ("(X[2,+]+X[1,-])*X[3,+]*X[2,+]", ["wp_ring"]),
+                        ("V[2] + chi - 3", []),
+                        ("X[2,+] + X[1,-] - 3", [])):
+        built.clear()
+        node = parse(text)
+        assert evaluate(node, 5) == _loop_evaluate(node, 5, None)
+        assert built == rings, text
 
 
 def _readme_examples():
@@ -438,8 +470,8 @@ def test_cmd_jw_reports_every_p(capsys, monkeypatch):
     real = cli.jw_audit
 
     def broken_at_3(ctx, n):
-        e, idempotent, alive, closure = real(ctx, n)
-        return e, idempotent and ctx.p != 3, alive, closure
+        e, idempotent, alive, closure, route = real(ctx, n)
+        return e, idempotent and ctx.p != 3, alive, closure, route
 
     monkeypatch.setattr(cli, "jw_audit", broken_at_3)
     assert main(["jw", "-p", "2..4", "-n", "1"]) == 1
@@ -470,6 +502,9 @@ def test_cmd_twists(capsys):
         "p=2 X[2,+]: -z^3",
         "p=2 module route (inverse twists) agrees: yes",
     ]
+    assert main(["twists", "-p", "2", "--format", "json"]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == [
+        "field", "theta", "verb", "p", "module_route_agrees"]
 
 
 def test_cmd_muger(capsys):

@@ -212,6 +212,33 @@ def test_single_clasp_matches_wenzl_recursion(p):
         assert jones_wenzl(ctx, n).terms == want.terms
 
 
+def _composed_hook(ctx, n, i):
+    """E_i on n strands as cup.cap tensored with identities on either side."""
+    out = compose(cap(ctx), cup(ctx))
+    if i > 1:
+        out = tensor(identity(ctx, i - 1), out)
+    if i < n - 1:
+        out = tensor(out, identity(ctx, n - i - 1))
+    return out
+
+
+def test_hook_matches_the_composed_hook():
+    # equal morphisms, and equal link states, which the trusted constructor
+    # behind hook does not check
+    ctx = field(5)
+    for n in range(2, 12):
+        for i in range(1, n):
+            got, want = hook(ctx, n, i), _composed_hook(ctx, n, i)
+            assert got == want, (n, i)
+            assert [d.links for d in got.terms] == [
+                d.links for d in want.terms]
+            assert [TLDiagram(n, n, d.pairs).links for d in got.terms] == [
+                d.links for d in got.terms]
+    for n, i in ((2, 0), (2, 2), (5, 5), (1, 1)):
+        with pytest.raises(ValueError, match="out of range"):
+            hook(ctx, n, i)
+
+
 @pytest.mark.parametrize("p", ALL_P)
 def test_jw_out_of_range(p):
     ctx = field(p)
