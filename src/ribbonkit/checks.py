@@ -27,8 +27,9 @@ from functools import cache, partial
 from .cyclo import field, inv, qint
 from .tldiag import (
     all_diagrams, braiding_candidates, cap, check_hexagon, check_yang_baxter,
-    compose, cup, from_diagram, hexagon_holds, hexagon_rows, hook, identity,
-    jones_wenzl, markov_close, tensor as tl_tensor,
+    compose, cup, flip, flip_diagram, from_diagram, hexagon_holds,
+    hexagon_rows, hook, identity, jones_wenzl, markov_close,
+    tensor as tl_tensor,
 )
 from .qrep import (
     Matrix, braiding, certify_simple, check_module, chi_module, selfdual_V,
@@ -94,6 +95,13 @@ def jw_audit(ctx, n: int):
     """(projector, idempotent, indices of the hooks it does not kill,
     Markov closure, route) for jw(n).
 
+    A hook h is killed when h.e and e.h both vanish (x.y is compose(x, y)).
+    Only h.s is composed, for each s in sides.  The flip reverses products
+    and fixes h, so e.h = flip(h.flip(e)), which vanishes exactly when
+    h.flip(e) does.  sides is (e,) when e equals its flip, as jw(n) does,
+    read term by term without building the mirror; otherwise it is
+    (e, flip(e)).
+
     Up to n = JW_SQUARED_MAX_N, idempotency is the direct check e.e == e,
     and route is None.  Above it, it is the hook certificate, and route is
     JW_CERTIFICATE: e is idempotent when its identity coefficient is 1 and
@@ -101,9 +109,12 @@ def jw_audit(ctx, n: int):
     hooks (Jones normal form), so e.e = e.id = e.
     """
     e = jones_wenzl(ctx, n)
-    hooks = {i: hook(ctx, n, i) for i in range(1, n)}
-    alive = [i for i, h in hooks.items()
-             if not (compose(h, e).is_zero() and compose(e, h).is_zero())]
+    mirrored = all(e.terms.get(flip_diagram(d)) == c
+                   for d, c in e.terms.items())
+    sides = (e,) if mirrored else (e, flip(e))
+    # every side is composed, so each hook costs len(sides) products
+    alive = [i for i in range(1, n) if not all(
+        [compose(hook(ctx, n, i), s).is_zero() for s in sides])]
     if n <= JW_SQUARED_MAX_N:
         idempotent, route = compose(e, e) == e, None
     else:

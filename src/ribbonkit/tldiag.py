@@ -18,7 +18,10 @@ strands within a state are functools.cache memos keyed by link-state
 tuples, so each runs once per distinct argument, not once per term pair.
 Composing or tensoring planar matchings always gives a planar matching, so
 those results, and the hooks, are built from their link states by a
-module-private constructor that skips the checks of the public one.
+module-private constructor that skips the checks of the public one.  So
+are flips: reflecting a diagram top to bottom swaps its two link states,
+and flip, the anti-involution of the category that this induces on
+morphisms, reverses composition and fixes every hook and jw(n).
 
 Morphisms are finite CycNumber-linear combinations of diagrams; composition
 stacks diagrams and converts every closed loop into a factor d.  Since
@@ -139,7 +142,7 @@ def _fill(d: TLDiagram, links: tuple) -> None:
 def _trusted_diagram(links: tuple) -> TLDiagram:
     """The diagram with these (bottom, top) link states; only for link
     states that are planar by construction: results of composition and
-    tensor, and the hooks."""
+    tensor, the hooks and flipped diagrams."""
     d = object.__new__(TLDiagram)
     _fill(d, links)
     return d
@@ -476,6 +479,18 @@ def compose(f: TLMorphism, g: TLMorphism) -> TLMorphism:
         summed[res] = summed[res] + coeff if res in summed else coeff
     terms = {_trusted_diagram(res): c for res, c in summed.items()}
     return TLMorphism(ctx, f.bottom_count, g.top_count, terms)
+
+
+def flip_diagram(d: TLDiagram) -> TLDiagram:
+    """d reflected top to bottom: its two link states swapped."""
+    return _trusted_diagram(d.links[::-1])
+
+
+def flip(f: TLMorphism) -> TLMorphism:
+    """f reflected top to bottom, an m -> n morphism for f: n -> m, with
+    the same coefficients; flip(compose(f, g)) = compose(flip(g), flip(f))."""
+    return TLMorphism(f.ctx, f.top_count, f.bottom_count,
+                      {flip_diagram(d): c for d, c in f.terms.items()})
 
 
 def tensor(f: TLMorphism, g: TLMorphism) -> TLMorphism:

@@ -28,7 +28,10 @@ import pytest
 from ribbonkit import checks, fusion, tldiag
 from ribbonkit.checks import CHECKS, iso_K_witness, run_checks
 from ribbonkit.cyclo import field, inv
-from ribbonkit.tldiag import cap, check_hexagon, compose, cup, identity
+from ribbonkit.tldiag import (
+    cap, check_hexagon, compose, cup, flip, flip_diagram, hook, identity,
+    tensor as tl_tensor,
+)
 from ribbonkit.qrep import simple_V, tensor
 
 ALL_P = [2, 3, 4, 5, 6, 7]
@@ -332,6 +335,78 @@ def test_jw_hook_certificate_negative_controls(monkeypatch):
         doubled if m == 7 else real_jw(c, m)))
     assert CHECKS["jw.projectors"](8, ENV) == (
         False, "jw(7) is not idempotent")
+
+
+def _two_sided_alive(e):
+    """Reference: the hooks that e does not kill, each composed with e on
+    both sides."""
+    n = e.bottom_count
+    return [i for i in range(1, n)
+            if not (compose(hook(e.ctx, n, i), e).is_zero()
+                    and compose(e, hook(e.ctx, n, i)).is_zero())]
+
+
+def _jw_variants(ctx, n):
+    """jw(n) and broken copies: doubled, bumped on a diagram its flip moves
+    and on one it fixes, and plus a term that one hook kills on one side
+    only (jw' = jw(n-1) x id against E_{n-1}, in either order)."""
+    e = tldiag.jones_wenzl(ctx, n)
+    ident, = identity(ctx, n).terms
+
+    def bumped(mirror):
+        d = next(d for d in e.terms
+                 if d != ident and (flip_diagram(d) == d) == mirror)
+        return tldiag.TLMorphism(ctx, n, n, {**e.terms, d: e.terms[d] + 1})
+
+    prev = tl_tensor(tldiag.jones_wenzl(ctx, n - 1), identity(ctx, 1))
+    last = hook(ctx, n, n - 1)
+    return {"jw": e, "doubled": 2 * e, "bumped": bumped(False),
+            "bumped self-flip": bumped(True),
+            "one-sided": e + compose(prev, last),
+            "other-sided": e + compose(last, prev)}
+
+
+@pytest.mark.parametrize("p, n", [(7, 6), (8, 5)])
+def test_jw_audit_alive_matches_two_sided_reference(monkeypatch, p, n):
+    ctx = field(p)
+    variants = _jw_variants(ctx, n)
+    # the last two variants make some hook alive on one side only, so a
+    # kill on the composed side must not hide it
+    for name in ("one-sided", "other-sided"):
+        e = variants[name]
+        assert any(compose(hook(ctx, n, i), e).is_zero()
+                   != compose(e, hook(ctx, n, i)).is_zero()
+                   for i in range(1, n)), name
+    for name, e in variants.items():
+        monkeypatch.setattr(checks, "jones_wenzl", lambda c, m: e)
+        _, _, alive, _, _ = checks.jw_audit(ctx, n)
+        assert alive == _two_sided_alive(e), name
+        assert (alive == []) == (name in ("jw", "doubled")), name
+
+
+@pytest.mark.parametrize("p, n", [(7, 6), (10, 9)])
+def test_jw_audit_composes_each_hook_once_on_a_mirrored_projector(
+        monkeypatch, p, n):
+    # n - 1 hook products when e equals its flip; 2(n - 1) otherwise,
+    # h.e and h.flip(e) per hook; up to n = 8 one square besides
+    ctx = field(p)
+    e = tldiag.jones_wenzl(ctx, n)
+    bumped = _jw_variants(ctx, n)["bumped"]
+    assert flip(e) == e and flip(bumped) != bumped
+    hooks = [hook(ctx, n, i) for i in range(1, n)]
+    real_compose = checks.compose
+    for broken, want in ((e, n - 1), (bumped, 2 * (n - 1))):
+        calls = []
+
+        def counted(f, g):
+            calls.append(f in hooks)
+            return real_compose(f, g)
+
+        monkeypatch.setattr(checks, "compose", counted)
+        monkeypatch.setattr(checks, "jones_wenzl", lambda c, m: broken)
+        checks.jw_audit(ctx, n)
+        assert calls.count(True) == want
+        assert calls.count(False) == (n <= checks.JW_SQUARED_MAX_N)
 
 
 @pytest.mark.parametrize("p", ALL_P)

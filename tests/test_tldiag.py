@@ -15,7 +15,9 @@ against a term-by-term sum, through both summation paths of compose (packed
 integer sums, and field sums) and with coefficients up to 2^64 over rational
 denominators.  The single-clasp jones_wenzl is checked coefficient by
 coefficient against the Wenzl recursion, and the link-state walk of
-markov_close against the closing rainbows composed out.
+markov_close against the closing rainbows composed out.  The flip is
+checked against the reversed circular word, which reflects a diagram top
+to bottom, and as an anti-involution that fixes every hook and jw(n).
 """
 
 import itertools
@@ -39,6 +41,8 @@ from ribbonkit.tldiag import (
     check_yang_baxter,
     compose,
     cup,
+    flip,
+    flip_diagram,
     from_diagram,
     hexagon_holds,
     hexagon_rows,
@@ -237,6 +241,50 @@ def test_hook_matches_the_composed_hook():
     for n, i in ((2, 0), (2, 2), (5, 5), (1, 1)):
         with pytest.raises(ValueError, match="out of range"):
             hook(ctx, n, i)
+
+
+def _reversed_word(d):
+    """d reflected top to bottom through the public constructor: on the
+    circular word the reflection reverses the points, x -> n + m - 1 - x."""
+    last = d.bottom_count + d.top_count - 1
+    return TLDiagram(d.top_count, d.bottom_count,
+                     [(last - a, last - b) for a, b in d.pairs])
+
+
+def test_flip_matches_the_reversed_word():
+    # every diagram with up to 8 boundary points, square or not
+    for n in range(9):
+        for m in range(9 - n):
+            for d in all_diagrams(n, m):
+                got = flip_diagram(d)
+                assert got.links == _reversed_word(d).links, d
+                assert (got.bottom_count, got.top_count) == (m, n)
+                assert flip_diagram(got).links == d.links
+
+
+@given(data=st.data(), p=st.sampled_from([3, 5, 7]))
+def test_flip_is_an_anti_involution(data, p):
+    # n -> m -> k with n, m, k drawn from 0..4: non-square shapes included
+    f, g = data.draw(_composable(p, coeffs=wide_coefficients))
+    assert flip(flip(f)) == f
+    assert (flip(f).bottom_count, flip(f).top_count) == (
+        f.top_count, f.bottom_count)
+    assert flip(compose(f, g)) == compose(flip(g), flip(f))
+
+
+def test_flip_fixes_every_hook():
+    ctx = field(5)
+    for n in range(2, 12):
+        for i in range(1, n):
+            assert flip(hook(ctx, n, i)) == hook(ctx, n, i), (n, i)
+
+
+@pytest.mark.parametrize("p", range(2, 10))
+def test_flip_fixes_jones_wenzl(p):
+    ctx = field(p)
+    for n in range(1, p):
+        e = jones_wenzl(ctx, n)
+        assert flip(e) == e, n
 
 
 @pytest.mark.parametrize("p", ALL_P)
