@@ -11,7 +11,8 @@ shared by the randomized properties checks in a fixed draw order.
 
 The check verbs print intermediate data rather than a verdict; the helpers
 they share with the checks (jw_audit, hexagon_winners, inverse_pair_failures,
-fpdim_routes, twist_routes) live here too.
+fpdim_routes, twist_routes) live here too.  jw_audit proves idempotency
+by the hook certificate alone, at every n.
 """
 
 from __future__ import annotations
@@ -85,15 +86,9 @@ def run_checks(p: int, names, opts: dict):
 # -- data shared with the check verbs -----------------------------------------
 
 
-# jw_audit squares jw(n) up to this n; above it, idempotency is derived
-# from the hook certificate, which reports name by this phrase
-JW_SQUARED_MAX_N = 8
-JW_CERTIFICATE = "identity coefficient 1 and hook-killing"
-
-
 def jw_audit(ctx, n: int):
     """(projector, idempotent, indices of the hooks it does not kill,
-    Markov closure, route) for jw(n).
+    Markov closure) for jw(n).
 
     A hook h is killed when h.e and e.h both vanish (x.y is compose(x, y)).
     Only h.s is composed, for each s in sides.  The flip reverses products
@@ -102,11 +97,9 @@ def jw_audit(ctx, n: int):
     read term by term without building the mirror; otherwise it is
     (e, flip(e)).
 
-    Up to n = JW_SQUARED_MAX_N, idempotency is the direct check e.e == e,
-    and route is None.  Above it, it is the hook certificate, and route is
-    JW_CERTIFICATE: e is idempotent when its identity coefficient is 1 and
-    it kills every hook, because every other basis diagram is a product of
-    hooks (Jones normal form), so e.e = e.id = e.
+    Idempotency is the hook certificate: e is idempotent when its identity
+    coefficient is 1 and it kills every hook, because every other basis
+    diagram is a product of hooks (Jones normal form), so e.e = e.id = e.
     """
     e = jones_wenzl(ctx, n)
     mirrored = all(e.terms.get(flip_diagram(d)) == c
@@ -115,13 +108,8 @@ def jw_audit(ctx, n: int):
     # every side is composed, so each hook costs len(sides) products
     alive = [i for i in range(1, n) if not all(
         [compose(hook(ctx, n, i), s).is_zero() for s in sides])]
-    if n <= JW_SQUARED_MAX_N:
-        idempotent, route = compose(e, e) == e, None
-    else:
-        ident, = identity(ctx, n).terms
-        idempotent = not alive and e.terms.get(ident) == 1
-        route = JW_CERTIFICATE
-    return e, idempotent, alive, markov_close(e), route
+    ident, = identity(ctx, n).terms
+    return e, not alive and e.terms.get(ident) == 1, alive, markov_close(e)
 
 
 def hexagon_winners(ctx) -> list:
@@ -331,8 +319,11 @@ def _jw_projectors(p, env):
     problems = []
     for n in range(1, p):
         # the loop ends at n = p - 1, leaving closure at the top projector
-        _, idempotent, alive, closure, _ = jw_audit(ctx, n)
-        if not idempotent:
+        _, idempotent, alive, closure = jw_audit(ctx, n)
+        # with every hook killed, e.e = c e for the identity coefficient c,
+        # so a failed certificate proves a nonzero e is not idempotent;
+        # with a hook alive, the row names the hook and says no more
+        if not idempotent and not alive:
             problems.append(f"jw({n}) is not idempotent")
         problems += [f"jw({n}) does not kill hook {i}" for i in alive]
         want = qint(ctx, n + 1) if n % 2 == 0 else -qint(ctx, n + 1)
@@ -340,14 +331,8 @@ def _jw_projectors(p, env):
             problems.append(f"jw({n}) has the wrong closure")
     if not closure.is_zero():
         problems.append("top projector closure is nonzero")
-    idempotent = "idempotent"
-    if p - 1 > JW_SQUARED_MAX_N:
-        derived = (f"n={p - 1}" if p - 1 == JW_SQUARED_MAX_N + 1 else
-                   f"n={JW_SQUARED_MAX_N + 1}..{p - 1}")
-        idempotent += (f" (squared for n<={JW_SQUARED_MAX_N}, from "
-                       f"{JW_CERTIFICATE} for {derived})")
     return not problems, ("; ".join(problems) if problems else
-                          f"n=1..{p - 1}: {idempotent}, hook-killing, "
+                          f"n=1..{p - 1}: idempotent, hook-killing, "
                           "alternating closures, vanishing top closure")
 
 

@@ -427,21 +427,15 @@ def _cmd_fuse(args, ps) -> int:
 def _cmd_jw(args, ps) -> int:
     bad = 0
     for p in ps:
-        e, idem, alive, closure, route = jw_audit(field(p), args.n)
+        e, idem, alive, closure = jw_audit(field(p), args.n)
         hooks = not alive
-        payload = {
+        _emit(args, {
             "verb": "jw", "p": p, "n": args.n, "terms": len(e.terms),
             "idempotent": idem, "hooks_killed": hooks,
             "markov": str(closure),
-        }
-        how = ""
-        if route:
-            payload["idempotent_by"] = route
-            how = f" (from {route})"
-        _emit(args, payload,
-              f"p={p}: jw({args.n}) terms={len(e.terms)} "
-              f"idempotent={'yes' if idem else 'NO'}{how} "
-              f"hooks-killed={'yes' if hooks else 'NO'} markov={closure}")
+        }, f"p={p}: jw({args.n}) terms={len(e.terms)} "
+           f"idempotent={'yes' if idem else 'NO'} "
+           f"hooks-killed={'yes' if hooks else 'NO'} markov={closure}")
         bad += not (idem and hooks)
     return 1 if bad else 0
 

@@ -458,7 +458,7 @@ class TruncatedRing:
         return top + spill <= self.r_max and (
             self.kind == "vir" or top - spill >= -self.r_max)
 
-    def product(self, a, b) -> Counter:
+    def product(self, a, b) -> dict:
         """a * b from the Clebsch-Gordan series, keyed in peel order.
 
         Singlet: (r,s)(r',s') gives, at t = r+r'-1 and for each k of the
@@ -503,7 +503,7 @@ class TruncatedRing:
             order = sorted(out, reverse=True)
         for lab in order:
             self._check_label(lab)
-        return Counter({lab: out[lab] for lab in order})
+        return {lab: out[lab] for lab in order}
 
     def _weights(self, lab) -> Counter:
         r, s = lab

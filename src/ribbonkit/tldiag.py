@@ -355,6 +355,12 @@ def loop_value(ctx: FieldContext) -> CycNumber:
     return -(q + inv(q))
 
 
+@cache
+def _loop_power(ctx: FieldContext, k: int) -> CycNumber:
+    """d**k, once per context and k: compose and markov_close share it."""
+    return loop_value(ctx) ** k
+
+
 def hook(ctx: FieldContext, n: int, i: int) -> TLMorphism:
     """E_i on n strands (1 <= i <= n-1): cup.cap acting on strands i, i+1.
 
@@ -463,17 +469,14 @@ def compose(f: TLMorphism, g: TLMorphism) -> TLMorphism:
                     acc.append(t)
                     continue
             acc[k] += t
-    d_pow = [loop_value(ctx)]  # d**1, d**2, ... as far as loops reach
     factors = {0: scalar}  # loops -> scalar * d**loops, None for one
     summed: dict[tuple, CycNumber] = {}
     for (res, loops), coeff in zip(keys, acc):
         if packed:
             coeff = unpack_sum(ctx, coeff, layout)
         if loops not in factors:
-            while len(d_pow) < loops:
-                d_pow.append(d_pow[-1] * d_pow[0])
-            factors[loops] = (d_pow[loops - 1] if scalar is None
-                              else scalar * d_pow[loops - 1])
+            d_loops = _loop_power(ctx, loops)
+            factors[loops] = d_loops if scalar is None else scalar * d_loops
         if factors[loops] is not None:
             coeff = coeff * factors[loops]
         summed[res] = summed[res] + coeff if res in summed else coeff
@@ -583,13 +586,8 @@ def markov_close(f: TLMorphism) -> CycNumber:
         loops = _closure_loops(*d.links)
         sums[loops] = sums[loops] + c if loops in sums else c
     total = ctx.zero()
-    d_pow = [loop_value(ctx)]  # d**1, d**2, ... as far as loops reach
     for loops, s in sums.items():
-        if loops:
-            while len(d_pow) < loops:
-                d_pow.append(d_pow[-1] * d_pow[0])
-            s = s * d_pow[loops - 1]
-        total = total + s
+        total = total + (s * _loop_power(ctx, loops) if loops else s)
     return total
 
 

@@ -257,7 +257,7 @@ def test_grring_iso_K_witnesses(p, monkeypatch):
 
     def extra_product(pair):
         def mutated(self, a, b):
-            out = product(self, a, b)
+            out = Counter(product(self, a, b))
             if (a, b) == pair:
                 out[(1, 1)] += 1
             return out
@@ -291,12 +291,10 @@ def test_grring_iso_K_witnesses(p, monkeypatch):
 
 
 def test_jw_hook_certificate_negative_controls(monkeypatch):
-    # above JW_SQUARED_MAX_N, jw_audit derives idempotency from the identity
-    # coefficient and the hooks instead of squaring: a jw(9) with one
-    # coefficient changed must fail it, and so must 2 jw(9), which still
-    # kills every hook
+    # jw_audit derives idempotency from the identity coefficient and the
+    # hooks instead of squaring: a jw(9) with one coefficient changed must
+    # fail it, and so must 2 jw(9), which still kills every hook
     ctx, n = field(10), 9
-    assert checks.JW_SQUARED_MAX_N == 8
     real_compose = checks.compose
     squares = []
 
@@ -305,36 +303,42 @@ def test_jw_hook_certificate_negative_controls(monkeypatch):
         return real_compose(f, g)
 
     monkeypatch.setattr(checks, "compose", counted)
-    e, idempotent, alive, _, route = checks.jw_audit(ctx, n)
+    e, idempotent, alive, _ = checks.jw_audit(ctx, n)
     assert idempotent and not alive and not any(squares)
-    assert route == checks.JW_CERTIFICATE
     ident, = identity(ctx, n).terms
     other = next(d for d in e.terms if d != ident)
     bumped = tldiag.TLMorphism(ctx, n, n,
                                {**e.terms, other: e.terms[other] + 1})
     for broken in (bumped, e * 2):
         monkeypatch.setattr(checks, "jones_wenzl", lambda c, m: broken)
-        _, idempotent, alive, _, _ = checks.jw_audit(ctx, n)
+        _, idempotent, alive, _ = checks.jw_audit(ctx, n)
         assert not idempotent
         assert (alive == []) == (broken == e * 2)
-    # the row says which n it squared and names the broken projector; with
-    # the square stopped at n = 5, the rows stay cheap
-    monkeypatch.setattr(checks, "JW_SQUARED_MAX_N", 5)
+    # the row names the broken projector: 2 jw(7) kills every hook, so
+    # e.e = 2e != e, and the row says it is not idempotent
     real_jw = tldiag.jones_wenzl
-    monkeypatch.setattr(checks, "jones_wenzl", real_jw)
-    assert CHECKS["jw.projectors"](7, ENV) == (True, (
-        "n=1..6: idempotent (squared for n<=5, from identity coefficient 1 "
-        "and hook-killing for n=6), hook-killing, alternating closures, "
-        "vanishing top closure"))
-    ok, detail = CHECKS["jw.projectors"](8, ENV)
-    assert ok and detail.startswith(
-        "n=1..7: idempotent (squared for n<=5, from identity coefficient 1 "
-        "and hook-killing for n=6..7), ")
     doubled = 2 * real_jw(field(8), 7)
     monkeypatch.setattr(checks, "jones_wenzl", lambda c, m: (
         doubled if m == 7 else real_jw(c, m)))
     assert CHECKS["jw.projectors"](8, ENV) == (
         False, "jw(7) is not idempotent")
+
+
+def test_jw_row_names_a_live_hook_without_an_idempotency_claim(monkeypatch):
+    # with a hook alive the certificate proves nothing either way, so the
+    # row names the hook and does not say "is not idempotent"
+    ctx, n = field(7), 6
+    e = _jw_variants(ctx, n)["one-sided"]
+    alive = _two_sided_alive(e)
+    assert alive
+    real_jw = tldiag.jones_wenzl
+    monkeypatch.setattr(checks, "jones_wenzl", lambda c, m: (
+        e if m == n else real_jw(c, m)))
+    ok, detail = CHECKS["jw.projectors"](7, ENV)
+    assert not ok
+    assert "is not idempotent" not in detail
+    assert detail.startswith("; ".join(
+        f"jw(6) does not kill hook {i}" for i in alive)), detail
 
 
 def _two_sided_alive(e):
@@ -379,7 +383,7 @@ def test_jw_audit_alive_matches_two_sided_reference(monkeypatch, p, n):
                    for i in range(1, n)), name
     for name, e in variants.items():
         monkeypatch.setattr(checks, "jones_wenzl", lambda c, m: e)
-        _, _, alive, _, _ = checks.jw_audit(ctx, n)
+        _, _, alive, _ = checks.jw_audit(ctx, n)
         assert alive == _two_sided_alive(e), name
         assert (alive == []) == (name in ("jw", "doubled")), name
 
@@ -388,7 +392,7 @@ def test_jw_audit_alive_matches_two_sided_reference(monkeypatch, p, n):
 def test_jw_audit_composes_each_hook_once_on_a_mirrored_projector(
         monkeypatch, p, n):
     # n - 1 hook products when e equals its flip; 2(n - 1) otherwise,
-    # h.e and h.flip(e) per hook; up to n = 8 one square besides
+    # h.e and h.flip(e) per hook; no other product at any n
     ctx = field(p)
     e = tldiag.jones_wenzl(ctx, n)
     bumped = _jw_variants(ctx, n)["bumped"]
@@ -405,8 +409,28 @@ def test_jw_audit_composes_each_hook_once_on_a_mirrored_projector(
         monkeypatch.setattr(checks, "compose", counted)
         monkeypatch.setattr(checks, "jones_wenzl", lambda c, m: broken)
         checks.jw_audit(ctx, n)
-        assert calls.count(True) == want
-        assert calls.count(False) == (n <= checks.JW_SQUARED_MAX_N)
+        assert calls == [True] * want
+
+
+@pytest.mark.parametrize("p", range(2, 10))
+def test_jw_certificate_implies_the_square(monkeypatch, p):
+    # differential: the hook certificate against the direct square e.e == e,
+    # on jw(n) and its broken copies for every n < p; jw(n) passes both,
+    # 2 jw(n) fails both, and no copy passes the certificate alone
+    ctx = field(p)
+    for n in range(1, p):
+        e = tldiag.jones_wenzl(ctx, n)
+        variants = (_jw_variants(ctx, n) if n >= 3
+                    else {"jw": e, "doubled": 2 * e})
+        for name, v in variants.items():
+            monkeypatch.setattr(checks, "jones_wenzl", lambda c, m: v)
+            _, certified, _, _ = checks.jw_audit(ctx, n)
+            squared = compose(v, v) == v
+            assert squared or not certified, (n, name)
+            if name == "jw":
+                assert certified and squared, n
+            if name == "doubled":
+                assert not certified and not squared, n
 
 
 @pytest.mark.parametrize("p", ALL_P)

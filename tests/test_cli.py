@@ -450,19 +450,16 @@ def test_cmd_jw(capsys):
     assert main(["jw", "-p", "3", "-n", "3"]) == 2
 
 
-def test_cmd_jw_says_when_idempotency_is_derived(capsys):
-    # jw(9) is not squared: text and JSON say where idempotency comes from
+def test_cmd_jw_line_at_n_9(capsys):
+    # one idempotency route at every n: jw(9) reads like jw(3), in text
+    # and in JSON
     assert main(["jw", "-p", "10", "-n", "9"]) == 0
     assert capsys.readouterr().out == (
-        "p=10: jw(9) terms=4862 idempotent=yes (from identity coefficient 1 "
-        "and hook-killing) hooks-killed=yes markov=0\n")
+        "p=10: jw(9) terms=4862 idempotent=yes hooks-killed=yes markov=0\n")
     assert main(["jw", "-p", "10", "-n", "9", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == {
         "verb": "jw", "p": 10, "n": 9, "terms": 4862, "idempotent": True,
-        "hooks_killed": True, "markov": "0",
-        "idempotent_by": "identity coefficient 1 and hook-killing"}
-    assert main(["jw", "-p", "5", "-n", "3", "--format", "json"]) == 0
-    assert "idempotent_by" not in json.loads(capsys.readouterr().out)
+        "hooks_killed": True, "markov": "0"}
 
 
 def test_cmd_jw_reports_every_p(capsys, monkeypatch):
@@ -470,8 +467,8 @@ def test_cmd_jw_reports_every_p(capsys, monkeypatch):
     real = cli.jw_audit
 
     def broken_at_3(ctx, n):
-        e, idempotent, alive, closure, route = real(ctx, n)
-        return e, idempotent and ctx.p != 3, alive, closure, route
+        e, idempotent, alive, closure = real(ctx, n)
+        return e, idempotent and ctx.p != 3, alive, closure
 
     monkeypatch.setattr(cli, "jw_audit", broken_at_3)
     assert main(["jw", "-p", "2..4", "-n", "1"]) == 1

@@ -984,8 +984,8 @@ def test_diagram_layer_runs_on_link_states_alone(p):
                            side_effect=AssertionError("pairs read")):
         projectors = [tldiag.jones_wenzl(ctx, n) for n in range(1, p)]
         for n in range(1, p):
-            _, idempotent, alive, closure, route = checks.jw_audit(ctx, n)
-            assert idempotent and not alive and route is None
+            _, idempotent, alive, closure = checks.jw_audit(ctx, n)
+            assert idempotent and not alive
             assert closure == (-1) ** n * qint(ctx, n + 1)
         images = [tl_to_matrix(ctx, mor) for mor in mors + projectors]
         assert images[:len(mors)] == want
