@@ -40,8 +40,8 @@ from .qrep import (
 from .fusion import (
     associative, conformal_weight, fpdim_category, fpdim_object,
     induction_F, induction_I, induction_Iprime, iso_T_labels, linear, push,
-    ring_map_witness, singlet_ring, uq_projective_classes, uq_ring, vir_ring,
-    wp_projective_classes, wp_ring,
+    ring_map_witness, singlet_ring, uq_labels, uq_projective_classes, uq_ring,
+    vir_ring, wp_projective_classes, wp_ring,
 )
 from .ribbon import (
     monodromy, muger_candidates, singlet_twists, uq_twists,
@@ -166,11 +166,10 @@ def _fpdim_category(p, env):
 @check("fpdim.simples")
 def _fpdim_simples(p, env):
     ring = uq_ring(p)
-    for s in range(1, p + 1):
-        for e in (0, 1):
-            dim = fpdim_object(ring, (s, e))
-            if dim != s:
-                return False, f"simple ({s},{e}) got {dim}"
+    for s, e in uq_labels(p):
+        dim = fpdim_object(ring, (s, e))
+        if dim != s:
+            return False, f"simple ({s},{e}) got {dim}"
     return True, "every simple has exact integer dimension s"
 
 
@@ -179,7 +178,7 @@ def _fpdim_simple_certificates(p, env):
     # the premise behind the 2p labels of uq_ring and module_twist_scalar:
     # each label's module is simple, and its one class is the label itself
     ctx = field(p)
-    labels = [(s, e) for s in range(1, p + 1) for e in (0, 1)]
+    labels = uq_labels(p)
     for lab in labels:
         module = uq_module(ctx, lab)
         if not certify_simple(module):

@@ -37,8 +37,8 @@ from functools import cache
 from .cyclo import field
 from .tldiag import braiding_candidates, check_yang_baxter
 from .fusion import (
-    DEFAULT_RMAX, TruncationOverflow, iso_T_labels, linear, singlet_ring,
-    uq_ring, vir_ring, wp_ring,
+    DEFAULT_RMAX, TruncationOverflow, linear, singlet_ring, uq_labels,
+    uq_ring, vir_ring, wp_labels, wp_ring,
 )
 from .ribbon import (
     muger_candidates, singlet_twists, voa_monodromy_phase, wp_twists,
@@ -294,19 +294,18 @@ def _ring_view(family: str, p: int, rmax) -> tuple:
     """(labels, unit, product) of the family's ring at p: all that _eval
     reads of it.
 
-    A truncated window is its own view.  A finite ring's labels are the
-    keys (uq) or values (wp) of the label bijection, and its unit is V[1] =
-    (1, 0) or that label's image; its product table is built at the first
-    product only, so a sum builds none.
+    A truncated window is its own view.  A finite ring's labels are
+    uq_labels(p) or wp_labels(p), and its unit is V[1] = (1, 0) or X[1,+]
+    = (1, 1); its product table is built at the first product only, so a
+    sum builds none.
     """
     if family in ("vir", "singlet"):
         ring = (vir_ring if family == "vir" else singlet_ring)(p, rmax)
         return ring, ring.unit, ring.product
-    assign = iso_T_labels(p)
     if family == "uq":
-        labels, unit = assign, (1, 0)
+        labels, unit = uq_labels(p), (1, 0)
     else:
-        labels, unit = set(assign.values()), assign[(1, 0)]
+        labels, unit = wp_labels(p), (1, 1)
     ring = cache(lambda: (uq_ring if family == "uq" else wp_ring)(p))
     return labels, unit, lambda a, b: ring().product(a, b)
 

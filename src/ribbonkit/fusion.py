@@ -1,10 +1,12 @@
 """Fusion rings on both sides of the correspondence.
 
-The module-oracle ring (labels (s, parity), constants from composition
-factors of tensor products, read off characters) and the
+The module-oracle ring (labels (s, parity), constants the classes of
+tensor products, read off the peeled strings of their characters) and the
 generator-recursion ring (labels (s, sign), constants from the Chebyshev
 rules alone) are built by disjoint code paths on purpose: the ring
 isomorphism between them is a checked statement, not a construction.
+Each side's 2p labels are listed once (uq_labels, wp_labels), and the
+projective-cover table is typed once, on the module side.
 
 Also here: Frobenius-Perron data, the truncated Virasoro / singlet character
 rings and the induction maps between them.  Every label of both finite rings
@@ -179,6 +181,16 @@ def ring_map_witness(source, target, assign):
 
 # -- the module-oracle ring ---------------------------------------------------
 
+def uq_labels(p: int) -> list:
+    """The 2p simple labels (s, eps) in ring order; eps = 1 is chi (x) V_s."""
+    return [(s, eps) for s in range(1, p + 1) for eps in (0, 1)]
+
+
+def wp_labels(p: int) -> list:
+    """The 2p labels (s, sign) of the recursion ring, in uq_labels' order."""
+    return [(s, eps) for s in range(1, p + 1) for eps in (1, -1)]
+
+
 def _convolve(wa: Counter, wb: Counter) -> Counter:
     conv = Counter()
     for w1, c1 in wa.items():
@@ -191,10 +203,10 @@ def _convolve(wa: Counter, wb: Counter) -> Counter:
 def uq_ring(p: int) -> FusionRing:
     """Grothendieck ring of the 2p simple weight modules at level p.
 
-    Constants are composition-factor multiplicities of pairwise tensor
-    products, computed from characters; every label is self-dual.
+    Constants are the classes of pairwise tensor products, read off the
+    peeled strings of their characters; every label is self-dual.
     """
-    labels = [(s, eps) for s in range(1, p + 1) for eps in (0, 1)]
+    labels = uq_labels(p)
     # chi shifts every weight of V_s by p: the string (eps, s)
     wts = {(s, eps): Counter(string_weights(p, eps, s)) for s, eps in labels}
     constants = {}
@@ -202,13 +214,12 @@ def uq_ring(p: int) -> FusionRing:
         for b in labels:
             # the character product is commutative by construction:
             # _convolve(wb, wa) is the same multiset as _convolve(wa, wb),
-            # and the peel and decomposition are deterministic in it, so
+            # and the peel is deterministic in it, so
             # (b, a) repeats (a, b) entry for entry and in the same order.
             # Nothing here assumes a property of the category.
             done = constants.get((b, a))
             if done is None:
-                dec = decompose_character(p, _convolve(wts[a], wts[b]))
-                done = restrict_classes(dec)
+                done = restrict_classes(p, _convolve(wts[a], wts[b]))
             constants[(a, b)] = dict(done)
     return FusionRing(labels, (1, 0), constants)
 
@@ -236,7 +247,7 @@ def wp_ring(p: int) -> FusionRing:
     swap), and constants are read off the resulting operators.  Negative
     or fractional entries would abort the build.
     """
-    labels = [(s, eps) for s in range(1, p + 1) for eps in (1, -1)]
+    labels = wp_labels(p)
     idx = {lab: i for i, lab in enumerate(labels)}
     n = 2 * p
 
@@ -270,17 +281,14 @@ def wp_ring(p: int) -> FusionRing:
     constants = {}
     for a in labels:
         for b in labels:
-            col = cols[(a, b)]
-            if min(col) < 0:
-                raise NegativityError(f"negative constant in {a!r} * {b!r}")
-            constants[(a, b)] = {labels[k]: c for k, c in enumerate(col) if c}
+            constants[(a, b)] = {labels[k]: c
+                                 for k, c in enumerate(cols[(a, b)]) if c}
     return FusionRing(labels, (1, 1), constants)
 
 
 def iso_T_labels(p: int) -> dict:
-    """The label bijection (s, 0) -> (s, +), (s, 1) -> (s, -); no ring."""
-    return {(s, eps): (s, 1 if eps == 0 else -1)
-            for s in range(1, p + 1) for eps in (0, 1)}
+    """(s, e) -> (s, 1 - 2e): place i of uq_labels to place i of wp_labels."""
+    return {(s, e): (s, 1 - 2 * e) for (s, e) in uq_labels(p)}
 
 
 # -- Frobenius-Perron dimensions ----------------------------------------------
@@ -373,26 +381,19 @@ def uq_projective_classes(p: int) -> dict:
     """Classes of projective covers: [P_s] = 2[V_s] + 2[chi V_{p-s}] for
     s < p, Steinberg its own cover; chi twists act on the whole table."""
     out = {}
-    for s in range(1, p + 1):
-        for eps in (0, 1):
-            if s == p:
-                out[(s, eps)] = Counter({(p, eps): 1})
-            else:
-                out[(s, eps)] = Counter(
-                    {(s, eps): 2, (p - s, 1 - eps): 2}
-                )
+    for s, eps in uq_labels(p):
+        if s == p:
+            out[(s, eps)] = Counter({(p, eps): 1})
+        else:
+            out[(s, eps)] = Counter({(s, eps): 2, (p - s, 1 - eps): 2})
     return out
 
 
 def wp_projective_classes(p: int) -> dict:
-    out = {}
-    for s in range(1, p + 1):
-        for eps in (1, -1):
-            if s == p:
-                out[(s, eps)] = Counter({(p, eps): 1})
-            else:
-                out[(s, eps)] = Counter({(s, eps): 2, (p - s, -eps): 2})
-    return out
+    """uq_projective_classes, labels and classes carried by iso_T_labels."""
+    assign = iso_T_labels(p)
+    return {assign[a]: push(assign, c)
+            for a, c in uq_projective_classes(p).items()}
 
 
 # -- truncated character rings ------------------------------------------------

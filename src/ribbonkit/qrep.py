@@ -27,7 +27,8 @@ images of cup and cap as coevaluation and evaluation, and module_map
 certifies them.  The module hosts, too, a character based splitting oracle
 used by the fusion rings.  A character there is a Counter weight ->
 multiplicity, string_weights is the one definition of a p-shifted string,
-and the peel is one descending pass over the weights.
+and the peel is one descending pass over the weights.  A peeled string
+(t, s) is the small quantum group class (s, t mod 2).
 """
 
 from collections import Counter
@@ -383,19 +384,6 @@ def vir_module(ctx: FieldContext, lab) -> WeightModule:
 
 
 @cache
-def _braiding_coefs(ctx: FieldContext) -> tuple:
-    """c_j = q^{-j(j-1)/2} (q^{-1}-q)^j / [j]! for j < p."""
-    q = ctx.q()
-    coef = []
-    gauss = ctx.one()
-    for j in range(ctx.p):
-        # q^{-j(j-1)/2} = zeta4p^{-j(j-1)}
-        coef.append(ctx.root(-j * (j - 1)) * gauss * inv(qfact(ctx, j)))
-        gauss = gauss * (inv(q) - q)
-    return tuple(coef)
-
-
-@cache
 def _twist_coefs(ctx: FieldContext) -> tuple:
     """(q^2-1)^j / [j]! for j < p, the sum coefficients of the inverse twist."""
     q = ctx.q()
@@ -416,8 +404,9 @@ def _twist_term(ctx: FieldContext, j: int, e: int) -> CycNumber:
 def braiding(m: WeightModule, n: WeightModule) -> Matrix:
     """The braiding tensor(m,n) -> tensor(n,m), the R-matrix sum
     sum_j c_j F^j (x) E^j after the phased flip v@w -> zeta^{-lam.mu} w@v,
-    with c_j = q^{-j(j-1)/2} (q^{-1}-q)^j / [j]!.  The matrix is certified
-    by module_map, which pins the coproduct/R-matrix conventions."""
+    with c_j = q^{-j(j-1)/2} (q^{-1}-q)^j / [j]! = (-1)^j q^{-j(j+1)/2}
+    (q^2-1)^j / [j]!, a twist term.  The matrix is certified by module_map,
+    which pins the coproduct/R-matrix conventions."""
     if m.ctx is not n.ctx:
         raise ContextMismatch("braiding inputs from different field contexts")
     ctx = m.ctx
@@ -427,10 +416,11 @@ def braiding(m: WeightModule, n: WeightModule) -> Matrix:
         for i, lam in enumerate(m.weights)
         for k, mu in enumerate(n.weights)})
     total = Matrix(ctx, dm * dn, dm * dn)
-    for c, e, f in zip(_braiding_coefs(ctx), _op_powers(m.E, ctx.p - 1),
-                       _op_powers(n.F, ctx.p - 1)):
+    for j, (e, f) in enumerate(zip(_op_powers(m.E, ctx.p - 1),
+                                   _op_powers(n.F, ctx.p - 1))):
         if e.is_zero() or f.is_zero():  # so is every later term
             break
+        c = _twist_term(ctx, j, (2 * ctx.p * j - j * (j + 1)) % ctx.N)
         total = total.add(Matrix.kron(f, e).scale(c))
     return module_map(tensor(m, n), tensor(n, m), total.mul(flip))
 
@@ -605,23 +595,19 @@ def decompose_character(p: int, weights: Counter) -> Counter:
     return out
 
 
-def decompose_factors(m: WeightModule) -> Counter:
-    """Composition-factor multiset of m over labels (r, s, chi)."""
-    return decompose_character(m.ctx.p, Counter(m.weights))
-
-
-def restrict_classes(factors: Counter) -> Counter:
-    """Push composition factors (r, s, chi) to the small quantum group:
-    L(r) restricts to r + 1 copies, so classes (s, parity of r + chi)."""
+def restrict_classes(p: int, weights: Counter) -> Counter:
+    """Classes (s, parity) over the small quantum group of a weight Counter:
+    a peeled string (t, s) is V_s shifted by t*p, and K sees weights mod 2p,
+    so its class is (s, t mod 2)."""
     out = Counter()
-    for (r, s, chi), mult in factors.items():
-        out[(s, (r + chi) % 2)] += mult * (r + 1)
+    for (t, s), mult in peel_strings(p, weights).items():
+        out[(s, t % 2)] += mult
     return out
 
 
 def uq_classes(m: WeightModule) -> Counter:
     """Restriction to the small quantum group: classes (s, parity)."""
-    return restrict_classes(decompose_factors(m))
+    return restrict_classes(m.ctx.p, Counter(m.weights))
 
 
 # -- simplicity certificates -------------------------------------------------

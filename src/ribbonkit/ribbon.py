@@ -19,7 +19,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .cyclo import field
-from .fusion import DEFAULT_RMAX, conformal_weight, singlet_ring
+from .fusion import DEFAULT_RMAX, conformal_weight, singlet_ring, uq_labels
 from .qrep import Matrix, twist_inverse, uq_module
 
 
@@ -113,8 +113,8 @@ def uq_twists(p: int) -> TwistTable:
     not simple and raises.
     """
     ctx = field(p)
-    theta = {(s, e): module_twist_scalar(twist_inverse(uq_module(ctx, (s, e))))
-             for s in range(1, p + 1) for e in (0, 1)}
+    theta = {lab: module_twist_scalar(twist_inverse(uq_module(ctx, lab)))
+             for lab in uq_labels(p)}
     return TwistTable(theta, (1, 0))
 
 

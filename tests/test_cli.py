@@ -744,6 +744,35 @@ def test_verify_properties_smoke(capsys):
     capsys.readouterr()
 
 
+# -- pinned outputs -----------------------------------------------------------
+
+_EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
+
+
+def _main_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_pinned_outputs_replay():
+    # every request pinned in bench/expected.json, keyed by its argv joined
+    # with spaces, prints the same again: session requests byte for byte
+    # with their exit codes, verify runs row for row without elapsed times
+    pinned = json.loads(_EXPECTED.read_text())
+    assert len(pinned["session"]) == 321 and len(pinned["verify"]) == 2
+    for key, want in pinned["session"].items():
+        got = _main_output(key.split(" "))
+        assert got == (want["exit"], want["stdout"], want["stderr"]), key
+    for key, want in pinned["verify"].items():
+        code, out, err = _main_output(key.split(" "))
+        rows = [json.loads(line) for line in out.splitlines()]
+        for row in rows:
+            row.pop("elapsed", None)
+        assert (code, err, rows) == (0, "", want), key
+
+
 # -- one parser per process ---------------------------------------------------
 
 VERBS = ("fuse", "jw", "braid-check", "fpdim", "twists", "muger", "phase",

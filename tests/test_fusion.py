@@ -61,9 +61,11 @@ from ribbonkit.fusion import (
     push,
     ring_map_witness,
     singlet_ring,
+    uq_labels,
     uq_projective_classes,
     uq_ring,
     vir_ring,
+    wp_labels,
     wp_projective_classes,
     wp_ring,
 )
@@ -146,8 +148,8 @@ def test_uq_ring_constants_match_ordered_pair_loop(p):
     ref = {}
     for a in labels:
         for b in labels:
-            dec = decompose_character(p, fusion._convolve(wts[a], wts[b]))
-            ref[(a, b)] = dict(restrict_classes(dec))
+            ref[(a, b)] = dict(
+                restrict_classes(p, fusion._convolve(wts[a], wts[b])))
     assert [(key, list(row.items())) for key, row in got.items()] == \
         [(key, list(row.items())) for key, row in ref.items()]
     for a, b in got:
@@ -402,6 +404,18 @@ def test_memos_are_shared():
             assert qfact(ctx, n) == want
 
 
+@pytest.mark.parametrize("p", range(2, 13))
+def test_label_lists_are_the_ring_labels(p):
+    # one label list per side, in ring order, and the bijection pairs
+    # place i with place i
+    uq, wp = uq_labels(p), wp_labels(p)
+    assert uq == list(uq_ring(p).labels) and wp == list(wp_ring(p).labels)
+    assert len(uq) == len(wp) == 2 * p
+    assign = iso_T_labels(p)
+    assert list(assign) == uq
+    assert [assign[a] for a in uq] == wp
+
+
 def test_iso_T_is_label_map():
     assign = iso_T_labels(3)
     assert assign[(2, 0)] == (2, 1)
@@ -479,6 +493,22 @@ def test_projective_classes_derived_from_oracle(p):
             dim += p
         assert observed == expected
         assert dim == p * s
+
+
+@pytest.mark.parametrize("p", range(2, 13))
+def test_wp_projective_classes_match_the_typed_table(p):
+    # the recursion-side cover table as it was typed before it became the
+    # image of the module-side table: same keys in the same order
+    typed = {}
+    for s in range(1, p + 1):
+        for eps in (1, -1):
+            if s == p:
+                typed[(s, eps)] = Counter({(p, eps): 1})
+            else:
+                typed[(s, eps)] = Counter({(s, eps): 2, (p - s, -eps): 2})
+    got = wp_projective_classes(p)
+    assert list(got) == list(typed)
+    assert got == typed
 
 
 def test_projective_classes_shape():

@@ -42,9 +42,9 @@ from ribbonkit.qrep import (
     check_module,
     chi_module,
     decompose_character,
-    decompose_factors,
     module_map,
     peel_strings,
+    restrict_classes,
     selfdual_V,
     simple_L,
     simple_V,
@@ -386,19 +386,53 @@ def test_tensor_unit_neutral(p):
 # -- decomposition oracle ----------------------------------------------------
 
 
+def _factors(m):
+    # composition factors (r, s, chi) of a module, from its character
+    return decompose_character(m.ctx.p, Counter(m.weights))
+
+
+def _factor_classes(p, weights):
+    # the factor route to the small quantum group classes: L(r) (x) chi^c
+    # (x) V_s restricts to r + 1 copies of the class (s, (r + c) mod 2)
+    out = Counter()
+    for (r, s, c), mult in decompose_character(p, weights).items():
+        out[(s, (r + c) % 2)] += mult * (r + 1)
+    return out
+
+
+@pytest.mark.parametrize("p", range(2, 13))
+def test_restrict_classes_matches_factor_route(p):
+    # the classes read off the peeled strings against the factor route, on
+    # every pair product of the 2p simples and on explicit modules
+    ctx = field(p)
+    labels = [(s, e) for s in range(1, p + 1) for e in (0, 1)]
+    chars = [Counter(uq_module(ctx, lab).weights) for lab in labels]
+    chars += [Counter(w1 + w2 for w1 in string_weights(p, ea, sa)
+                      for w2 in string_weights(p, eb, sb))
+              for sa, ea in labels for sb, eb in labels]
+    chars += [Counter(vir_module(ctx, (r, s)).weights)
+              for r in range(1, 7) for s in range(1, p + 1)]
+    chars += [Counter(tensor(simple_V(ctx, a), simple_V(ctx, b)).weights)
+              for a in range(1, p + 1) for b in range(1, p + 1)]
+    for char in chars:
+        assert restrict_classes(p, char) == _factor_classes(p, char)
+    for m in (uq_module(ctx, lab) for lab in labels):
+        assert uq_classes(m) == _factor_classes(p, Counter(m.weights))
+
+
 def test_decompose_generic_rule():
     for p in [3, 4, 5, 7]:
         ctx = field(p)
         v2 = simple_V(ctx, 2)
         for s in range(2, p):
-            out = decompose_factors(tensor(v2, simple_V(ctx, s)))
+            out = _factors(tensor(v2, simple_V(ctx, s)))
             assert out == Counter({(0, s - 1, 0): 1, (0, s + 1, 0): 1})
 
 
 def test_decompose_boundary_p2():
     ctx = field(2)
     t = tensor(simple_V(ctx, 2), simple_V(ctx, 2))
-    assert decompose_factors(t) == Counter({(0, 1, 0): 2, (1, 1, 0): 1})
+    assert _factors(t) == Counter({(0, 1, 0): 2, (1, 1, 0): 1})
     # u_q restriction: classes {1, 1, chi, chi}
     assert uq_classes(t) == Counter({(1, 0): 2, (1, 1): 2})
 
@@ -406,20 +440,20 @@ def test_decompose_boundary_p2():
 def test_decompose_frobenius_classical():
     ctx = field(3)
     t = tensor(simple_L(ctx, 1), simple_L(ctx, 1))
-    assert decompose_factors(t) == Counter({(0, 1, 0): 1, (2, 1, 0): 1})
+    assert _factors(t) == Counter({(0, 1, 0): 1, (2, 1, 0): 1})
 
 
 def test_decompose_chi_squared():
     ctx = field(3)
     t = tensor(chi_module(ctx), chi_module(ctx))
-    assert decompose_factors(t) == Counter({(0, 1, 0): 1})
+    assert _factors(t) == Counter({(0, 1, 0): 1})
     assert uq_classes(t) == Counter({(1, 0): 1})
 
 
 def test_decompose_chi_twist():
     ctx = field(3)
     t = uq_module(ctx, (2, 1))
-    assert decompose_factors(t) == Counter({(0, 2, 1): 1})
+    assert _factors(t) == Counter({(0, 2, 1): 1})
     assert uq_classes(t) == Counter({(2, 1): 1})
 
 
@@ -428,7 +462,7 @@ def test_decompose_inconsistent_raises():
     z = Matrix(ctx, 1, 1)
     bad = WeightModule(ctx, (1,), z, z, z, z)
     with pytest.raises(InconsistentCharacter):
-        decompose_factors(bad)
+        _factors(bad)
 
 
 def test_decompose_mixed_product_single_factor():
@@ -438,7 +472,7 @@ def test_decompose_mixed_product_single_factor():
         for r in range(0, 3):
             for s in range(1, p + 1):
                 t = vir_module(ctx, (r + 1, s))
-                assert decompose_factors(t) == Counter({(r, s, 0): 1})
+                assert _factors(t) == Counter({(r, s, 0): 1})
 
 
 @given(data=st.data(), p=st.integers(min_value=2, max_value=7))
