@@ -209,15 +209,19 @@ def parse(text: str):
     return node
 
 
-def _atom_str(node) -> str:
+def _written_label(node) -> tuple:
+    """The label of an atom node as written, an index 'p' kept: chi is
+    (1, 1), V[s] is (s, 0), and X, L and M carry their indices."""
     _, family, idx = node
     if family == "chi":
-        return "chi"
+        return (1, 1)
     if family == "V":
-        return f"V[{idx[0]}]"
-    if family == "X":
-        return f"X[{idx[0]},{'+' if idx[1] > 0 else '-'}]"
-    return f"{family}[{idx[0]},{idx[1]}]"
+        return (idx[0], 0)
+    return idx
+
+
+def _atom_str(node) -> str:
+    return label_str(_written_label(node), _FAMILY_OF[node[1]])
 
 
 def print_expression(node) -> str:
@@ -312,14 +316,7 @@ def _ring_view(family: str, p: int, rmax) -> tuple:
 
 def _atom_label(node, labels, p: int):
     """The label of an atom node, refused unless it is in labels."""
-    _, fam, idx = node
-    idx = tuple(p if v == "p" else v for v in idx)
-    if fam == "chi":
-        lab = (1, 1)
-    elif fam == "V":
-        lab = (idx[0], 0)
-    else:
-        lab = idx
+    lab = tuple(p if v == "p" else v for v in _written_label(node))
     if lab not in labels:
         raise EvalError(f"label {_atom_str(node)} is not in the p={p} ring")
     return lab

@@ -6,6 +6,10 @@ divided-power generators Ep/Fp shift by +-2p and carry the Frobenius part of
 the theory.  Operators are sparse matrices over the exact cyclotomic field;
 everything here is exact, nothing is numeric.
 
+A product module is built by one rule: E, F, Ep and Fp of m (x) n are the
+coproduct of the divided power X^(k), for X = E or F and k = 1 or p, written
+once in _coproduct, and each stays a thunk until it is read.
+
 A map between modules is a plain Matrix: module_map certifies it (field,
 shape, K-equivariance, and intertwining E, F, Ep, Fp) and hands it back.
 
@@ -32,7 +36,7 @@ and the peel is one descending pass over the weights.  A peeled string
 """
 
 from collections import Counter
-from functools import cache
+from functools import cache, partial
 
 from .cyclo import ContextMismatch, CycNumber, FieldContext, inv, qfact, qint
 from . import tldiag
@@ -279,88 +283,79 @@ def chi_module(ctx: FieldContext) -> WeightModule:
 # -- tensor products ---------------------------------------------------------
 
 
-def _kdiag(m: WeightModule, t: int) -> Matrix:
-    # K^t as a diagonal matrix
-    ctx = m.ctx
-    return Matrix.diagonal(ctx, [ctx.root(2 * t * w) for w in m.weights])
+def _kscaled(op: Matrix, weights, axis: int, t: int, c: int) -> Matrix:
+    """q^c K^t op (axis 0, weights of op's rows) or q^c op K^t (axis 1,
+    weights of its columns): K^t is diagonal, q^{tw} at weight w, so this
+    scales op's entries and runs no matrix product."""
+    if not t:
+        return op
+    ctx = op.ctx
+    return Matrix(ctx, op.rows, op.cols, {
+        rc: v * ctx.root(2 * (t * weights[rc[axis]] + c))
+        for rc, v in op.data.items()})
 
 
 def _op_powers(op: Matrix, top: int) -> list:
-    """[op^0, ..., op^top]; multiplying stops at the first zero power, and
-    every later entry is that same zero matrix."""
-    out = [Matrix.identity(op.ctx, op.rows)]
+    """[op^0, ..., op^top]; op^1 is op itself, multiplying stops at the
+    first zero power, and every later entry is that same zero matrix."""
+    out = [Matrix.identity(op.ctx, op.rows), op][:top + 1]
     while len(out) <= top and not out[-1].is_zero():
         out.append(op.mul(out[-1]))
     out += [out[-1]] * (top + 1 - len(out))
     return out
 
 
-def _divided(m: WeightModule, powers, generator, k: int) -> Matrix:
-    # E^{(k)} / F^{(k)}: identity, E^k/[k]!, or the stored p-th divided power
-    if k == 0:
-        return Matrix.identity(m.ctx, m.dimension)
+def _divided(m: WeightModule, powers, name: str, k: int) -> Matrix:
+    # X^{(k)} for X = E or F: the stored generator Xp at k = p, else X^k/[k]!
     if k == m.ctx.p:
-        return generator
+        return getattr(m, name + "p")
+    if k <= 1:
+        return powers[k]
     return powers[k].scale(inv(qfact(m.ctx, k)))
 
 
-def _divided_pairs(m: WeightModule, n: WeightModule, name: str):
-    """(k, m's X^{(k)}, n's X^{(p-k)}) for X = E or F, for the k where both
-    divided powers are nonzero.  m's side is built first; n's powers are
-    built only up to the largest p-k that a nonzero left factor needs."""
+def _coproduct(m: WeightModule, n: WeightModule, name: str,
+               k: int) -> Matrix:
+    """X^{(k)} on m (x) n, for X = E or F and k = 1 or p:
+        Delta(E^{(k)}) = sum_{i+j=k} q^{ij} E^{(i)} K^j (x) E^{(j)},
+        Delta(F^{(k)}) = sum_{i+j=k} q^{-ij} F^{(i)} (x) K^{-i} F^{(j)},
+    which at k = 1 read E (x) 1 + K (x) E and F (x) K^-1 + 1 (x) F.
+    m's divided powers are built first; n's only up to the largest j < p
+    that a nonzero left factor needs, so a factor whose X vanishes (chi)
+    costs no power of the other."""
     p = m.ctx.p
-    gen = name + "p"
-    mpow = _op_powers(getattr(m, name), p - 1)
-    lefts = [(k, _divided(m, mpow, getattr(m, gen), k)) for k in range(p + 1)]
-    lefts = [(k, left) for k, left in lefts if not left.is_zero()]
-    need = max((p - k for k, _ in lefts if 0 < k < p), default=0)
+    mpow = _op_powers(getattr(m, name), min(k, p - 1))
+    lefts = [(i, _divided(m, mpow, name, i)) for i in range(k + 1)]
+    lefts = [(i, left) for i, left in lefts if not left.is_zero()]
+    need = max((k - i for i, _ in lefts if k - i < p), default=0)
     npow = _op_powers(getattr(n, name), need)
-    for k, left in lefts:
-        right = _divided(n, npow, getattr(n, gen), p - k)
-        if not right.is_zero():
-            yield k, left, right
+    dim = m.dimension * n.dimension
+    out = Matrix(m.ctx, dim, dim)
+    for i, left in lefts:
+        j = k - i
+        right = _divided(n, npow, name, j)
+        if right.is_zero():
+            continue
+        # the q^{+-ij} rides on the K-factor; where that is K^0, ij = 0 too
+        if name == "E":
+            left = _kscaled(left, m.weights, 1, j, i * j)
+        else:
+            right = _kscaled(right, n.weights, 0, -i, -i * j)
+        out = out.add(Matrix.kron(left, right))
+    return out
 
 
 def tensor(m: WeightModule, n: WeightModule) -> WeightModule:
-    """Product module under the coproduct
-    E -> E@1 + K@E,  F -> F@K^{-1} + 1@F, with the matching divided-power
-    expansion for Ep and Fp.  Only the weights are computed here; each
+    """Product module: each of E, F, Ep and Fp is the one coproduct rule
+    _coproduct at k = 1 or p.  Only the weights are computed here; each
     operator is built on first access, so a product whose character alone
     is read (uq_classes) costs its weights alone."""
     if m.ctx is not n.ctx:
         raise ContextMismatch("tensor factors from different field contexts")
-    ctx = m.ctx
-    p = ctx.p
     weights = tuple(wm + wn for wm in m.weights for wn in n.weights)
-    dim = len(weights)
-
-    def e_t():
-        id_n = Matrix.identity(ctx, n.dimension)
-        return Matrix.kron(m.E, id_n).add(Matrix.kron(_kdiag(m, 1), n.E))
-
-    def f_t():
-        id_m = Matrix.identity(ctx, m.dimension)
-        return Matrix.kron(m.F, _kdiag(n, -1)).add(Matrix.kron(id_m, n.F))
-
-    def ep_t():
-        out = Matrix(ctx, dim, dim)
-        for k, left, right in _divided_pairs(m, n, "E"):
-            left = left.mul(_kdiag(m, p - k))
-            out = out.add(
-                Matrix.kron(left, right).scale(ctx.root(2 * k * (p - k)))
-            )
-        return out
-
-    def fp_t():
-        out = Matrix(ctx, dim, dim)
-        for k, left, right in _divided_pairs(m, n, "F"):
-            right = _kdiag(n, -k).mul(right)
-            out = out.add(
-                Matrix.kron(left, right).scale(ctx.root(-2 * k * (p - k)))
-            )
-        return out
-
-    return WeightModule(ctx, weights, e_t, f_t, ep_t, fp_t)
+    ops = [partial(_coproduct, m, n, name, k)
+           for k in (1, m.ctx.p) for name in ("E", "F")]
+    return WeightModule(m.ctx, weights, *ops)
 
 
 # -- the module of a label --------------------------------------------------

@@ -124,6 +124,7 @@ def test_op_powers_stop_at_zero(p):
     assert len(powers) == p + 1
     assert powers[:2] == [Matrix.identity(ctx, 2), e]
     assert all(x.is_zero() for x in powers[2:])
+    assert _op_powers(e, 0) == [Matrix.identity(ctx, 2)]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -670,12 +671,17 @@ def _kpow(m, t):
     return Matrix.diagonal(ctx, [ctx.root(2 * t * w) for w in m.weights])
 
 
-def _reference_ep_fp(m, n):
-    """Ep and Fp of m (x) n, every divided-power term of the coproduct
-    built on both sides before the zero terms are dropped."""
+def _reference_generators(m, n):
+    """E, F, Ep and Fp of m (x) n: E = E (x) 1 + K (x) E and F = F (x) K^-1
+    + 1 (x) F written out, and every divided-power term of the coproduct of
+    Ep and Fp built on both sides before the zero terms are dropped."""
     ctx = m.ctx
     p = ctx.p
     dim = m.dimension * n.dimension
+    e = Matrix.kron(m.E, Matrix.identity(ctx, n.dimension)).add(
+        Matrix.kron(_kpow(m, 1), n.E))
+    f = Matrix.kron(m.F, _kpow(n, -1)).add(
+        Matrix.kron(Matrix.identity(ctx, m.dimension), n.F))
     me, ne = _all_powers(m.E, p - 1), _all_powers(n.E, p - 1)
     mf, nf = _all_powers(m.F, p - 1), _all_powers(n.F, p - 1)
     ep = Matrix(ctx, dim, dim)
@@ -691,7 +697,7 @@ def _reference_ep_fp(m, n):
         if not (left.is_zero() or right.is_zero()):
             fp = fp.add(
                 Matrix.kron(left, right).scale(ctx.root(-2 * k * (p - k))))
-    return ep, fp
+    return e, f, ep, fp
 
 
 def _reference_twist_inverse(m):
@@ -775,24 +781,45 @@ def test_braiding_matches_reference_kernel(p):
                 assert braiding(m, n) == _reference_braiding(m, n), (m, n)
 
 
-@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7, 8])
 def test_tensor_divided_powers_match_reference(p):
+    # all four generators of the product.  V2 (x) Vp has the Ep terms with
+    # 0 < i < p at every p; beyond the simples, factors that are products
+    # themselves: L(1) (x) V2 carries both E and Ep, V2 (x) (V2 (x) V2) has
+    # weight multiplicities above one, and chi (x) (Vp (x) V2) has a right
+    # factor with a Jordan block
     ctx = field(p)
     chi = chi_module(ctx)
+    v2, vp = simple_V(ctx, 2), simple_V(ctx, p)
+    lv = tensor(simple_L(ctx, 1), v2)
     pairs = [(chi, simple_V(ctx, s)) for s in (1, 2, p)]
+    pairs += [(v2, vp), (vp, v2)]
     for r in (1, 2):
         ell = simple_L(ctx, r)
-        pairs += [(ell, simple_V(ctx, 2)), (simple_V(ctx, 2), ell),
-                  (ell, simple_V(ctx, p)), (simple_V(ctx, p), ell),
+        pairs += [(ell, v2), (v2, ell), (ell, vp), (vp, ell),
                   (chi, ell), (ell, chi), (ell, simple_L(ctx, 1))]
+    pairs += [(lv, v2), (v2, lv), (lv, chi), (chi, lv),
+              (v2, tensor(v2, v2)), (chi, tensor(vp, v2))]
     for m, n in pairs:
         prod = tensor(m, n)
-        ep, fp = _reference_ep_fp(m, n)
-        assert prod.Ep == ep
-        assert prod.Fp == fp
+        assert [prod.E, prod.F, prod.Ep, prod.Fp] == list(
+            _reference_generators(m, n)), (m, n)
     # the Frobenius part survives only where a factor carries one
     assert not tensor(simple_L(ctx, 1), simple_V(ctx, 2)).Ep.is_zero()
     assert tensor(chi, simple_V(ctx, p)).Ep.is_zero()
+
+
+def test_simples_build_their_generators_without_matrix_products():
+    # E, F, Ep and Fp of every uq_module, chi (x) V_s included: X^1 is read
+    # off the power list, chi's vanishing E and F need no power of V_s, and
+    # a K-factor scales entries, so no Matrix.mul runs
+    mods = [uq_module(field(p), (s, e))
+            for p in range(2, 17) for s in range(1, p + 1) for e in (0, 1)]
+    with mock.patch.object(Matrix, "mul",
+                           side_effect=AssertionError("Matrix.mul")):
+        for m in mods:
+            for name in ("E", "F", "Ep", "Fp"):
+                getattr(m, name)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7, 8, 16])
