@@ -9,10 +9,11 @@ layers return; no layer below hands it a report to decode.  env holds the
 run options (rmax, seed, triples, roundtrips) and one seeded rng per p,
 shared by the randomized properties checks in a fixed draw order.
 
-The check verbs print intermediate data rather than a verdict; the helpers
-they share with the checks (jw_audit, hexagon_winners, inverse_pair_failures,
-fpdim_routes, twist_routes) live here too.  jw_audit proves idempotency
-by the hook certificate alone, at every n.
+The check verbs (jw, braid-check, fpdim, twists) print the intermediate
+data beside a verdict of their own, and exit 1 when it fails at some p; the
+helpers they share with the checks (jw_audit, hexagon_winners,
+inverse_pair_failures, fpdim_routes, twist_routes) live here too.
+jw_audit proves idempotency by the hook certificate alone, at every n.
 """
 
 from __future__ import annotations

@@ -15,11 +15,14 @@ MAX_DEPTH levels deep; deeper input is a syntax error, not a crash.
 
 Verbs: fuse, jw, braid-check, fpdim, twists, muger, phase, verify.  The
 checks behind verify and the data the check verbs print come from
-ribbonkit.checks; the verbs here only render them.  Exit codes: 0 on
-success, 1 when a verification fails, 2 for usage or parse trouble.  -p
-takes one value or an inclusive range A..B; --format json emits one JSON
-object per line.  The argparse tree is built once per process, on the first
-main call, and every later call reuses it.
+ribbonkit.checks; the verbs here only render them.  Each verb is a
+generator over the p range that yields report rows (ok, payload, text);
+main alone prints them, one row per line (payload as one JSON object under
+--format json, text otherwise), and sets the exit code: 0 on success, 1
+when a row is not ok (a verification failed), 2 for usage or parse
+trouble.  -p takes one value or an inclusive range A..B, walked as a range
+and never listed, so a huge range streams.  The argparse tree is built
+once per process, on the first main call, and every later call reuses it.
 """
 
 from __future__ import annotations
@@ -398,144 +401,121 @@ def twist_table_json(table) -> dict:
 
 
 # -- command verbs ------------------------------------------------------------
+#
+# Row generators (see the module docstring); work that does not depend on p
+# is done once, before the first row.
 
 
-def _emit(args, payload: dict, text: str):
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        print(text)
-
-
-def _cmd_fuse(args, ps) -> int:
+def _cmd_fuse(args, ps):
     node = parse(args.expr)
     family = expression_family(node)
     for p in ps:
         combo = evaluate(node, p, args.rmax)
         pretty = format_combination(combo, family)
-        _emit(args, {
+        yield True, {
             "verb": "fuse", "p": p, "expr": print_expression(node),
             "ring": family, "result": _combo_json(combo), "pretty": pretty,
-        }, f"p={p}: {pretty}" if len(ps) > 1 else pretty)
-    return 0
+        }, f"p={p}: {pretty}" if ps[-1] > ps[0] else pretty
 
 
-def _cmd_jw(args, ps) -> int:
-    bad = 0
+def _cmd_jw(args, ps):
     for p in ps:
         e, idem, alive, closure = jw_audit(field(p), args.n)
         hooks = not alive
-        _emit(args, {
+        yield idem and hooks, {
             "verb": "jw", "p": p, "n": args.n, "terms": len(e.terms),
             "idempotent": idem, "hooks_killed": hooks,
             "markov": str(closure),
-        }, f"p={p}: jw({args.n}) terms={len(e.terms)} "
-           f"idempotent={'yes' if idem else 'NO'} "
-           f"hooks-killed={'yes' if hooks else 'NO'} markov={closure}")
-        bad += not (idem and hooks)
-    return 1 if bad else 0
+        }, (f"p={p}: jw({args.n}) terms={len(e.terms)} "
+            f"idempotent={'yes' if idem else 'NO'} "
+            f"hooks-killed={'yes' if hooks else 'NO'} markov={closure}")
 
 
-def _cmd_braid_check(args, ps) -> int:
-    bad = 0
+def _cmd_braid_check(args, ps):
     for p in ps:
         ctx = field(p)
         winners = hexagon_winners(ctx)
         cands = braiding_candidates(ctx)
         yb = all(check_yang_baxter(c) for c in cands)
         inverse_ok = not inverse_pair_failures(cands)
-        ok = len(winners) == 4 and yb and inverse_ok
-        bad += not ok
-        _emit(args, {
+        yield len(winners) == 4 and yb and inverse_ok, {
             "verb": "braid-check", "p": p, "hexagon_solutions": len(winners),
             "yang_baxter": yb, "inverse_pairs": inverse_ok,
-        }, f"p={p}: hexagon solutions={len(winners)} (expected 4) "
-           f"yang-baxter={'yes' if yb else 'NO'} "
-           f"inverse-pairs={'yes' if inverse_ok else 'NO'}")
-    return 1 if bad else 0
+        }, (f"p={p}: hexagon solutions={len(winners)} (expected 4) "
+            f"yang-baxter={'yes' if yb else 'NO'} "
+            f"inverse-pairs={'yes' if inverse_ok else 'NO'}")
 
 
-def _cmd_fpdim(args, ps) -> int:
-    bad = 0
+def _cmd_fpdim(args, ps):
     for p in ps:
         du, dw = fpdim_routes(p)
         ok = du == dw
-        bad += not ok
-        _emit(args, {
+        yield ok, {
             "verb": "fpdim", "p": p, "module_route": str(du),
             "recursion_route": str(dw), "agree": ok,
-        }, f"p={p}: {du}" + ("" if ok else f" != {dw} (routes disagree)"))
-    return 1 if bad else 0
+        }, f"p={p}: {du}" + ("" if ok else f" != {dw} (routes disagree)")
 
 
-def _cmd_twists(args, ps) -> int:
-    bad = 0
+def _cmd_twists(args, ps):
     for p in ps:
         table, mismatched = twist_routes(p)
         agree = not mismatched
-        bad += not agree
         lines = [f"p={p} {label_str(lab, 'wp')}: {table.theta[lab]}"
                  for lab in sorted(table.theta)]
         lines.append(f"p={p} module route (inverse twists) agrees: "
                      f"{'yes' if agree else 'NO'}")
-        _emit(args, {**twist_table_json(table), "verb": "twists", "p": p,
-                     "module_route_agrees": agree}, "\n".join(lines))
-    return 1 if bad else 0
+        yield agree, {**twist_table_json(table), "verb": "twists", "p": p,
+                      "module_route_agrees": agree}, "\n".join(lines)
 
 
-def _cmd_muger(args, ps) -> int:
+def _cmd_muger(args, ps):
     for p in ps:
         wp_cands = sorted(muger_candidates(wp_ring(p), wp_twists(p)))
         ring = singlet_ring(p, args.rmax)
         s_cands = sorted(
             muger_candidates(ring, singlet_twists(p, args.rmax))
         )
-        _emit(args, {
+        yield True, {
             "verb": "muger", "p": p,
             "wp": [list(lab) for lab in wp_cands],
             "singlet": [list(lab) for lab in s_cands],
-        }, f"p={p} wp: " + " ".join(label_str(c, "wp") for c in wp_cands)
-           + f"\np={p} singlet: "
-           + " ".join(label_str(c, "singlet") for c in s_cands))
-    return 0
+        }, (f"p={p} wp: " + " ".join(label_str(c, "wp") for c in wp_cands)
+            + f"\np={p} singlet: "
+            + " ".join(label_str(c, "singlet") for c in s_cands))
 
 
-def _cmd_phase(args, ps) -> int:
+def _cmd_phase(args, ps):
     hs = args.h
     for p in ps:
         value = voa_monodromy_phase(p, hs[0], hs[1], hs[2],
                                     squared=args.squared)
-        _emit(args, {
+        yield True, {
             "verb": "phase", "p": p, "h": [str(h) for h in hs],
             "squared": args.squared, "value": str(value),
-        }, f"p={p}: {value}" if len(ps) > 1 else str(value))
-    return 0
+        }, f"p={p}: {value}" if ps[-1] > ps[0] else str(value)
 
 
-def _cmd_verify(args, ps) -> int:
+def _cmd_verify(args, ps):
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     names = [name for suite in suites for name in SUITES[suite]]
-    share = max(1, len(ps))
+    share = ps.stop - ps.start
     opts = {
         "rmax": args.rmax,
         "seed": args.seed,
         "triples": -(-args.triples // share),
         "roundtrips": -(-args.roundtrips // share),
     }
-    failures = 0
     for p in ps:
         for res in run_checks(p, names, opts):
-            failures += res["status"] != "pass"
-            _emit(args, res,
-                  f"[{res['status']}] p={res['p']} {res['check']}: "
-                  f"{res['detail']} ({res['elapsed']:.2f}s)")
-    return 1 if failures else 0
+            yield res["status"] == "pass", res, (
+                f"[{res['status']}] p={res['p']} {res['check']}: "
+                f"{res['detail']} ({res['elapsed']:.2f}s)")
 
 
 # -- argument handling --------------------------------------------------------
 
 
-def _parse_prange(text: str) -> list:
+def _parse_prange(text: str) -> range:
     lo_text, dots, hi_text = text.partition("..")
     try:
         lo = int(lo_text)
@@ -548,7 +528,7 @@ def _parse_prange(text: str) -> list:
         raise ValueError(
             f"p range {text!r} must satisfy 2 <= first <= last"
         )
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _weight(text: str) -> Fraction:
@@ -620,36 +600,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="verb", required=True)
 
-    def common(sp):
+    def verb(name: str, run, help: str):
+        # run is the verb's row generator; no option has dest "run"
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
         sp.add_argument("-p", required=True, metavar="P[..Q]",
                         help="parameter p >= 2, or an inclusive range A..B")
         sp.add_argument("--format", choices=("text", "json"), default="text")
+        return sp
 
     def window(sp, least):
         sp.add_argument("--rmax", type=least, default=DEFAULT_RMAX,
                         help="truncation window for the infinite families")
 
-    sp = sub.add_parser("fuse", help="evaluate a fusion expression")
-    common(sp)
+    sp = verb("fuse", _cmd_fuse, "evaluate a fusion expression")
     window(sp, _window)
     sp.add_argument("expr")
-    sp = sub.add_parser("jw", help="audit one projector")
-    common(sp)
+    sp = verb("jw", _cmd_jw, "audit one projector")
     sp.add_argument("-n", type=int, required=True)
-    common(sub.add_parser("braid-check",
-                          help="hexagon scan, braid relation, inverses"))
-    common(sub.add_parser("fpdim", help="category dimension, both routes"))
-    common(sub.add_parser("twists", help="twist table with cross-check"))
-    sp = sub.add_parser("muger", help="transparent-object candidates")
-    common(sp)
+    verb("braid-check", _cmd_braid_check,
+         "hexagon scan, braid relation, inverses")
+    verb("fpdim", _cmd_fpdim, "category dimension, both routes")
+    verb("twists", _cmd_twists, "twist table with cross-check")
+    sp = verb("muger", _cmd_muger, "transparent-object candidates")
     window(sp, _muger_window)
-    sp = sub.add_parser("phase", help="monodromy phase from three weights")
-    common(sp)
+    sp = verb("phase", _cmd_phase, "monodromy phase from three weights")
     sp.add_argument("--squared", action="store_true")
     sp.add_argument("h", nargs=3, type=_weight,
                     help="three conformal weights as fractions")
-    sp = sub.add_parser("verify", help="run a verification suite")
-    common(sp)
+    sp = verb("verify", _cmd_verify, "run a verification suite")
     window(sp, _verify_window)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--suite", default="all",
@@ -661,18 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-_DISPATCH = {
-    "fuse": _cmd_fuse,
-    "jw": _cmd_jw,
-    "braid-check": _cmd_braid_check,
-    "fpdim": _cmd_fpdim,
-    "twists": _cmd_twists,
-    "muger": _cmd_muger,
-    "phase": _cmd_phase,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -680,10 +647,12 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return 0 if err.code == 0 else 2
     try:
-        ps = _parse_prange(args.p)
-        code = _DISPATCH[args.verb](args, ps)
+        failed = False
+        for ok, payload, text in args.run(args, _parse_prange(args.p)):
+            print(json.dumps(payload) if args.format == "json" else text)
+            failed |= not ok
         sys.stdout.flush()
-        return code
+        return 1 if failed else 0
     except BrokenPipeError:
         # the reader went away (``| head``); the output is no longer wanted,
         # and what is still buffered goes to devnull so the flush at exit

@@ -13,6 +13,7 @@ Frozen expectations:
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import random
@@ -27,7 +28,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import ribbonkit
-from ribbonkit import cli, fusion
+from ribbonkit import checks, cli, fusion
 from ribbonkit.cyclo import field
 from ribbonkit.cli import (
     MAX_DEPTH,
@@ -462,19 +463,46 @@ def test_cmd_jw_line_at_n_9(capsys):
         "hooks_killed": True, "markov": "0"}
 
 
-def test_cmd_jw_reports_every_p(capsys, monkeypatch):
-    # a failure at one p of the range is counted, not an early return
-    real = cli.jw_audit
+# verb: (argv after the p range, attribute of cli, spoil of its p=3 result,
+# a text that only the p=3 row prints)
+_BROKEN_AT_3 = {
+    "jw": (["-n", "1"], "jw_audit",
+           lambda r: (r[0], False, r[2], r[3]), "idempotent=NO"),
+    "braid-check": ([], "hexagon_winners", lambda r: r[:3], "solutions=3"),
+    "fpdim": ([], "fpdim_routes", lambda r: (r[0], r[1] + 1),
+              "routes disagree"),
+    "twists": ([], "twist_routes", lambda r: (r[0], [(1, 1)]), "agrees: NO"),
+    "verify": (["--suite", "fpdim"], None, None, "[fail] p=3 fpdim.category"),
+}
 
-    def broken_at_3(ctx, n):
-        e, idempotent, alive, closure = real(ctx, n)
-        return e, idempotent and ctx.p != 3, alive, closure
 
-    monkeypatch.setattr(cli, "jw_audit", broken_at_3)
-    assert main(["jw", "-p", "2..4", "-n", "1"]) == 1
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("verb", list(_BROKEN_AT_3))
+def test_cmd_reports_every_p(capsys, monkeypatch, verb, fmt):
+    # a failure at one p of the range is counted, not an early return: the
+    # run exits 1 and still prints every p, in order
+    rest, attr, spoil, marker = _BROKEN_AT_3[verb]
+    if attr is None:
+        real = checks.CHECKS["fpdim.category"]
+        monkeypatch.setitem(checks.CHECKS, "fpdim.category", lambda p, env: (
+            (False, "spoiled at p=3") if p == 3 else real(p, env)))
+    else:
+        real = getattr(cli, attr)
+
+        def broken(arg, *more):
+            out = real(arg, *more)
+            return spoil(out) if getattr(arg, "p", arg) == 3 else out
+
+        monkeypatch.setattr(cli, attr, broken)
+    assert main([verb, "-p", "2..4", "--format", fmt] + rest) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["p=2", "p=3", "p=4"]
-    assert "idempotent=NO" in lines[1]
+    if fmt == "json":
+        ps = [json.loads(line)["p"] for line in lines]
+    else:
+        ps = [int(re.search(r"p=(\d+)", line).group(1)) for line in lines]
+        assert [p for p, line in zip(ps, lines) if marker in line] == [3]
+    # verify and twists may give one p several lines, all together
+    assert [p for p, _ in itertools.groupby(ps)] == [2, 3, 4]
 
 
 def test_cmd_braid_check(capsys):
@@ -678,6 +706,23 @@ def test_cmd_closed_pipe_exits_quietly(unbuffered):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 0
     assert err == b""
+
+
+def test_cmd_huge_range_streams():
+    # the p range is walked, never listed: with p up to 10**30 the first row
+    # comes out at once, and the run ends quietly when the reader goes away
+    env = dict(os.environ, PYTHONUNBUFFERED="1",
+               PYTHONPATH=str(Path(ribbonkit.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ribbonkit.cli", "fpdim", "-p",
+         f"2..{10 ** 30}"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert (first, err) == (b"p=2: 16\n", b"")
 
 
 @pytest.mark.parametrize("argv, message", [
