@@ -9,11 +9,12 @@ layers return; no layer below hands it a report to decode.  env holds the
 run options (rmax, seed, triples, roundtrips) and one seeded rng per p,
 shared by the randomized properties checks in a fixed draw order.
 
-The check verbs (jw, braid-check, fpdim, twists) print the intermediate
-data beside a verdict of their own, and exit 1 when it fails at some p; the
-helpers they share with the checks (jw_audit, hexagon_winners,
-inverse_pair_failures, fpdim_routes, twist_routes) live here too.
-jw_audit proves idempotency by the hook certificate alone, at every n.
+The check verbs (jw, braid-check, fpdim, twists) take their verdict from
+the rows of the same name, which are public functions here; a row whose
+data a verb prints returns that data after (ok, detail), and _timed reads
+the first two.  jw_problems(ctx, n) is jw.projectors at one n.  So a verb
+fails exactly when one of its rows does.  jw_audit proves idempotency by
+the hook certificate alone, at every n.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def check(name: str):
 def _timed(name: str, p: int, fn) -> dict:
     t0 = time.perf_counter()
     try:
-        ok, detail = fn()
+        ok, detail = fn()[:2]
     except Exception as err:  # a crash counts as a failed check
         where = traceback.extract_tb(err.__traceback__)[-1]
         ok, detail = False, (f"{type(err).__name__} at "
@@ -126,42 +127,37 @@ def hexagon_winners(ctx) -> list:
             if hexagon_holds(rows, ctx.root(2 * j), one, ctx.root(-2 * j))]
 
 
-def inverse_pair_failures(cands) -> list:
-    """The ordered pairs (i, j) among (0, 1), (1, 0), (2, 3), (3, 2) whose
-    composite cands[i] . cands[j] is not the identity; empty when candidates
-    0,1 and 2,3 are mutually inverse braidings."""
-    ident = identity(cands[0].ctx, 2)
-    return [(i, j) for i, j in ((0, 1), (1, 0), (2, 3), (3, 2))
-            if compose(cands[i], cands[j]) != ident]
-
-
-def fpdim_routes(p: int):
-    """Category dimension from the module side and the recursion side."""
-    du = fpdim_category(uq_ring(p), uq_projective_classes(p))
-    dw = fpdim_category(wp_ring(p), wp_projective_classes(p))
-    return du, dw
-
-
-def twist_routes(p: int):
-    """The recursion-side twist table, and the labels where the inverse
-    module twists disagree with it under the label bijection."""
-    table = wp_twists(p)
-    module = uq_twists(p)
-    bad = [a for a, b in iso_T_labels(p).items()
-           if module.theta[a] != table.theta[b]]
-    return table, bad
+def jw_problems(ctx, n: int):
+    """(problems, jw_audit(ctx, n)): what jw.projectors finds wrong with
+    jw(n), an empty list when nothing is."""
+    audit = jw_audit(ctx, n)
+    _, idempotent, alive, closure = audit
+    problems = []
+    # with every hook killed, e.e = c e for the identity coefficient c,
+    # so a failed certificate proves a nonzero e is not idempotent;
+    # with a hook alive, the row names the hook and says no more
+    if not idempotent and not alive:
+        problems.append(f"jw({n}) is not idempotent")
+    problems += [f"jw({n}) does not kill hook {i}" for i in alive]
+    # at n = p - 1 this asks for the vanishing top closure: [p] = 0
+    want = qint(ctx, n + 1) if n % 2 == 0 else -qint(ctx, n + 1)
+    if closure != want:
+        problems.append(f"jw({n}) has closure {closure}, expected {want}")
+    return problems, audit
 
 
 # -- the checks, registered in suite order ------------------------------------
 
 
 @check("fpdim.category")
-def _fpdim_category(p, env):
-    du, dw = fpdim_routes(p)
+def category_dimension(p, env=None):
+    """Both routes give the category dimension 2p^3; data (du, dw)."""
+    du = fpdim_category(uq_ring(p), uq_projective_classes(p))
+    dw = fpdim_category(wp_ring(p), wp_projective_classes(p))
     want = 2 * p ** 3
     return du == dw == want, (
         f"module route {du}, recursion route {dw}, expected {want}"
-    )
+    ), (du, dw)
 
 
 @check("fpdim.simples")
@@ -265,22 +261,25 @@ def _fusion_truncated_closed_form(p, env):
 
 
 @check("braiding.hexagon")
-def _braiding_hexagon(p, env):
+def hexagon_solutions(p, env=None):
+    """The hexagon scan finds exactly +-q^(+-1/2); data the winners."""
     ctx = field(p)
     winners = hexagon_winners(ctx)
     zh, q = ctx.qhalf(), ctx.q()
     ok = (len(winners) == 4
           and set(winners) == {zh, inv(zh), -zh, -inv(zh)}
           and all(a * a in (q, inv(q)) for a in winners))
+    detail = f"{len(winners)} hexagon solutions among {ctx.N} scanned units"
     if not ok:
         found = ", ".join(map(str, winners))
-        return False, (f"hexagon solutions [{found}] among {ctx.N} scanned "
-                       "units, expected the four +-q^(+-1/2)")
-    return ok, f"{len(winners)} hexagon solutions among {ctx.N} scanned units"
+        detail = (f"hexagon solutions [{found}] among {ctx.N} scanned "
+                  "units, expected the four +-q^(+-1/2)")
+    return ok, detail, winners
 
 
 @check("braiding.yang_baxter")
-def _braiding_yang_baxter(p, env):
+def yang_baxter(p, env=None):
+    """Each candidate satisfies the braid relation and the direct hexagon."""
     cands = braiding_candidates(field(p))
     if not all(check_yang_baxter(c) for c in cands):
         return False, "a candidate breaks the braid relation"
@@ -290,8 +289,12 @@ def _braiding_yang_baxter(p, env):
 
 
 @check("braiding.inverse_pairs")
-def _braiding_inverse_pairs(p, env):
-    bad = inverse_pair_failures(braiding_candidates(field(p)))
+def inverse_pairs(p, env=None):
+    """Candidates 0,1 and 2,3 are mutually inverse braidings."""
+    cands = braiding_candidates(field(p))
+    ident = identity(cands[0].ctx, 2)
+    bad = [(i, j) for i, j in ((0, 1), (1, 0), (2, 3), (3, 2))
+           if compose(cands[i], cands[j]) != ident]
     return not bad, (
         "candidates pair into mutually inverse braidings" if not bad else
         "; ".join(f"candidate {i} composed with candidate {j} is not the "
@@ -316,33 +319,24 @@ def _braiding_rmatrix(p, env):
 @check("jw.projectors")
 def _jw_projectors(p, env):
     ctx = field(p)
-    problems = []
-    for n in range(1, p):
-        # the loop ends at n = p - 1, leaving closure at the top projector
-        _, idempotent, alive, closure = jw_audit(ctx, n)
-        # with every hook killed, e.e = c e for the identity coefficient c,
-        # so a failed certificate proves a nonzero e is not idempotent;
-        # with a hook alive, the row names the hook and says no more
-        if not idempotent and not alive:
-            problems.append(f"jw({n}) is not idempotent")
-        problems += [f"jw({n}) does not kill hook {i}" for i in alive]
-        want = qint(ctx, n + 1) if n % 2 == 0 else -qint(ctx, n + 1)
-        if closure != want:
-            problems.append(f"jw({n}) has the wrong closure")
-    if not closure.is_zero():
-        problems.append("top projector closure is nonzero")
+    problems = [line for n in range(1, p) for line in jw_problems(ctx, n)[0]]
     return not problems, ("; ".join(problems) if problems else
                           f"n=1..{p - 1}: idempotent, hook-killing, "
                           "alternating closures, vanishing top closure")
 
 
 @check("twists.match_under_iso")
-def _twists_match(p, env):
-    _, bad = twist_routes(p)
+def twists_match(p, env=None):
+    """The inverse module twists equal the recursion-side table under the
+    label bijection; data that table."""
+    table = wp_twists(p)
+    module = uq_twists(p)
+    bad = [a for a, b in iso_T_labels(p).items()
+           if module.theta[a] != table.theta[b]]
     return not bad, (
         "inverse module twists equal the recursion-side table "
         "under the label bijection" if not bad else f"mismatch at {bad}"
-    )
+    ), table
 
 
 @check("twists.two_dim_value")

@@ -14,15 +14,17 @@ Parentheses nest at most MAX_PARENS deep and the expression tree is at most
 MAX_DEPTH levels deep; deeper input is a syntax error, not a crash.
 
 Verbs: fuse, jw, braid-check, fpdim, twists, muger, phase, verify.  The
-checks behind verify and the data the check verbs print come from
-ribbonkit.checks; the verbs here only render them.  Each verb is a
-generator over the p range that yields report rows (ok, payload, text);
-main alone prints them, one row per line (payload as one JSON object under
---format json, text otherwise), and sets the exit code: 0 on success, 1
-when a row is not ok (a verification failed), 2 for usage or parse
-trouble.  -p takes one value or an inclusive range A..B, walked as a range
-and never listed, so a huge range streams.  The argparse tree is built
-once per process, on the first main call, and every later call reuses it.
+checks behind verify come from ribbonkit.checks.  A check verb (jw,
+braid-check, fpdim, twists) runs the check rows of its own name and
+renders their data: its verdict is theirs, and the detail of a failing row
+is appended to its text.  Each verb is a generator over the p range that
+yields report rows (ok, payload, text); main alone prints them, one row
+per line (payload as one JSON object under --format json, text
+otherwise), and sets the exit code: 0 on success, 1 when a row is not ok
+(a verification failed), 2 for usage or parse trouble.  -p takes one value
+or an inclusive range A..B, walked as a range and never listed, so a huge
+range streams.  The argparse tree is built once per process, on the first
+main call, and every later call reuses it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from fractions import Fraction
 from functools import cache
 
 from .cyclo import field
-from .tldiag import braiding_candidates, check_yang_baxter
 from .fusion import (
     DEFAULT_RMAX, TruncationOverflow, linear, singlet_ring, uq_labels,
     uq_ring, vir_ring, wp_labels, wp_ring,
@@ -47,8 +48,8 @@ from .ribbon import (
     muger_candidates, singlet_twists, voa_monodromy_phase, wp_twists,
 )
 from .checks import (
-    SUITES, fpdim_routes, hexagon_winners, inverse_pair_failures, jw_audit,
-    run_checks, twist_routes,
+    SUITES, category_dimension, hexagon_solutions, inverse_pairs, jw_problems,
+    run_checks, twists_match, yang_baxter,
 )
 
 
@@ -420,50 +421,47 @@ def _cmd_fuse(args, ps):
 
 def _cmd_jw(args, ps):
     for p in ps:
-        e, idem, alive, closure = jw_audit(field(p), args.n)
+        problems, (e, idem, alive, closure) = jw_problems(field(p), args.n)
         hooks = not alive
-        yield idem and hooks, {
+        yield not problems, {
             "verb": "jw", "p": p, "n": args.n, "terms": len(e.terms),
             "idempotent": idem, "hooks_killed": hooks,
             "markov": str(closure),
         }, (f"p={p}: jw({args.n}) terms={len(e.terms)} "
             f"idempotent={'yes' if idem else 'NO'} "
-            f"hooks-killed={'yes' if hooks else 'NO'} markov={closure}")
+            f"hooks-killed={'yes' if hooks else 'NO'} markov={closure}"
+            + "".join(f" ({line})" for line in problems))
 
 
 def _cmd_braid_check(args, ps):
     for p in ps:
-        ctx = field(p)
-        winners = hexagon_winners(ctx)
-        cands = braiding_candidates(ctx)
-        yb = all(check_yang_baxter(c) for c in cands)
-        inverse_ok = not inverse_pair_failures(cands)
-        yield len(winners) == 4 and yb and inverse_ok, {
+        rows = hexagon_solutions(p), yang_baxter(p), inverse_pairs(p)
+        winners, yb, inverse_ok = rows[0][2], rows[1][0], rows[2][0]
+        yield all(row[0] for row in rows), {
             "verb": "braid-check", "p": p, "hexagon_solutions": len(winners),
             "yang_baxter": yb, "inverse_pairs": inverse_ok,
         }, (f"p={p}: hexagon solutions={len(winners)} (expected 4) "
             f"yang-baxter={'yes' if yb else 'NO'} "
-            f"inverse-pairs={'yes' if inverse_ok else 'NO'}")
+            f"inverse-pairs={'yes' if inverse_ok else 'NO'}"
+            + "".join(f" ({row[1]})" for row in rows if not row[0]))
 
 
 def _cmd_fpdim(args, ps):
     for p in ps:
-        du, dw = fpdim_routes(p)
-        ok = du == dw
+        ok, detail, (du, dw) = category_dimension(p)
         yield ok, {
             "verb": "fpdim", "p": p, "module_route": str(du),
             "recursion_route": str(dw), "agree": ok,
-        }, f"p={p}: {du}" + ("" if ok else f" != {dw} (routes disagree)")
+        }, f"p={p}: {du}" + ("" if ok else f" ({detail})")
 
 
 def _cmd_twists(args, ps):
     for p in ps:
-        table, mismatched = twist_routes(p)
-        agree = not mismatched
+        agree, detail, table = twists_match(p)
         lines = [f"p={p} {label_str(lab, 'wp')}: {table.theta[lab]}"
                  for lab in sorted(table.theta)]
         lines.append(f"p={p} module route (inverse twists) agrees: "
-                     f"{'yes' if agree else 'NO'}")
+                     + ("yes" if agree else f"NO ({detail})"))
         yield agree, {**twist_table_json(table), "verb": "twists", "p": p,
                       "module_route_agrees": agree}, "\n".join(lines)
 

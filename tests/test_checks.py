@@ -40,10 +40,10 @@ ENV = {"rmax": 4}
 
 
 def _fail_detail(monkeypatch, name, target, attr, value) -> str:
-    ok, pass_text = CHECKS[name](P, ENV)
+    ok, pass_text = CHECKS[name](P, ENV)[:2]
     assert ok
     monkeypatch.setattr(target, attr, value)
-    ok, detail = CHECKS[name](P, ENV)
+    ok, detail = CHECKS[name](P, ENV)[:2]
     assert not ok and detail != pass_text
     return detail
 
@@ -322,6 +322,22 @@ def test_jw_hook_certificate_negative_controls(monkeypatch):
         doubled if m == 7 else real_jw(c, m)))
     assert CHECKS["jw.projectors"](8, ENV) == (
         False, "jw(7) is not idempotent")
+
+
+def test_jw_row_checks_the_top_closure_by_the_closed_form(monkeypatch):
+    # at n = p - 1 the alternating closure (-1)^n [n+1] is [p] = 0, so the
+    # one comparison per n also asks for a vanishing top closure: a closure
+    # spoiled at jw(4) alone fails the p = 5 row, which names jw(4)
+    real = checks.jw_audit
+
+    def spoiled(ctx, n):
+        e, idempotent, alive, closure = real(ctx, n)
+        return e, idempotent, alive, closure + 1 if n == 4 else closure
+
+    assert CHECKS["jw.projectors"](5, ENV)[0]
+    monkeypatch.setattr(checks, "jw_audit", spoiled)
+    assert CHECKS["jw.projectors"](5, ENV) == (
+        False, "jw(4) has closure 1, expected 0")
 
 
 def test_jw_row_names_a_live_hook_without_an_idempotency_claim(monkeypatch):

@@ -466,12 +466,17 @@ def test_cmd_jw_line_at_n_9(capsys):
 # verb: (argv after the p range, attribute of cli, spoil of its p=3 result,
 # a text that only the p=3 row prints)
 _BROKEN_AT_3 = {
-    "jw": (["-n", "1"], "jw_audit",
-           lambda r: (r[0], False, r[2], r[3]), "idempotent=NO"),
-    "braid-check": ([], "hexagon_winners", lambda r: r[:3], "solutions=3"),
-    "fpdim": ([], "fpdim_routes", lambda r: (r[0], r[1] + 1),
+    "jw": (["-n", "1"], "jw_problems",
+           lambda r: (["jw(1) is not idempotent"],
+                      (r[1][0], False, r[1][2], r[1][3])), "idempotent=NO"),
+    "braid-check": ([], "hexagon_solutions",
+                    lambda r: (False, "three solutions", r[2][:3]),
+                    "solutions=3"),
+    "fpdim": ([], "category_dimension",
+              lambda r: (False, "routes disagree", (r[2][0], r[2][1] + 1)),
               "routes disagree"),
-    "twists": ([], "twist_routes", lambda r: (r[0], [(1, 1)]), "agrees: NO"),
+    "twists": ([], "twists_match",
+               lambda r: (False, "mismatch at [(1, 1)]", r[2]), "agrees: NO"),
     "verify": (["--suite", "fpdim"], None, None, "[fail] p=3 fpdim.category"),
 }
 
@@ -503,6 +508,42 @@ def test_cmd_reports_every_p(capsys, monkeypatch, verb, fmt):
         assert [p for p, line in zip(ps, lines) if marker in line] == [3]
     # verify and twists may give one p several lines, all together
     assert [p for p, _ in itertools.groupby(ps)] == [2, 3, 4]
+
+
+def _closure_plus_one(real):
+    def spoiled(ctx, n):
+        e, idempotent, alive, closure = real(ctx, n)
+        return e, idempotent, alive, closure + 1
+    return spoiled
+
+
+# attribute of checks, spoil of it given the real one, the suite whose row
+# must fail, and the verb argv that must fail with it
+_SPOILED_INPUTS = {
+    "hexagon": ("hexagon_winners",
+                lambda real: lambda ctx: [ctx.root(j) for j in range(4)],
+                "braiding", ["braid-check", "-p", "3"]),
+    "fpdim": ("fpdim_category", lambda real: lambda ring, classes: 5,
+              "fpdim", ["fpdim", "-p", "3"]),
+    "jw closure": ("jw_audit", _closure_plus_one,
+                   "jw", ["jw", "-p", "5", "-n", "3"]),
+}
+
+
+@pytest.mark.parametrize("case", list(_SPOILED_INPUTS))
+def test_verb_and_row_fail_together(capsys, monkeypatch, case):
+    # one input spoiled inside checks fails the row and the verb of the same
+    # statement, and the verb's text carries the failing row's detail
+    attr, spoil, suite, argv = _SPOILED_INPUTS[case]
+    monkeypatch.setattr(checks, attr, spoil(getattr(checks, attr)))
+    assert main(["verify", "--suite", suite, "-p", argv[2],
+                 "--format", "json"]) == 1
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    parts = {part for row in rows if row["status"] == "fail"
+             for part in row["detail"].split("; ")}
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert any(f"({part})" in out for part in parts), (parts, out)
 
 
 def test_cmd_braid_check(capsys):
