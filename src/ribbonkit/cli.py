@@ -16,15 +16,16 @@ MAX_DEPTH levels deep; deeper input is a syntax error, not a crash.
 Verbs: fuse, jw, braid-check, fpdim, twists, muger, phase, verify.  The
 checks behind verify come from ribbonkit.checks.  A check verb (jw,
 braid-check, fpdim, twists) runs the check rows of its own name and
-renders their data: its verdict is theirs, and the detail of a failing row
-is appended to its text.  Each verb is a generator over the p range that
-yields report rows (ok, payload, text); main alone prints them, one row
-per line (payload as one JSON object under --format json, text
-otherwise), and sets the exit code: 0 on success, 1 when a row is not ok
-(a verification failed), 2 for usage or parse trouble.  -p takes one value
-or an inclusive range A..B, walked as a range and never listed, so a huge
-range streams.  The argparse tree is built once per process, on the first
-main call, and every later call reuses it.
+renders their data: its verdict is theirs, and the details of the failing
+rows are appended to its text and listed under "problems" in its JSON row
+(a passing row has no such key).  Each verb is a generator over the p
+range that yields report rows (ok, payload, text); main alone prints
+them, one row per line (payload as one JSON object under --format json,
+text otherwise), and sets the exit code: 0 on success, 1 when a row is
+not ok (a verification failed), 2 for usage or parse trouble.  -p takes
+one value or an inclusive range A..B, walked as a range and never
+listed, so a huge range streams.  The argparse tree is built once per
+process, on the first main call, and every later call reuses it.
 """
 
 from __future__ import annotations
@@ -419,15 +420,21 @@ def _cmd_fuse(args, ps):
         }, f"p={p}: {pretty}" if ps[-1] > ps[0] else pretty
 
 
+def _with_problems(payload: dict, problems: list) -> dict:
+    """A check verb's JSON row: the failing rows' details go under
+    "problems", and a passing row is left as it is."""
+    return {**payload, "problems": problems} if problems else payload
+
+
 def _cmd_jw(args, ps):
     for p in ps:
         problems, (e, idem, alive, closure) = jw_problems(field(p), args.n)
         hooks = not alive
-        yield not problems, {
+        yield not problems, _with_problems({
             "verb": "jw", "p": p, "n": args.n, "terms": len(e.terms),
             "idempotent": idem, "hooks_killed": hooks,
             "markov": str(closure),
-        }, (f"p={p}: jw({args.n}) terms={len(e.terms)} "
+        }, problems), (f"p={p}: jw({args.n}) terms={len(e.terms)} "
             f"idempotent={'yes' if idem else 'NO'} "
             f"hooks-killed={'yes' if hooks else 'NO'} markov={closure}"
             + "".join(f" ({line})" for line in problems))
@@ -437,22 +444,24 @@ def _cmd_braid_check(args, ps):
     for p in ps:
         rows = hexagon_solutions(p), yang_baxter(p), inverse_pairs(p)
         winners, yb, inverse_ok = rows[0][2], rows[1][0], rows[2][0]
-        yield all(row[0] for row in rows), {
+        problems = [row[1] for row in rows if not row[0]]
+        yield not problems, _with_problems({
             "verb": "braid-check", "p": p, "hexagon_solutions": len(winners),
             "yang_baxter": yb, "inverse_pairs": inverse_ok,
-        }, (f"p={p}: hexagon solutions={len(winners)} (expected 4) "
+        }, problems), (f"p={p}: hexagon solutions={len(winners)} (expected 4) "
             f"yang-baxter={'yes' if yb else 'NO'} "
             f"inverse-pairs={'yes' if inverse_ok else 'NO'}"
-            + "".join(f" ({row[1]})" for row in rows if not row[0]))
+            + "".join(f" ({line})" for line in problems))
 
 
 def _cmd_fpdim(args, ps):
     for p in ps:
         ok, detail, (du, dw) = category_dimension(p)
-        yield ok, {
+        yield ok, _with_problems({
             "verb": "fpdim", "p": p, "module_route": str(du),
             "recursion_route": str(dw), "agree": ok,
-        }, f"p={p}: {du}" + ("" if ok else f" ({detail})")
+        }, [] if ok else [detail]), (
+            f"p={p}: {du}" + ("" if ok else f" ({detail})"))
 
 
 def _cmd_twists(args, ps):
@@ -462,8 +471,10 @@ def _cmd_twists(args, ps):
                  for lab in sorted(table.theta)]
         lines.append(f"p={p} module route (inverse twists) agrees: "
                      + ("yes" if agree else f"NO ({detail})"))
-        yield agree, {**twist_table_json(table), "verb": "twists", "p": p,
-                      "module_route_agrees": agree}, "\n".join(lines)
+        yield agree, _with_problems(
+            {**twist_table_json(table), "verb": "twists", "p": p,
+             "module_route_agrees": agree},
+            [] if agree else [detail]), "\n".join(lines)
 
 
 def _cmd_muger(args, ps):

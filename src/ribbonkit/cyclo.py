@@ -7,7 +7,8 @@ form of FLINT/Antic). Phi_N is monic, so reduction is integer arithmetic and
 rationals appear only at the API edges: constructor input, rational(), the
 Fraction view `coeffs`, str/parse_cyc and embed_complex. Inverses come from
 an extended Euclid over Z[x]. Every memo here (fields, Phi_n, q-integers,
-q-factorials, inverses) is a functools.cache.
+q-factorials, inverses) is a functools.cache. A q-integer [n] is a sum of
+root powers, so it costs no power and no inverse.
 
 For sums of many products (diagram composition) pack and unpack_sum use
 Kronecker substitution: an operand's numerators become the base-2^w digits
@@ -527,9 +528,13 @@ def inv(a: CycNumber) -> CycNumber:
 
 @cache
 def qint(ctx: FieldContext, n: int) -> CycNumber:
-    """[n] = (q^n - q^{-n})/(q - q^{-1})."""
-    q = ctx.q()
-    return (q**n - q**-n) / (q - q**-1)
+    """[n] = (q^n - q^{-n})/(q - q^{-1}), summed as the roots
+    q^{n-1} + q^{n-3} + ... + q^{1-n}: no power and no inverse.
+
+    q has order 2p, so [n + 2p] = [n] and n is first reduced mod 2p; the
+    sum then has 0 <= n < 2p terms ([-n] = [2p - n] = -[n])."""
+    n %= 2 * ctx.p
+    return sum((ctx.root(2 * (n - 1 - 2 * k)) for k in range(n)), ctx.zero())
 
 
 @cache

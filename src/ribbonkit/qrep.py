@@ -12,6 +12,10 @@ once in _coproduct, and each stays a thunk until it is read.
 
 A map between modules is a plain Matrix: module_map certifies it (field,
 shape, K-equivariance, and intertwining E, F, Ep, Fp) and hands it back.
+A diagonal endomorphism is certified without matrix products, by comparing
+its entries along each nonzero entry of the four operators; every other
+map takes the products.  1/[j]! for j < p, read by the divided powers and
+the twist, is one table per field, built from a single inverse.
 
 The module of a label is built here and nowhere else: uq_module gives the
 simple V_s or chi (x) V_s of the small quantum group label (s, eps), and
@@ -209,7 +213,11 @@ class WeightModule:
 
 def module_map(domain, codomain, matrix) -> Matrix:
     """matrix, certified as a module map domain -> codomain: it must share
-    their field, have their shape, respect K and intertwine E, F, Ep, Fp."""
+    their field, have their shape, respect K and intertwine E, F, Ep, Fp.
+
+    A diagonal endomorphism D is certified without products: D X = X D
+    exactly when D[i] == D[j] at every nonzero X[i,j], since the field has
+    no zero divisors (an entry D does not store is zero)."""
     if domain.ctx is not codomain.ctx or matrix.ctx is not domain.ctx:
         raise ContextMismatch("map pieces from different field contexts")
     if (matrix.rows, matrix.cols) != (codomain.dimension, domain.dimension):
@@ -218,10 +226,16 @@ def module_map(domain, codomain, matrix) -> Matrix:
     for (i, j) in matrix.data:
         if (codomain.weights[i] - domain.weights[j]) % period:
             raise ValueError(f"entry ({i},{j}) breaks K-equivariance")
+    entries = matrix.data
+    diagonal = domain is codomain and all(i == j for i, j in entries)
     for name in ("E", "F", "Ep", "Fp"):
-        left = getattr(codomain, name).mul(matrix)
-        right = matrix.mul(getattr(domain, name))
-        if left != right:
+        op = getattr(domain, name)
+        if diagonal:
+            ok = all(entries.get((i, i)) == entries.get((j, j))
+                     for i, j in op.data)
+        else:
+            ok = getattr(codomain, name).mul(matrix) == matrix.mul(op)
+        if not ok:
             raise ValueError(f"map fails to intertwine {name}")
     return matrix
 
@@ -305,13 +319,24 @@ def _op_powers(op: Matrix, top: int) -> list:
     return out
 
 
+@cache
+def _inverse_qfacts(ctx: FieldContext) -> tuple:
+    """1/[j]! for j < p, from one inverse: 1/[p-1]! is inverted and each
+    1/[j-1]! is 1/[j]! times [j]."""
+    out = [inv(qfact(ctx, ctx.p - 1))]
+    for j in range(ctx.p - 1, 1, -1):
+        out.append(out[-1] * qint(ctx, j))
+    out.append(out[-1])  # 1/[0]! = 1/[1]!
+    return tuple(reversed(out))
+
+
 def _divided(m: WeightModule, powers, name: str, k: int) -> Matrix:
     # X^{(k)} for X = E or F: the stored generator Xp at k = p, else X^k/[k]!
     if k == m.ctx.p:
         return getattr(m, name + "p")
     if k <= 1:
         return powers[k]
-    return powers[k].scale(inv(qfact(m.ctx, k)))
+    return powers[k].scale(_inverse_qfacts(m.ctx)[k])
 
 
 def _coproduct(m: WeightModule, n: WeightModule, name: str,
@@ -384,8 +409,8 @@ def _twist_coefs(ctx: FieldContext) -> tuple:
     q = ctx.q()
     coef = []
     gpow = ctx.one()
-    for j in range(ctx.p):
-        coef.append(gpow * inv(qfact(ctx, j)))
+    for inverse in _inverse_qfacts(ctx):
+        coef.append(gpow * inverse)
         gpow = gpow * (q * q - ctx.one())
     return tuple(coef)
 
@@ -437,7 +462,10 @@ def twist_inverse(m: WeightModule) -> Matrix:
     feeds the entries (d, c) with the weight F[d,a] E[b,c], computed once
     for the first level whose X holds (a, b).  So each Horner term costs one
     field product, and the levels are plain dicts; one Matrix, the result,
-    goes to module_map, which certifies it.  A weight space of multiplicity
+    goes to module_map, which certifies it: on a simple the result is a
+    scalar, certified by the diagonal rule without a matrix product.  The
+    coefficients (q^2-1)^j/[j]! share one inverse per field (see
+    _inverse_qfacts).  A weight space of multiplicity
     k costs k^4 products per level this way, against 2k^3 for two matrix
     products; the simples have k = 1, and the products that the checks
     twist have k <= 3."""

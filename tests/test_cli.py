@@ -502,7 +502,16 @@ def test_cmd_reports_every_p(capsys, monkeypatch, verb, fmt):
     assert main([verb, "-p", "2..4", "--format", fmt] + rest) == 1
     lines = capsys.readouterr().out.splitlines()
     if fmt == "json":
-        ps = [json.loads(line)["p"] for line in lines]
+        rows = [json.loads(line) for line in lines]
+        ps = [row["p"] for row in rows]
+        # the failing row carries its details; a passing row has no
+        # "problems" key at all
+        if verb == "verify":
+            failing = [row["p"] for row in rows if row["status"] == "fail"]
+        else:
+            failing = [row["p"] for row in rows if "problems" in row]
+            assert all(row["problems"] for row in rows if "problems" in row)
+        assert failing == [3]
     else:
         ps = [int(re.search(r"p=(\d+)", line).group(1)) for line in lines]
         assert [p for p, line in zip(ps, lines) if marker in line] == [3]

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from ribbonkit.cyclo import (
     ContextMismatch,
     CycNumber,
+    FieldContext,
     embed_complex,
     field,
     inv,
@@ -131,6 +132,24 @@ def test_qint_specials(p):
     # [2] = q + q^{-1}
     q = ctx.q()
     assert qint(ctx, 2) == q + inv(q)
+
+
+@pytest.mark.parametrize("p", range(2, 25))
+def test_qint_is_the_quotient(monkeypatch, p):
+    # the root sum against the quotient it replaces, at every residue of n
+    # mod 2p and past it; the context is fresh, so qint's memo is cold and
+    # every value below is summed under the patch, which refuses any power
+    # or inverse
+    ctx = FieldContext(p)
+    q = ctx.q()
+    want = {n: (q**n - q**-n) / (q - q**-1) for n in range(-3 * p, 3 * p + 1)}
+
+    def refuse(*args):
+        raise AssertionError("qint took a power or an inverse")
+
+    monkeypatch.setattr(CycNumber, "inv", refuse)
+    monkeypatch.setattr(CycNumber, "__pow__", refuse)
+    assert {n: qint(ctx, n) for n in want} == want
 
 
 def test_qint_p3_value():

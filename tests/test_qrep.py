@@ -875,6 +875,30 @@ def test_twist_inverse_builds_no_matrix_product(p):
         assert [twist_inverse(m) for m in mods] == expected
 
 
+@pytest.mark.parametrize("p", [2, 5, 8, 16])
+def test_twist_inverse_certifies_simples_without_products(p):
+    # on a simple the inverse twist is a scalar, which module_map certifies
+    # by the diagonal rule: with module_map live, no Matrix.mul runs
+    ctx = field(p)
+    mods = [uq_module(ctx, (s, e)) for s in range(1, p + 1) for e in (0, 1)]
+    with mock.patch.object(Matrix, "mul",
+                           side_effect=AssertionError("Matrix.mul")):
+        for m in mods:
+            twist_inverse(m)
+
+
+@pytest.mark.parametrize("p", range(2, 17))
+def test_inverse_factorial_table(p):
+    # the table read by _divided and _twist_coefs, from one inverse,
+    # against one inverse per factorial
+    ctx = field(p)
+    g = ctx.q() * ctx.q() - 1
+    inverses = tuple(inv(qfact(ctx, j)) for j in range(p))
+    assert qrep._inverse_qfacts(ctx) == inverses
+    assert qrep._twist_coefs(ctx) == tuple(
+        g**j * x for j, x in enumerate(inverses))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_balancing_identity(p):
     # c^2 . thetainv(M x N) = thetainv(M) x thetainv(N), total dim <= 12
@@ -1089,6 +1113,56 @@ def test_module_map_verification():
         module_map(v2, v2, Matrix(ctx, 2, 2, {(0, 1): ctx.one()}))
     ident = Matrix.identity(ctx, 2)
     assert module_map(v2, v2, ident) is ident
+
+
+def _direct_sum(m, n):
+    """m (+) n, every operator block diagonal."""
+    ctx, d = m.ctx, m.dimension
+    dim = d + n.dimension
+
+    def block(name):
+        data = dict(getattr(m, name).data)
+        data.update({(i + d, j + d): v
+                     for (i, j), v in getattr(n, name).data.items()})
+        return Matrix(ctx, dim, dim, data)
+
+    return WeightModule(ctx, m.weights + n.weights,
+                        *(block(name) for name in ("E", "F", "Ep", "Fp")))
+
+
+@pytest.mark.parametrize("p", range(2, 9))
+def test_module_map_diagonal_rule_matches_products(p):
+    # the product-free verdict on a diagonal endomorphism against the
+    # products D X and X D, generator by generator: scalars (zero too),
+    # random diagonals whose entries repeat or are missing, and, on
+    # V2 (+) Vp, diagonals constant on each summand, which are module
+    # maps without being scalars
+    rng = random.Random(p)
+    ctx = field(p)
+    v2, vp = simple_V(ctx, 2), simple_V(ctx, p)
+    mods = [(uq_module(ctx, (s, e)), None)
+            for s in range(1, p + 1) for e in (0, 1)]
+    mods += [(tensor(v2, v2), None), (tensor(vp, v2), None),
+             (_direct_sum(v2, vp), (2, p))]
+    values = [ctx.zero(), ctx.one(), ctx.rational(2), ctx.q()]
+    for m, blocks in mods:
+        dim = m.dimension
+        diags = [[v] * dim for v in values]
+        diags += [[rng.choice(values) for _ in range(dim)] for _ in range(8)]
+        if blocks:
+            diags += [[v for size in blocks
+                       for v in [rng.choice(values)] * size]
+                      for _ in range(8)]
+        for entries in diags:
+            d = Matrix.diagonal(ctx, entries)
+            failing = [name for name in ("E", "F", "Ep", "Fp")
+                       if getattr(m, name).mul(d) != d.mul(getattr(m, name))]
+            if not failing:
+                assert module_map(m, m, d) is d
+                continue
+            with pytest.raises(ValueError) as info:
+                module_map(m, m, d)
+            assert str(info.value) == f"map fails to intertwine {failing[0]}"
 
 
 @pytest.mark.parametrize("matrix, exc, message", [

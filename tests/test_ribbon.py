@@ -20,7 +20,7 @@ import pytest
 from collections import Counter
 from fractions import Fraction
 
-from ribbonkit import fusion
+from ribbonkit import cyclo, fusion, ribbon
 from ribbonkit.checks import CHECKS, iso_K_witness, twists_match
 from ribbonkit.cyclo import embed_complex, field, parse_cyc
 from ribbonkit.fusion import (
@@ -108,6 +108,16 @@ def test_label_routes_build_no_ring(p):
     assert iso_K_witness(p, 6) is None
     assert uq_ring.cache_info().misses == 0
     assert wp_ring.cache_info().misses == 0
+
+
+def test_uq_twists_inverts_once(monkeypatch):
+    # [n] is a sum of roots and every 1/[j]! comes from the one inverse of
+    # [p-1]!, so in a fresh field, whose memos are all cold, the whole
+    # table misses the inverse memo at most once
+    monkeypatch.setattr(ribbon, "field", cyclo.FieldContext)
+    before = cyclo._inverse.cache_info().misses
+    uq_twists(11)
+    assert cyclo._inverse.cache_info().misses - before <= 1
 
 
 def test_module_twist_scalar_rejects_mixed_module():
